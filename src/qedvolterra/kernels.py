@@ -21,7 +21,7 @@ normalization convention is not fixed by the derivation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -119,12 +119,10 @@ def density_from_table(table, tail_order: float,
     i_peak = int(np.argmax(rho_tab))
 
     def fn(p):
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        out = np.maximum(spline(np.minimum(p, p_last)), 0.0)
-        tail = p > p_last
-        if np.any(tail):
-            out[tail] = rho_last * (p_last / p[tail]) ** tail_order
-        return out
+        p = np.asarray(p, dtype=float)
+        body = np.maximum(spline(np.minimum(p, p_last)), 0.0)
+        tail = rho_last * (p_last / np.maximum(p, p_last)) ** tail_order
+        return np.where(p > p_last, tail, body)
 
     return SpectralDensity(
         fn=fn, label=label,
@@ -275,12 +273,14 @@ def squeezed_delta_concentrated(t, s, params: SqueezeParams,
 
 
 class KernelEvaluator:
-    """Complex kernel S(t, s) with a stationary flag.
+    """Complex kernel S(t, s) = S0(t - s) + R(t, s) with a stationary flag.
 
-    Stationary kernels expose ``tau(lag)`` / ``tau_values(lags)``; all
-    kernels expose ``row(t, s_array)`` for vectorized solver access.
-    Evaluators are immutable apart from an internal value cache and safe for
-    concurrent use.
+    ``tau_fn(lag)`` gives the stationary part S0 and ``row_fn(t, s_array)``
+    the correction R over an array of s; either may be absent (zero).
+    Stationary kernels have no correction and expose ``tau(lag)`` /
+    ``tau_values(lags)``.  ``fn(t, s)``, when given, is the whole kernel at
+    one point and serves ``eval``.  All kernels expose ``row(t, s_array)``.
+    Evaluators hold no mutable state and are safe for concurrent use.
     """
 
     def __init__(self, fn, stationary: bool, label: str,
@@ -290,35 +290,58 @@ class KernelEvaluator:
         self.label = label
         self._tau_fn = tau_fn
         self._row_fn = row_fn
-        self._tau_cache: dict[float, complex] = {}
 
     def eval(self, t: float, s: float) -> complex:
         if self.stationary:
             return self.tau(t - s)
-        return complex(self._fn(t, s))
+        if self._fn is not None:
+            return complex(self._fn(t, s))
+        return complex(self.row(t, np.array([s]))[0])
 
     __call__ = eval
 
     def tau(self, lag: float) -> complex:
         if not self.stationary:
             raise ValueError("tau() requires a stationary kernel")
-        hit = self._tau_cache.get(lag)
-        if hit is None:
-            hit = complex(self._tau_fn(lag))
-            self._tau_cache[lag] = hit
-        return hit
+        return complex(self._tau_fn(lag))
 
     def tau_values(self, lags: np.ndarray) -> np.ndarray:
-        return np.array([self.tau(float(x)) for x in np.asarray(lags)],
-                        dtype=complex)
+        if not self.stationary:
+            raise ValueError("tau_values() requires a stationary kernel")
+        return self._s0(lags)
 
     def row(self, t: float, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        if self._row_fn is not None:
-            return np.asarray(self._row_fn(t, s), dtype=complex)
         if self.stationary:
             return self.tau_values(t - s)
-        return np.array([self._fn(t, float(x)) for x in s], dtype=complex)
+        if self._row_fn is None:
+            return np.array([self._fn(t, float(x)) for x in s],
+                            dtype=complex)
+        r = np.asarray(self._row_fn(t, s), dtype=complex)
+        return r if self._tau_fn is None else self._s0(t - s) + r
+
+    def _s0(self, lags) -> np.ndarray:
+        return np.array([complex(self._tau_fn(float(x)))
+                         for x in np.asarray(lags)], dtype=complex)
+
+    def _history_rows(self, times: np.ndarray, omega: float):
+        """Row source k -> K_k, K_k[j] = e^{i omega (t_k - t_j)} S(t_k, t_j)
+        for j = 0..k on the uniform grid ``times``.
+
+        S0 is read once on the lag grid t_m = m dt; a non-stationary kernel
+        adds its correction row, over all j at once, at each request.  Each
+        row is meant to be requested once, so none is kept.
+        """
+        phase = np.exp(1j * omega * times)
+        if self.stationary:
+            W = self.tau_values(times) * phase
+            return lambda k: W[k::-1]
+        if self._tau_fn is None:
+            return lambda k: self.row(times[k], times[:k + 1]) * phase[k::-1]
+        W = self._s0(times) * phase
+        return lambda k: W[k::-1] + np.asarray(
+            self._row_fn(times[k], times[:k + 1]), dtype=complex) \
+            * phase[k::-1]
 
 
 def _tabulated_tau(rho: SpectralDensity, cfg: QuadConfig, tau_max: float,
@@ -377,25 +400,18 @@ def make_kernel(state: str, *,
         base = make_kernel("vacuum", density=density, cfg=cfg,
                            tabulate=tabulate)
         if state == "squeezed_concentrated":
-            def fn(t, s):
-                return base.tau(t - s) + squeezed_delta_concentrated(
-                    t, s, squeeze, chi)
-
             def row_fn(t, s):
-                return base.tau_values(t - s) + squeezed_delta_concentrated(
-                    t, s, squeeze, chi)
+                return squeezed_delta_concentrated(t, s, squeeze, chi)
         else:
             if squeeze.wavepacket is None:
                 raise ValueError("squeezed_general requires a wavepacket")
             mode = _PairMode(squeeze, chi, cfg)
 
-            def fn(t, s):
-                return base.tau(t - s) + squeezed_delta_general(
-                    t, s, squeeze, chi, cfg, _mode=mode)
-
-            row_fn = None
-        return KernelEvaluator(fn, stationary=False,
+            def row_fn(t, s):
+                return np.array([squeezed_delta_general(
+                    t, float(x), squeeze, chi, cfg, _mode=mode) for x in s])
+        return KernelEvaluator(None, stationary=False,
                                label=f"{state}:r={squeeze.r:g}",
-                               row_fn=row_fn)
+                               tau_fn=base._tau_fn, row_fn=row_fn)
 
     raise ValueError(f"unknown state {state!r}")

@@ -5,15 +5,18 @@
 
 by implicit product integration: a trapezoid baseline (global O(dt^2)) and a
 Gregory-4 / Adams-Moulton scheme (global O(dt^4)) whose starting values come
-from Richardson-extrapolated trapezoid sub-steps.  For stationary kernels the
-equivalent second-kind integral form c(T) = 1 - integral_0^T Z(T-s) c(s) ds
-is also provided.
+from Richardson-extrapolated trapezoid sub-steps.  Both read the history
+through one row source, K_k[j] = exp(i omega (t_k - t_j)) S(t_k, t_j) for
+j = 0..k, so one loop per method serves stationary and non-stationary
+kernels alike, and every step checks its own implicit diagonal weight.  For
+stationary kernels the equivalent second-kind integral form
+c(T) = 1 - integral_0^T Z(T-s) c(s) ds is also provided.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,9 +24,6 @@ from scipy.integrate import cumulative_trapezoid
 
 from .atom import ModelParams
 from .kernels import KernelEvaluator
-
-# lower-triangular kernel matrix cache cutoff, bytes
-_KERNEL_MATRIX_BUDGET = 2**28
 
 # Gregory end weights of order 4 (error O(h^4)); interior weight is 1
 _GREGORY_END = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
@@ -110,67 +110,27 @@ def _gregory_weights(n: int) -> np.ndarray:
     return _NEWTON_COTES[n].copy()
 
 
-def _check_step(alpha: float, dt: float, s00: complex):
+def _check_step(alpha: float, dt: float, s_diag: complex):
     # the implicit diagonal weight alpha*dt/2*S(t,t) must stay contractive
-    if alpha * dt * dt * abs(s00) / 2.0 >= 1.0:
-        suggested = math.sqrt(0.5 / (alpha * abs(s00)))
+    if alpha * dt * dt * abs(s_diag) / 2.0 >= 1.0:
+        suggested = math.sqrt(0.5 / (alpha * abs(s_diag)))
         raise SolverError(
             f"dt={dt:g} too large for this kernel (diagonal weight >= 1); "
             f"use dt < {suggested:.3g}")
 
 
-def _kernel_rows(kernel: KernelEvaluator, times: np.ndarray):
-    """Row accessor row(n) -> S(t_n, t_0..t_n); caches the lower triangle
-    when it fits in the memory budget."""
-    n = len(times) - 1
-    if (n + 1) ** 2 * 16 <= _KERNEL_MATRIX_BUDGET:
-        mat = np.empty((n + 1, n + 1), dtype=complex)
-        filled = np.zeros(n + 1, dtype=bool)
-
-        def row(k):
-            if not filled[k]:
-                mat[k, :k + 1] = kernel.row(times[k], times[:k + 1])
-                filled[k] = True
-            return mat[k, :k + 1]
-    else:
-        def row(k):
-            return kernel.row(times[k], times[:k + 1])
-    return row
-
-
 def _solve_trapezoid(kernel, params, grid) -> np.ndarray:
-    alpha, omega = params.alpha, params.omega
-    dt = grid.dt
-    n = grid.n_steps
-    times = grid.times
+    alpha, dt, n = params.alpha, grid.dt, grid.n_steps
+    row = kernel._history_rows(grid.times, params.omega)
     c = np.empty(n + 1, dtype=complex)
     c[0] = 1.0
-    if alpha == 0.0:
-        c[:] = 1.0
-        return c
-
-    if kernel.stationary:
-        W = kernel.tau_values(times) * np.exp(1j * omega * times)
-        _check_step(alpha, dt, W[0])
-        denom = 1.0 + 0.25 * alpha * dt * dt * W[0]
-        phi_prev = 0.0 + 0.0j
-        for k in range(1, n + 1):
-            conv = 0.5 * c[0] * W[k]
-            if k > 1:
-                conv += np.dot(c[1:k], W[k - 1:0:-1])
-            phik = -alpha * dt * conv
-            c[k] = (c[k - 1] + 0.5 * dt * (phi_prev + phik)) / denom
-            phi_prev = phik - 0.5 * alpha * dt * W[0] * c[k]
-        return c
-
-    row = _kernel_rows(kernel, times)
-    phase = np.exp(1j * omega * times)  # e^{i omega (t_n - t_j)} = ph[n-j]
-    s00 = kernel.eval(0.0, 0.0)
-    _check_step(alpha, dt, s00)
     phi_prev = 0.0 + 0.0j
     for k in range(1, n + 1):
-        K = row(k) * phase[k::-1]
-        conv = 0.5 * c[0] * K[0] + np.dot(c[1:k], K[1:k])
+        K = row(k)
+        _check_step(alpha, dt, K[k])
+        conv = 0.5 * c[0] * K[0]
+        if k > 1:
+            conv += np.dot(c[1:k], K[1:k])
         phik = -alpha * dt * conv
         denom = 1.0 + 0.25 * alpha * dt * dt * K[k]
         c[k] = (c[k - 1] + 0.5 * dt * (phi_prev + phik)) / denom
@@ -178,105 +138,52 @@ def _solve_trapezoid(kernel, params, grid) -> np.ndarray:
     return c
 
 
-def _subgrid_params(grid: TimeGrid, n_start: int, refine: int) -> TimeGrid:
-    return TimeGrid(dt=grid.dt / refine, n_steps=n_start * refine)
-
-
-def _gregory_phi(c, W, k, alpha, dt, *, exclude_last=False):
-    """phi_k = -alpha*dt * sum_j w_j c_j W_{k-j}, Gregory/Newton-Cotes weights.
-
-    With ``exclude_last`` the j=k term is left out (implicit handling).
-    """
-    w = _gregory_weights(k)
-    v = c[:k + 1] * W[k::-1]
-    stop = k if exclude_last else k + 1
-    return -alpha * dt * np.dot(w[:stop], v[:stop])
-
-
-def _solve_gregory4_stationary(kernel, params, grid) -> np.ndarray:
-    alpha, omega = params.alpha, params.omega
-    dt = grid.dt
-    n = grid.n_steps
-    times = grid.times
-    W = kernel.tau_values(times) * np.exp(1j * omega * times)
-    _check_step(alpha, dt, W[0])
-
-    c = np.empty(n + 1, dtype=complex)
-    c[0] = 1.0
-    n_start = min(7, n)
-
-    # starting values: Richardson-extrapolated trapezoid (even-power error)
-    coarse = _solve_trapezoid(kernel, params, _subgrid_params(grid, n_start, 1))
-    half = _solve_trapezoid(kernel, params, _subgrid_params(grid, n_start, 2))
-    quarter = _solve_trapezoid(kernel, params,
-                               _subgrid_params(grid, n_start, 4))
+def _richardson_start(kernel, params, grid, n_start: int) -> np.ndarray:
+    """c(t_0..t_n_start) from trapezoid solves at dt, dt/2 and dt/4,
+    extrapolated twice (the trapezoid error has even powers of dt only)."""
+    coarse, half, quarter = (
+        _solve_trapezoid(kernel, params,
+                         TimeGrid(dt=grid.dt / r, n_steps=n_start * r))
+        for r in (1, 2, 4))
     r1 = (4.0 * half[::2] - coarse) / 3.0
     r2 = (4.0 * quarter[::2] - half) / 3.0
-    c[:n_start + 1] = (16.0 * r2[::2] - r1) / 15.0
+    c = (16.0 * r2[::2] - r1) / 15.0
     c[0] = 1.0
+    return c
+
+
+def _gregory_phi(c, K, k, alpha, dt):
+    """phi_k = -alpha*dt * sum_j w_j c_j K_k[j], Gregory/Newton-Cotes
+    weights."""
+    return -alpha * dt * np.dot(_gregory_weights(k), c[:k + 1] * K)
+
+
+def _solve_gregory4(kernel, params, grid) -> np.ndarray:
+    alpha, dt, n = params.alpha, grid.dt, grid.n_steps
+    c = np.empty(n + 1, dtype=complex)
+    n_start = min(7, n)
+    c[:n_start + 1] = _richardson_start(kernel, params, grid, n_start)
     if n <= 7:
         return c
 
-    phi_hist = {k: _gregory_phi(c, W, k, alpha, dt) for k in range(4, 8)}
-    denom = 1.0 + alpha * dt * dt * (9.0 / 24.0) * (3.0 / 8.0) * W[0]
+    row = kernel._history_rows(grid.times, params.omega)
+    phi_hist = {k: _gregory_phi(c, row(k), k, alpha, dt) for k in range(4, 8)}
     for k in range(8, n + 1):
-        v0 = c[0] * W[k]
-        v1 = c[1] * W[k - 1]
-        v2 = c[2] * W[k - 2]
-        vn2 = c[k - 2] * W[2]
-        vn1 = c[k - 1] * W[1]
-        base = np.dot(c[:k], W[k:0:-1])
+        K = row(k)
+        _check_step(alpha, dt, K[k])
+        v0 = c[0] * K[0]
+        v1 = c[1] * K[1]
+        v2 = c[2] * K[2]
+        vn2 = c[k - 2] * K[k - 2]
+        vn1 = c[k - 1] * K[k - 1]
+        base = np.dot(c[:k], K[:k])
         conv = base + (3.0 / 8.0 - 1.0) * v0 + (7.0 / 6.0 - 1.0) * (v1 + vn1) \
             + (23.0 / 24.0 - 1.0) * (v2 + vn2)
         phi_known = -alpha * dt * conv
         rhs = c[k - 1] + dt / 24.0 * (9.0 * phi_known + 19.0 * phi_hist[k - 1]
                                       - 5.0 * phi_hist[k - 2]
                                       + phi_hist[k - 3])
-        c[k] = rhs / denom
-        phi_hist[k] = phi_known - alpha * dt * (3.0 / 8.0) * W[0] * c[k]
-        phi_hist.pop(k - 3, None)
-    return c
-
-
-def _solve_gregory4_general(kernel, params, grid) -> np.ndarray:
-    alpha, omega = params.alpha, params.omega
-    dt = grid.dt
-    n = grid.n_steps
-    times = grid.times
-    row = _kernel_rows(kernel, times)
-    phase = np.exp(1j * omega * times)
-    s00 = kernel.eval(0.0, 0.0)
-    _check_step(alpha, dt, s00)
-
-    c = np.empty(n + 1, dtype=complex)
-    c[0] = 1.0
-    n_start = min(7, n)
-    coarse = _solve_trapezoid(kernel, params, _subgrid_params(grid, n_start, 1))
-    half = _solve_trapezoid(kernel, params, _subgrid_params(grid, n_start, 2))
-    quarter = _solve_trapezoid(kernel, params,
-                               _subgrid_params(grid, n_start, 4))
-    r1 = (4.0 * half[::2] - coarse) / 3.0
-    r2 = (4.0 * quarter[::2] - half) / 3.0
-    c[:n_start + 1] = (16.0 * r2[::2] - r1) / 15.0
-    c[0] = 1.0
-    if n <= 7:
-        return c
-
-    def phi_at(k, exclude_last=False):
-        K = row(k) * phase[k::-1]
-        w = _gregory_weights(k)
-        stop = k if exclude_last else k + 1
-        return -alpha * dt * np.dot(w[:stop], (c[:k + 1] * K)[:stop])
-
-    phi_hist = {k: phi_at(k) for k in range(4, 8)}
-    for k in range(8, n + 1):
-        K = row(k) * phase[k::-1]
-        phi_known = -alpha * dt * np.dot(_gregory_weights(k)[:k],
-                                         c[:k] * K[:k])
         denom = 1.0 + alpha * dt * dt * (9.0 / 24.0) * (3.0 / 8.0) * K[k]
-        rhs = c[k - 1] + dt / 24.0 * (9.0 * phi_known + 19.0 * phi_hist[k - 1]
-                                      - 5.0 * phi_hist[k - 2]
-                                      + phi_hist[k - 3])
         c[k] = rhs / denom
         phi_hist[k] = phi_known - alpha * dt * (3.0 / 8.0) * K[k] * c[k]
         phi_hist.pop(k - 3, None)
@@ -286,24 +193,20 @@ def _solve_gregory4_general(kernel, params, grid) -> np.ndarray:
 def solve_ide(kernel: KernelEvaluator, params: ModelParams, grid: TimeGrid,
               method: str = "trapezoid") -> AmplitudeSeries:
     """Solve the amplitude equation; global error O(dt^2) ('trapezoid') or
-    O(dt^4) ('gregory4')."""
+    O(dt^4) ('gregory4').
+
+    Raises :class:`SolverError` when the implicit step is not contractive
+    at some grid time, alpha*dt^2*|S(t_k, t_k)|/2 >= 1.
+    """
     if method not in ("trapezoid", "gregory4"):
         raise ValueError(f"unknown method {method!r}")
     if params.alpha == 0.0:
         # decoupled limit: exact, no kernel evaluations needed
-        return AmplitudeSeries(grid=grid,
-                               values=np.ones(grid.n_steps + 1, dtype=complex),
-                               method=method, kernel_label=kernel.label,
-                               alpha=0.0, omega=params.omega)
-    if method == "trapezoid":
+        c = np.ones(grid.n_steps + 1, dtype=complex)
+    elif method == "trapezoid":
         c = _solve_trapezoid(kernel, params, grid)
-    elif method == "gregory4":
-        if kernel.stationary:
-            c = _solve_gregory4_stationary(kernel, params, grid)
-        else:
-            c = _solve_gregory4_general(kernel, params, grid)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        c = _solve_gregory4(kernel, params, grid)
     return AmplitudeSeries(grid=grid, values=c, method=method,
                            kernel_label=kernel.label,
                            alpha=params.alpha, omega=params.omega)

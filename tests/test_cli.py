@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,16 @@ from qedvolterra.cli import ConfigError, DecayFit, RunConfig, build_config, \
     fit_decay, parse_config_file
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(*args, cwd=None):
+    # the child imports the package from this checkout, installed or not
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
     return subprocess.run([sys.executable, "-m", "qedvolterra", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 def read_summary(path):
@@ -205,6 +214,23 @@ def test_custom_density_via_table(tmp_path):
     # Markov prediction: |c|^2 = exp(-2 pi alpha rho(omega) t)
     gamma = 2.0 * np.pi * 0.01 * np.exp(-1.0)
     assert data[-1, 3] == pytest.approx(np.exp(-gamma * 50.0), rel=0.05)
+
+
+def test_rates_with_custom_density_table(tmp_path):
+    p = np.linspace(0.0, 30.0, 400)
+    table = tmp_path / "rho.txt"
+    np.savetxt(table, np.column_stack([p, p * np.exp(-p)]))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"state = custom\nrho_table = {table}\n"
+                   "rho_tail_order = 6\ntransition = custom\nomega = 1.0\n"
+                   "alpha = 0.01\nfit = false\n")
+    out = tmp_path / "rates.txt"
+    res = run_cli("rates", "--config", str(cfg), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    gamma = 2.0 * np.pi * 0.01 * np.exp(-1.0)
+    # a cubic spline with step 0.075 is good to ~1e-7 relative here
+    assert float(read_summary(out)["gamma_markov"]) \
+        == pytest.approx(gamma, rel=1e-6)
 
 
 def test_missing_config_file_is_config_error(tmp_path):

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from qedvolterra import KernelEvaluator, ModelParams, SolverError, TimeGrid, \
-    compute_Z, estimate_order, hydrogen_density, make_kernel, solve_ide, \
-    solve_integral_form
+from qedvolterra import KernelEvaluator, ModelParams, SolverError, \
+    SqueezeParams, TimeGrid, compute_Z, estimate_order, hydrogen_chi, \
+    hydrogen_density, make_kernel, solve_ide, solve_integral_form, \
+    squeezed_delta_concentrated
 
 
 def const_kernel(value=1.0):
@@ -96,6 +97,21 @@ def test_step_size_refusal():
                   TimeGrid(dt=1.0, n_steps=5), "trapezoid")
 
 
+@pytest.mark.parametrize("method", ["trapezoid", "gregory4"])
+def test_step_size_refusal_over_whole_grid(method):
+    # S(t, t) = (1 + t)^2 grows: the step is contractive at t = 0
+    # (weight 0.25) but not at t_max = 10 (weight 30)
+    def full_row(t, s):
+        return (1.0 + t) * (1.0 + np.asarray(s))
+
+    kernel = KernelEvaluator(lambda t, s: (1.0 + t) * (1.0 + s),
+                             stationary=False, label="growing",
+                             row_fn=full_row)
+    with pytest.raises(SolverError, match="dt"):
+        solve_ide(kernel, ModelParams(alpha=2.0, omega=0.0),
+                  TimeGrid(dt=0.5, n_steps=20), method)
+
+
 def test_unknown_method():
     with pytest.raises(ValueError):
         solve_ide(const_kernel(), ModelParams(alpha=0.1, omega=0.0),
@@ -173,3 +189,63 @@ def test_series_metadata():
     assert series.alpha == 0.2
     assert series.kernel_label == "const"
     np.testing.assert_allclose(series.abs2, np.abs(series.values) ** 2)
+
+
+# ----------------------------------------------- non-stationary kernels
+
+SQ_ALPHA = 0.5
+SQ_OMEGA = 0.375 * SQ_ALPHA**2
+
+
+def squeezed_kernel(r, amplitude=5e-2, tabulate=None):
+    sq = SqueezeParams(r=r, q=np.array([SQ_OMEGA, 0.0, 0.0]),
+                       d=np.array([0.0, 0.0, 1.0]), amplitude=amplitude)
+    kernel = make_kernel("squeezed_concentrated",
+                         density=hydrogen_density(SQ_ALPHA), squeeze=sq,
+                         chi=hydrogen_chi(SQ_ALPHA), tabulate=tabulate)
+    return kernel, sq
+
+
+def test_squeezed_r_zero_gregory4_is_vacuum():
+    params = ModelParams(alpha=SQ_ALPHA, omega=SQ_OMEGA)
+    grid = TimeGrid(dt=0.1, n_steps=100)
+    vac = solve_ide(make_kernel("vacuum", density=hydrogen_density(SQ_ALPHA)),
+                    params, grid, "gregory4")
+    sq = solve_ide(squeezed_kernel(0.0)[0], params, grid, "gregory4")
+    assert np.max(np.abs(sq.values - vac.values)) <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["trapezoid", "gregory4"])
+def test_squeezed_split_matches_full_row_kernel(method):
+    # oracle: the same kernel as one generic full row, with no S0 + R split
+    params = ModelParams(alpha=SQ_ALPHA, omega=SQ_OMEGA)
+    grid = TimeGrid(dt=0.1, n_steps=100)
+    tab = (grid.t_max, grid.dt)
+    kernel, sq = squeezed_kernel(0.5, tabulate=tab)
+    base = make_kernel("vacuum", density=hydrogen_density(SQ_ALPHA),
+                       tabulate=tab)
+    chi = hydrogen_chi(SQ_ALPHA)
+
+    def full_row(t, s):
+        return base.tau_values(t - s) \
+            + squeezed_delta_concentrated(t, s, sq, chi)
+
+    oracle = KernelEvaluator(
+        lambda t, s: base.tau(t - s) + squeezed_delta_concentrated(t, s, sq,
+                                                                  chi),
+        stationary=False, label="full row", row_fn=full_row)
+    a = solve_ide(kernel, params, grid, method).values
+    b = solve_ide(oracle, params, grid, method).values
+    assert np.max(np.abs(a - b)) <= 1e-12
+    # the squeezing must matter on this grid, or the check is empty
+    vac = solve_ide(base, params, grid, method).values
+    assert np.max(np.abs(a - vac)) > 1e-6
+
+
+@pytest.mark.parametrize("method,order,tol", [("trapezoid", 2.0, 0.2),
+                                              ("gregory4", 4.0, 0.3)])
+def test_squeezed_convergence_order(method, order, tol):
+    params = ModelParams(alpha=SQ_ALPHA, omega=SQ_OMEGA)
+    est = estimate_order(squeezed_kernel(0.5)[0], params,
+                         TimeGrid(dt=0.4, n_steps=25), method)
+    assert est.conclusive and est.order == pytest.approx(order, abs=tol)
