@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -34,7 +34,10 @@ SUMMARY_KEYS = ("gamma_markov", "gamma_pole", "pole_re", "pole_im",
                 "lamb_shift", "residual")
 
 # largest grid a solve may request without --force; physical-alpha hydrogen
-# needs ~1e13 steps (decay time 1/gamma ~ alpha^-5 vs kernel memory ~ 1/alpha)
+# needs ~1e13 steps (decay time 1/gamma ~ alpha^-5 vs kernel memory ~ 1/alpha).
+# With FFT history sums the solver itself takes ~1.7 s for 2e5 trapezoid
+# steps (2-vCPU Xeon VM); what bounds such a run now is tabulating the
+# kernel, one adaptive quadrature per lag at 0.7-0.9 ms, 2-3 min for 2e5.
 _MAX_SOLVE_STEPS = 200_000
 
 
@@ -81,6 +84,8 @@ class RunConfig:
             raise ConfigError("alpha must be nonnegative")
         if self.dt is not None and self.dt <= 0.0:
             raise ConfigError("dt must be positive")
+        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
+            raise ConfigError("rel_tol and abs_tol must be positive")
         if self.dt is not None and self.tmax is not None \
                 and self.tmax <= self.dt:
             raise ConfigError("tmax must exceed dt")
@@ -90,6 +95,11 @@ class RunConfig:
             raise ConfigError("custom state requires rho_table")
         if self.mode == "sweep" and not self.sweep_values:
             raise ConfigError("sweep mode requires nonempty sweep_values")
+
+
+# the annotations are strings under ``from __future__ import annotations``
+_FLOAT_FIELDS = frozenset(f.name for f in fields(RunConfig)
+                          if f.type in ("float", "Optional[float]"))
 
 
 @dataclass
@@ -165,6 +175,10 @@ def build_config(file_values: dict, flag_values: dict) -> RunConfig:
     for key, val in merged.items():
         if key not in known:
             raise ConfigError(f"unknown configuration key {key!r}")
+        if key in _FLOAT_FIELDS:
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise ConfigError(f"{key} must be a number, got {val!r}")
+            val = float(val)
         setattr(cfg, key, val)
     if isinstance(cfg.sweep_values, (int, float)):
         cfg.sweep_values = (float(cfg.sweep_values),)

@@ -321,25 +321,28 @@ class KernelEvaluator:
         return r if self._tau_fn is None else self._s0(t - s) + r
 
     def _s0(self, lags) -> np.ndarray:
-        return np.array([complex(self._tau_fn(float(x)))
-                         for x in np.asarray(lags)], dtype=complex)
+        lags = np.asarray(lags)
+        return np.fromiter((self._tau_fn(float(x)) for x in lags),
+                           dtype=complex, count=len(lags))
 
-    def _history_rows(self, times: np.ndarray, omega: float):
-        """Row source k -> K_k, K_k[j] = e^{i omega (t_k - t_j)} S(t_k, t_j)
-        for j = 0..k on the uniform grid ``times``.
+    def _history_split(self, times: np.ndarray, omega: float):
+        """(W, extra) with K_k[j] = W[k - j] + extra(k)[j] for the history
+        rows K_k[j] = e^{i omega (t_k - t_j)} S(t_k, t_j), j = 0..k, on the
+        uniform grid ``times``.
 
-        S0 is read once on the lag grid t_m = m dt; a non-stationary kernel
-        adds its correction row, over all j at once, at each request.  Each
-        row is meant to be requested once, so none is kept.
+        W[m] = e^{i omega t_m} S0(t_m) is the stationary part, read once on
+        the lag grid; it is None for a kernel with no S0.  ``extra(k)`` is
+        the rest of row k over all j at once: the correction R, or the whole
+        row for a kernel with no S0; it is None for a stationary kernel.
+        Each row is meant to be requested once, so none is kept.
         """
         phase = np.exp(1j * omega * times)
         if self.stationary:
-            W = self.tau_values(times) * phase
-            return lambda k: W[k::-1]
+            return self.tau_values(times) * phase, None
         if self._tau_fn is None:
-            return lambda k: self.row(times[k], times[:k + 1]) * phase[k::-1]
-        W = self._s0(times) * phase
-        return lambda k: W[k::-1] + np.asarray(
+            return None, lambda k: self.row(times[k], times[:k + 1]) \
+                * phase[k::-1]
+        return self._s0(times) * phase, lambda k: np.asarray(
             self._row_fn(times[k], times[:k + 1]), dtype=complex) \
             * phase[k::-1]
 

@@ -6,11 +6,15 @@
 by implicit product integration: a trapezoid baseline (global O(dt^2)) and a
 Gregory-4 / Adams-Moulton scheme (global O(dt^4)) whose starting values come
 from Richardson-extrapolated trapezoid sub-steps.  Both read the history
-through one row source, K_k[j] = exp(i omega (t_k - t_j)) S(t_k, t_j) for
-j = 0..k, so one loop per method serves stationary and non-stationary
-kernels alike, and every step checks its own implicit diagonal weight.  For
-stationary kernels the equivalent second-kind integral form
-c(T) = 1 - integral_0^T Z(T-s) c(s) ds is also provided.
+rows K_k[j] = exp(i omega (t_k - t_j)) S(t_k, t_j), j = 0..k, as a
+stationary lag sequence plus an optional correction row, so one loop per
+method serves stationary and non-stationary kernels alike, and every step
+checks its own implicit diagonal weight.  For stationary kernels the
+equivalent second-kind integral form c(T) = 1 - integral_0^T Z(T-s) c(s) ds
+is also provided.  The history sums of the stationary part, in all three
+solvers, are taken by blocked FFT in O(N log^2 N) (Hairer, Lubich &
+Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532-541) instead of one
+O(k) dot product per step.
 """
 
 from __future__ import annotations
@@ -119,19 +123,80 @@ def _check_step(alpha: float, dt: float, s_diag: complex):
             f"use dt < {suggested:.3g}")
 
 
+class _HistorySum:
+    """H_k = sum_{j<k} c_j W_{k-j}, read for k = 1, 2, ... in increasing
+    order while the caller fills in ``c``; H_k needs only c_0 .. c_{k-1}.
+
+    A pair (j, k) inside one leaf of ``_LEAF`` steps is summed directly when
+    H_k is read.  Any other pair lies in a smallest aligned dyadic block,
+    with j in its lower half [m - B, m) and k in its upper half [m, m + B).
+    That source half reaches all its targets through one circular FFT of
+    size 2B as soon as c_{m-1} is known.  Each leaf boundary m = q * _LEAF
+    completes exactly one source half, B = _LEAF * (q & -q), so a solve of
+    N steps costs O(N log^2 N) instead of O(N^2).
+    """
+
+    # leaves of 32 to 512 steps time alike on 50k-step solves
+    _LEAF = 64
+
+    def __init__(self, W: np.ndarray, c: np.ndarray):
+        self._W = W
+        self._c = c
+        self._far = np.zeros(len(W), dtype=complex)
+        self._done = 0      # source blocks ending at or before here are in
+
+    def __call__(self, k: int) -> complex:
+        leaf = self._LEAF
+        while self._done + leaf <= k:
+            self._done += leaf
+            self._add_block(self._done)
+        lo = k - k % leaf
+        return self._far[k] + np.dot(self._c[lo:k], self._W[k - lo:0:-1])
+
+    def _add_block(self, m: int):
+        q = m // self._LEAF
+        b = self._LEAF * (q & -q)
+        # circular length 2b: target m + v reads lags b + v - u <= 2b - 1
+        # for source m - b + u, and the wrapped products land below b
+        a = np.fft.fft(self._c[m - b:m], n=2 * b)
+        a *= np.fft.fft(self._W[:2 * b], n=2 * b)
+        np.fft.ifft(a, out=a)
+        top = min(b, len(self._W) - m)
+        self._far[m:m + top] += a[b:b + top]
+
+
+def _history(kernel, times, omega, c):
+    """Step source k -> (sum_{j<k} c_j K_k[j], K_k) for the history rows
+    K_k[j] = e^{i omega (t_k - t_j)} S(t_k, t_j), j = 0..k, read for
+    increasing k while ``c`` is filled in.
+
+    The stationary part W[k - j] goes through one :class:`_HistorySum`.
+    """
+    W, extra = kernel._history_split(times, omega)
+    hist = _HistorySum(W, c) if W is not None else None
+
+    def step(k):
+        if extra is None:
+            return hist(k), W[k::-1]
+        # a correction row has no convolution structure: dotted directly
+        R = extra(k)
+        base = np.dot(c[:k], R[:k])
+        if W is None:
+            return base, R
+        return hist(k) + base, W[k::-1] + R
+    return step
+
+
 def _solve_trapezoid(kernel, params, grid) -> np.ndarray:
     alpha, dt, n = params.alpha, grid.dt, grid.n_steps
-    row = kernel._history_rows(grid.times, params.omega)
     c = np.empty(n + 1, dtype=complex)
     c[0] = 1.0
+    history = _history(kernel, grid.times, params.omega, c)
     phi_prev = 0.0 + 0.0j
     for k in range(1, n + 1):
-        K = row(k)
+        base, K = history(k)
         _check_step(alpha, dt, K[k])
-        conv = 0.5 * c[0] * K[0]
-        if k > 1:
-            conv += np.dot(c[1:k], K[1:k])
-        phik = -alpha * dt * conv
+        phik = -alpha * dt * (base - 0.5 * c[0] * K[0])
         denom = 1.0 + 0.25 * alpha * dt * dt * K[k]
         c[k] = (c[k - 1] + 0.5 * dt * (phi_prev + phik)) / denom
         phi_prev = phik - 0.5 * alpha * dt * K[k] * c[k]
@@ -166,17 +231,17 @@ def _solve_gregory4(kernel, params, grid) -> np.ndarray:
     if n <= 7:
         return c
 
-    row = kernel._history_rows(grid.times, params.omega)
-    phi_hist = {k: _gregory_phi(c, row(k), k, alpha, dt) for k in range(4, 8)}
+    history = _history(kernel, grid.times, params.omega, c)
+    phi_hist = {k: _gregory_phi(c, history(k)[1], k, alpha, dt)
+                for k in range(4, 8)}
     for k in range(8, n + 1):
-        K = row(k)
+        base, K = history(k)
         _check_step(alpha, dt, K[k])
         v0 = c[0] * K[0]
         v1 = c[1] * K[1]
         v2 = c[2] * K[2]
         vn2 = c[k - 2] * K[k - 2]
         vn1 = c[k - 1] * K[k - 1]
-        base = np.dot(c[:k], K[:k])
         conv = base + (3.0 / 8.0 - 1.0) * v0 + (7.0 / 6.0 - 1.0) * (v1 + vn1) \
             + (23.0 / 24.0 - 1.0) * (v2 + vn2)
         phi_known = -alpha * dt * conv
@@ -236,11 +301,9 @@ def solve_integral_form(z: ZKernel, grid: TimeGrid) -> AmplitudeSeries:
     Z = z.values
     c = np.empty(n + 1, dtype=complex)
     c[0] = 1.0
+    hist = _HistorySum(Z, c)
     for k in range(1, n + 1):
-        conv = 0.5 * c[0] * Z[k]
-        if k > 1:
-            conv += np.dot(c[1:k], Z[k - 1:0:-1])
-        c[k] = 1.0 - dt * conv
+        c[k] = 1.0 - dt * (hist(k) - 0.5 * c[0] * Z[k])
     return AmplitudeSeries(grid=grid, values=c, method="integral_trapezoid",
                            kernel_label="Z")
 

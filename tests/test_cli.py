@@ -246,6 +246,18 @@ def test_unknown_config_key_is_config_error(tmp_path):
     assert "alhpa" in res.stderr
 
 
+@pytest.mark.parametrize("line", ["dt = abc", "alpha = foo",
+                                  "rel_tol = -1"])
+def test_bad_config_value_is_config_error(tmp_path, line):
+    # a small solvable run but for the one bad value (a later line wins)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"alpha = 0.5\ndt = 0.1\ntmax = 1\n{line}\n")
+    res = run_cli("solve", "--config", str(cfg),
+                  "--out", str(tmp_path / "c.csv"))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+
+
 def test_numerical_failure_exit_code(tmp_path):
     # an absurd dt trips the solver's diagonal-weight refusal -> exit 3
     p = np.linspace(0.0, 2.0, 50)

@@ -8,6 +8,7 @@ from qedvolterra import KernelEvaluator, ModelParams, SolverError, \
     SqueezeParams, TimeGrid, compute_Z, estimate_order, hydrogen_chi, \
     hydrogen_density, make_kernel, solve_ide, solve_integral_form, \
     squeezed_delta_concentrated
+from qedvolterra.volterra import _HistorySum, _gregory_weights
 
 
 def const_kernel(value=1.0):
@@ -191,6 +192,107 @@ def test_series_metadata():
     np.testing.assert_allclose(series.abs2, np.abs(series.values) ** 2)
 
 
+# ------------------------------------------------- fast history sums
+
+
+def direct_history(c, W, k):
+    """Slow-path oracle: H_k = sum_{j<k} c_j W_{k-j} as one O(k) dot."""
+    return np.dot(c[:k], W[k:0:-1])
+
+
+def test_history_sum_matches_direct_dot():
+    rng = np.random.default_rng(20)
+    sizes = set(range(1, 301)) | {2**p + d for p in range(1, 13)
+                                  for d in (-1, 1)}
+    for n in sorted(sizes):
+        c_true = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        W = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        # causality: c_k, c_{k+1}, ... are still NaN when H_k is read
+        c = np.full(n + 1, np.nan, dtype=complex)
+        hist = _HistorySum(W, c)
+        for k in range(1, n + 1):
+            c[k - 1] = c_true[k - 1]
+            h = hist(k)
+            assert np.isfinite(h), (n, k)
+            scale = np.dot(np.abs(c_true[:k]), np.abs(W[k:0:-1]))
+            assert abs(h - direct_history(c_true, W, k)) <= 1e-13 * scale, \
+                (n, k)
+
+
+def direct_trapezoid(W, alpha, dt):
+    """The product-trapezoid loop with one O(k) history dot per step."""
+    n = len(W) - 1
+    c = np.empty(n + 1, dtype=complex)
+    c[0] = 1.0
+    phi_prev = 0.0 + 0.0j
+    for k in range(1, n + 1):
+        K = W[k::-1]
+        phik = -alpha * dt * (0.5 * c[0] * K[0] + np.dot(c[1:k], K[1:k]))
+        c[k] = (c[k - 1] + 0.5 * dt * (phi_prev + phik)) \
+            / (1.0 + 0.25 * alpha * dt * dt * K[k])
+        phi_prev = phik - 0.5 * alpha * dt * K[k] * c[k]
+    return c
+
+
+def direct_gregory4(kernel, params, grid):
+    """The Gregory-4 loop with one O(k) history dot per step, started from
+    direct trapezoid solves at dt, dt/2 and dt/4."""
+    alpha, dt, n = params.alpha, grid.dt, grid.n_steps
+
+    def lag_row(h, m):
+        t = np.arange(m + 1) * h
+        return kernel.tau_values(t) * np.exp(1j * params.omega * t)
+
+    coarse, half, quarter = (direct_trapezoid(lag_row(dt / r, 7 * r), alpha,
+                                              dt / r) for r in (1, 2, 4))
+    r1 = (4.0 * half[::2] - coarse) / 3.0
+    r2 = (4.0 * quarter[::2] - half) / 3.0
+    c = np.empty(n + 1, dtype=complex)
+    c[:8] = (16.0 * r2[::2] - r1) / 15.0
+    c[0] = 1.0
+    W = lag_row(dt, n)
+    phi = {k: -alpha * dt * np.dot(_gregory_weights(k), c[:k + 1] * W[k::-1])
+           for k in range(4, 8)}
+    for k in range(8, n + 1):
+        K = W[k::-1]
+        conv = np.dot(c[:k], K[:k]) + (3.0 / 8.0 - 1.0) * c[0] * K[0] \
+            + (7.0 / 6.0 - 1.0) * (c[1] * K[1] + c[k - 1] * K[k - 1]) \
+            + (23.0 / 24.0 - 1.0) * (c[2] * K[2] + c[k - 2] * K[k - 2])
+        phi_known = -alpha * dt * conv
+        rhs = c[k - 1] + dt / 24.0 * (9.0 * phi_known + 19.0 * phi[k - 1]
+                                      - 5.0 * phi[k - 2] + phi[k - 3])
+        c[k] = rhs / (1.0 + alpha * dt * dt * (9.0 / 24.0) * (3.0 / 8.0)
+                      * K[k])
+        phi[k] = phi_known - alpha * dt * (3.0 / 8.0) * K[k] * c[k]
+    return c
+
+
+def direct_integral_form(Z, dt):
+    n = len(Z) - 1
+    c = np.empty(n + 1, dtype=complex)
+    c[0] = 1.0
+    for k in range(1, n + 1):
+        c[k] = 1.0 - dt * (0.5 * c[0] * Z[k] + np.dot(c[1:k], Z[k - 1:0:-1]))
+    return c
+
+
+def test_fft_history_solvers_match_direct_loops():
+    params = ModelParams(alpha=0.1, omega=0.5)
+    grid = TimeGrid(dt=1e-3, n_steps=20000)
+    kernel = exp_kernel()
+    W = kernel.tau_values(grid.times) * np.exp(1j * params.omega * grid.times)
+    trap = solve_ide(kernel, params, grid, "trapezoid").values
+    assert np.max(np.abs(trap - direct_trapezoid(W, params.alpha,
+                                                 grid.dt))) <= 1e-12
+    greg = solve_ide(kernel, params, grid, "gregory4").values
+    assert np.max(np.abs(greg - direct_gregory4(kernel, params,
+                                                grid))) <= 1e-12
+    z = compute_Z(kernel, params, grid)
+    integral = solve_integral_form(z, grid).values
+    assert np.max(np.abs(integral - direct_integral_form(
+        z.values, grid.dt))) <= 1e-12
+
+
 # ----------------------------------------------- non-stationary kernels
 
 SQ_ALPHA = 0.5
@@ -218,28 +320,34 @@ def test_squeezed_r_zero_gregory4_is_vacuum():
 @pytest.mark.parametrize("method", ["trapezoid", "gregory4"])
 def test_squeezed_split_matches_full_row_kernel(method):
     # oracle: the same kernel as one generic full row, with no S0 + R split
+    # and so no FFT history sum; 1000 steps cross several FFT block sizes
     params = ModelParams(alpha=SQ_ALPHA, omega=SQ_OMEGA)
-    grid = TimeGrid(dt=0.1, n_steps=100)
-    tab = (grid.t_max, grid.dt)
-    kernel, sq = squeezed_kernel(0.5, tabulate=tab)
-    base = make_kernel("vacuum", density=hydrogen_density(SQ_ALPHA),
-                       tabulate=tab)
-    chi = hydrogen_chi(SQ_ALPHA)
+    for n_steps in (100, 1000):
+        grid = TimeGrid(dt=0.1, n_steps=n_steps)
+        tab = (grid.t_max, grid.dt)
+        kernel, sq = squeezed_kernel(0.5, tabulate=tab)
+        base = make_kernel("vacuum", density=hydrogen_density(SQ_ALPHA),
+                           tabulate=tab)
+        chi = hydrogen_chi(SQ_ALPHA)
+        # S0 read once on the dt/4 lag grid, which holds every lag of the
+        # gregory4 start-up sub-steps
+        h = grid.dt / 4.0
+        s0 = base.tau_values(np.arange(4 * n_steps + 1) * h)
 
-    def full_row(t, s):
-        return base.tau_values(t - s) \
-            + squeezed_delta_concentrated(t, s, sq, chi)
+        def full_row(t, s):
+            lag = np.rint((t - np.asarray(s)) / h).astype(int)
+            return s0[lag] + squeezed_delta_concentrated(t, s, sq, chi)
 
-    oracle = KernelEvaluator(
-        lambda t, s: base.tau(t - s) + squeezed_delta_concentrated(t, s, sq,
-                                                                  chi),
-        stationary=False, label="full row", row_fn=full_row)
-    a = solve_ide(kernel, params, grid, method).values
-    b = solve_ide(oracle, params, grid, method).values
-    assert np.max(np.abs(a - b)) <= 1e-12
-    # the squeezing must matter on this grid, or the check is empty
-    vac = solve_ide(base, params, grid, method).values
-    assert np.max(np.abs(a - vac)) > 1e-6
+        oracle = KernelEvaluator(
+            lambda t, s: base.tau(t - s)
+            + squeezed_delta_concentrated(t, s, sq, chi),
+            stationary=False, label="full row", row_fn=full_row)
+        a = solve_ide(kernel, params, grid, method).values
+        b = solve_ide(oracle, params, grid, method).values
+        assert np.max(np.abs(a - b)) <= 1e-12, n_steps
+        # the squeezing must matter on this grid, or the check is empty
+        vac = solve_ide(base, params, grid, method).values
+        assert np.max(np.abs(a - vac)) > 1e-6, n_steps
 
 
 @pytest.mark.parametrize("method,order,tol", [("trapezoid", 2.0, 0.2),
