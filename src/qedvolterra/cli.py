@@ -80,8 +80,14 @@ class RunConfig:
             raise ConfigError(f"unknown transition {self.transition!r}")
         if self.method not in ("trapezoid", "gregory4"):
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.alpha < 0.0:
-            raise ConfigError("alpha must be nonnegative")
+        alphas = (self.alpha,) + (tuple(self.sweep_values)
+                                  if self.mode == "sweep" else ())
+        for alpha in alphas:
+            if not alpha >= 0.0:
+                raise ConfigError(f"alpha must be nonnegative, got {alpha:g}")
+            if self.transition == "hydrogen_2p1s" and alpha == 0.0:
+                raise ConfigError("alpha must be positive for the "
+                                  "hydrogen_2p1s transition")
         if self.dt is not None and self.dt <= 0.0:
             raise ConfigError("dt must be positive")
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
@@ -95,11 +101,31 @@ class RunConfig:
             raise ConfigError("custom state requires rho_table")
         if self.mode == "sweep" and not self.sweep_values:
             raise ConfigError("sweep mode requires nonempty sweep_values")
+        if self.fit_window is not None and len(self.fit_window) != 2:
+            raise ConfigError("fit_window needs two comma-separated values")
+        self.squeeze_params()
+
+    def squeeze_params(self) -> Optional[SqueezeParams]:
+        """The squeezed state's (r, q, d); None for a stationary state."""
+        if not self.state.startswith("squeezed"):
+            return None
+        try:
+            return SqueezeParams(r=self.r, q=np.asarray(self.q, dtype=float),
+                                 d=np.asarray(self.d, dtype=float),
+                                 amplitude=self.amplitude)
+        except ValueError as exc:
+            raise ConfigError(f"squeezed state: {exc}") from None
 
 
 # the annotations are strings under ``from __future__ import annotations``
 _FLOAT_FIELDS = frozenset(f.name for f in fields(RunConfig)
                           if f.type in ("float", "Optional[float]"))
+_TUPLE_FIELDS = frozenset(f.name for f in fields(RunConfig)
+                          if f.type in ("tuple", "Optional[tuple]"))
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 @dataclass
@@ -145,9 +171,9 @@ def _parse_value(raw: str):
         return True
     if low in ("false", "no", "off"):
         return False
-    if "," in raw:
-        return tuple(float(tok) for tok in raw.split(","))
     try:
+        if "," in raw:
+            return tuple(float(tok) for tok in raw.split(","))
         return int(raw) if raw.lstrip("+-").isdigit() else float(raw)
     except ValueError:
         return raw
@@ -176,14 +202,16 @@ def build_config(file_values: dict, flag_values: dict) -> RunConfig:
         if key not in known:
             raise ConfigError(f"unknown configuration key {key!r}")
         if key in _FLOAT_FIELDS:
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
+            if not _is_number(val):
                 raise ConfigError(f"{key} must be a number, got {val!r}")
             val = float(val)
+        elif key in _TUPLE_FIELDS:
+            val = val if isinstance(val, tuple) else (val,)
+            if not all(_is_number(v) for v in val):
+                raise ConfigError(f"{key} must be comma-separated numbers, "
+                                  f"got {merged[key]!r}")
+            val = tuple(float(v) for v in val)
         setattr(cfg, key, val)
-    if isinstance(cfg.sweep_values, (int, float)):
-        cfg.sweep_values = (float(cfg.sweep_values),)
-    if isinstance(cfg.fit_window, (int, float)):
-        raise ConfigError("fit_window needs two comma-separated values")
     cfg.validate()
     return cfg
 
@@ -194,7 +222,10 @@ def _load_chi(cfg: RunConfig) -> SmearingFunction:
     if cfg.chi_table is None:
         raise ConfigError("custom transition with a squeezed state "
                           "requires chi_table")
-    data = np.loadtxt(cfg.chi_table)
+    try:
+        data = np.loadtxt(cfg.chi_table)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"chi_table: {exc}") from None
     if data.ndim != 2 or data.shape[1] != 4:
         raise ConfigError("chi_table must have four columns "
                           "(p, chi_x, chi_y, chi_z)")
@@ -210,14 +241,19 @@ def _load_chi(cfg: RunConfig) -> SmearingFunction:
 
 
 def _model(cfg: RunConfig) -> tuple[ModelParams, SpectralDensity]:
-    omega = transition_frequency(cfg.alpha) \
-        if cfg.transition == "hydrogen_2p1s" else float(cfg.omega)
-    params = ModelParams(alpha=cfg.alpha, omega=omega)
-    if cfg.state == "custom" or cfg.rho_table is not None:
-        density = density_from_table(cfg.rho_table, cfg.rho_tail_order,
-                                     label=f"table:{cfg.rho_table}")
-    else:
-        density = hydrogen_density(cfg.alpha)
+    """The run's parameters and density; a bad value or table is a
+    configuration error."""
+    try:
+        omega = transition_frequency(cfg.alpha) \
+            if cfg.transition == "hydrogen_2p1s" else float(cfg.omega)
+        params = ModelParams(alpha=cfg.alpha, omega=omega)
+        if cfg.state == "custom" or cfg.rho_table is not None:
+            density = density_from_table(cfg.rho_table, cfg.rho_tail_order,
+                                         label=f"table:{cfg.rho_table}")
+        else:
+            density = hydrogen_density(cfg.alpha)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
     return params, density
 
 
@@ -242,13 +278,8 @@ def _build_kernel(cfg: RunConfig, params, density, grid: Optional[TimeGrid]):
     tabulate = None
     if grid is not None and grid.n_steps > 4000:
         tabulate = (grid.t_max, max(grid.dt, 0.02 / density.scale))
-    squeeze = None
-    chi = None
-    if cfg.state.startswith("squeezed"):
-        squeeze = SqueezeParams(r=cfg.r, q=np.asarray(cfg.q, dtype=float),
-                                d=np.asarray(cfg.d, dtype=float),
-                                amplitude=cfg.amplitude)
-        chi = _load_chi(cfg)
+    squeeze = cfg.squeeze_params()
+    chi = _load_chi(cfg) if squeeze is not None else None
     state = cfg.state if cfg.state != "custom" else "custom"
     return make_kernel(state, density=density, squeeze=squeeze, chi=chi,
                        cfg=quad_cfg, tabulate=tabulate)
@@ -285,8 +316,23 @@ def _run_solve(cfg: RunConfig) -> AmplitudeSeries:
     return solve_ide(kernel, params, grid, cfg.method)
 
 
+def _fit_window(cfg: RunConfig, grid: TimeGrid) -> tuple:
+    """The fit window, checked against the grid before any solve."""
+    if cfg.fit_window is None:
+        return (0.2 * grid.t_max, 0.9 * grid.t_max)
+    t1, t2 = cfg.fit_window
+    if not 0.0 <= t1 < t2 <= grid.t_max:
+        raise ConfigError(f"fit_window ({t1:g}, {t2:g}) must lie inside the "
+                          f"solved range [0, {grid.t_max:g}]")
+    return t1, t2
+
+
 def _rates_pairs(cfg: RunConfig, with_fit: bool) -> list[tuple[str, object]]:
     params, density = _model(cfg)
+    grid = _default_grid(cfg, params, density)
+    # skip the time-domain fit when the grid would be desk-scale infeasible
+    solvable = grid.n_steps <= _MAX_SOLVE_STEPS or cfg.force
+    window = _fit_window(cfg, grid) if with_fit and solvable else None
     pairs: list[tuple[str, object]] = [("alpha", _fmt(params.alpha)),
                                        ("omega", _fmt(params.omega))]
     gamma_m = markov_rate(density, params)
@@ -301,13 +347,9 @@ def _rates_pairs(cfg: RunConfig, with_fit: bool) -> list[tuple[str, object]]:
                "lamb_shift": math.nan, "residual": math.nan}
     pairs.extend((k, lap[k]) for k in SUMMARY_KEYS)
 
-    grid = _default_grid(cfg, params, density)
-    # skip the time-domain fit when the grid would be desk-scale infeasible
-    solvable = grid.n_steps <= _MAX_SOLVE_STEPS or cfg.force
-    if with_fit and solvable:
+    if window is not None:
         kernel = _build_kernel(cfg, params, density, grid)
         series = solve_ide(kernel, params, grid, cfg.method)
-        window = cfg.fit_window or (0.2 * grid.t_max, 0.9 * grid.t_max)
         fit = fit_decay(series, window)
         pairs.extend([("gamma_fit", fit.gamma_fit),
                       ("fit_intercept", fit.intercept),
@@ -394,11 +436,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         file_values = parse_config_file(args.config) if args.config else {}
         flags = {k: getattr(args, k)
-                 for k in ("alpha", "dt", "tmax", "state", "method", "out",
-                           "force")}
+                 for k in ("mode", "alpha", "dt", "tmax", "state", "method",
+                           "out", "force")}
         cfg = build_config(file_values, flags)
-        cfg.mode = args.mode
-        cfg.validate()
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -22,8 +22,13 @@ from numpy.polynomial.legendre import leggauss
 
 _X7, _W7 = leggauss(7)
 _X15, _W15 = leggauss(15)
+# the 15- and 7-point nodes of one interval, in the order f sees them
+_X22 = np.concatenate([_X15, _X7])
 
 _AITKEN_LEVELS = 8
+# the truncation ladder: at most 200 rungs, evaluated 8 per call of g
+_LADDER_RUNGS = 200
+_LADDER_BLOCK = 8
 
 
 class QuadratureError(RuntimeError):
@@ -55,28 +60,41 @@ class QuadConfig:
 DEFAULT_QUAD = QuadConfig()
 
 
-def _pair_estimate(f, a, b):
-    """(15-point value, |15-point - 7-point|) on [a, b]."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    y15 = np.asarray(f(mid + half * _X15), dtype=complex)
-    v15 = half * np.dot(_W15, y15)
-    y7 = np.asarray(f(mid + half * _X7), dtype=complex)
-    v7 = half * np.dot(_W7, y7)
-    return v15, abs(v15 - v7)
+def _rule_estimates(f, edges):
+    """(15-point value, |15-point - 7-point|) on each [edges[i], edges[i+1]].
+
+    ``f`` is called once, on the 15 + 7 nodes of every interval.  Each
+    interval's weighted sums are taken one row at a time, in the order a
+    single-interval evaluation would use, so for an f that evaluates each
+    point on its own the results do not depend on how many intervals share
+    the call.
+    """
+    spans = list(zip(edges[:-1], edges[1:]))
+    halves = [0.5 * (b - a) for a, b in spans]
+    nodes = np.concatenate([0.5 * (a + b) + half * _X22
+                            for (a, b), half in zip(spans, halves)])
+    y = np.asarray(f(nodes), dtype=complex).reshape(len(spans), _X22.size)
+    out = []
+    for half, row in zip(halves, y):
+        v15 = half * np.dot(_W15, row[:15])
+        v7 = half * np.dot(_W7, row[15:])
+        out.append((v15, abs(v15 - v7)))
+    return out
 
 
 def integrate_finite(f, a: float, b: float,
                      cfg: QuadConfig = DEFAULT_QUAD) -> tuple[complex, float]:
     """Adaptive quadrature of a complex-valued f on [a, b].
 
-    ``f`` must accept numpy arrays.  Returns (value, error estimate); raises
+    ``f`` must accept numpy arrays and is called once per refinement step:
+    once for [a, b], then once for each split, on the nodes of both halves
+    together.  Returns (value, error estimate); raises
     :class:`QuadratureError` when the subdivision budget is exhausted before
     the tolerance is met.
     """
     if a == b:
         return 0.0 + 0.0j, 0.0
-    val, err = _pair_estimate(f, a, b)
+    [(val, err)] = _rule_estimates(f, (a, b))
     # heap of (-err, a, b, value, err); refine the worst interval first
     heap = [(-err, a, b, val, err)]
     total_val, total_err = val, err
@@ -87,8 +105,7 @@ def integrate_finite(f, a: float, b: float,
             return total_val, total_err
         _, ia, ib, ival, ierr = heapq.heappop(heap)
         mid = 0.5 * (ia + ib)
-        v1, e1 = _pair_estimate(f, ia, mid)
-        v2, e2 = _pair_estimate(f, mid, ib)
+        (v1, e1), (v2, e2) = _rule_estimates(f, (ia, mid, ib))
         total_val += (v1 + v2) - ival
         total_err += (e1 + e2) - ierr
         heapq.heappush(heap, (-e1, ia, mid, v1, e1))
@@ -124,17 +141,26 @@ def _iterated_aitken(s: np.ndarray, levels: int = _AITKEN_LEVELS) -> complex:
 
 def _truncation_point(g, abs_tol, *, decay_order=None, decay_rate=None,
                       peak=0.0, start=None):
-    """Point P past which the analytic tail bound of |g| drops below abs_tol."""
+    """Point P past which the analytic tail bound of |g| drops below abs_tol.
+
+    P walks the ladder start * 1.5^k, k < 200, and stops at the first rung
+    whose bound is met.  g is evaluated on blocks of rungs, one call each.
+    """
     P = start if start is not None else max(8.0 * max(peak, 0.0), 1.0)
-    for _ in range(200):
-        gP = abs(complex(np.max(np.abs(np.asarray(g(np.array([P])))))))
-        if decay_rate is not None:
-            bound = gP / decay_rate
-        else:
-            bound = gP * P / (decay_order - 1.0)
-        if bound <= abs_tol:
-            return P, bound
-        P *= 1.5
+    for _ in range(_LADDER_RUNGS // _LADDER_BLOCK):
+        ladder = []
+        for _ in range(_LADDER_BLOCK):
+            ladder.append(P)
+            P *= 1.5
+        gabs = np.abs(np.asarray(g(np.array(ladder))))
+        for P_k, gP in zip(ladder,
+                           gabs.reshape(len(ladder), -1).max(axis=1).tolist()):
+            if decay_rate is not None:
+                bound = gP / decay_rate
+            else:
+                bound = gP * P_k / (decay_order - 1.0)
+            if bound <= abs_tol:
+                return P_k, bound
     raise QuadratureError("could not find a truncation point for the tail")
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,10 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qedvolterra.laplace
+import qedvolterra.quadrature
 from qedvolterra import ModelParams, TimeGrid, hydrogen_density, \
     make_kernel, solve_ide
-from qedvolterra.cli import ConfigError, DecayFit, RunConfig, build_config, \
-    fit_decay, parse_config_file
+from qedvolterra.cli import ConfigError, DecayFit, RunConfig, _fit_window, \
+    build_config, fit_decay, main, parse_config_file
+from test_quadrature import reference_integrate_finite, \
+    reference_truncation_point
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -65,6 +70,26 @@ def test_unknown_key_rejected():
         build_config({"alhpa": 0.1}, {})
 
 
+def test_list_values_coerced_to_floats():
+    cfg = build_config({"sweep_values": 1, "q": (1, 0, 0)}, {})
+    assert cfg.sweep_values == (1.0,)
+    assert cfg.q == (1.0, 0.0, 0.0)
+    for bad in ({"sweep_values": "abc"}, {"d": (0.0, True, 1.0)},
+                {"fit_window": 5.0}):
+        with pytest.raises(ConfigError):
+            build_config(bad, {})
+
+
+def test_fit_window_checked_against_grid():
+    grid = TimeGrid(dt=0.1, n_steps=100)
+    assert _fit_window(RunConfig(), grid) == (0.2 * grid.t_max,
+                                              0.9 * grid.t_max)
+    assert _fit_window(RunConfig(fit_window=(1.0, 10.0)), grid) == (1.0, 10.0)
+    for window in ((1.0, 10.5), (-1.0, 5.0), (5.0, 5.0)):
+        with pytest.raises(ConfigError):
+            _fit_window(RunConfig(fit_window=window), grid)
+
+
 def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(mode="simulate").validate()
@@ -78,6 +103,15 @@ def test_run_config_validation():
         RunConfig(state="custom").validate()
     with pytest.raises(ConfigError):
         RunConfig(mode="sweep").validate()
+    # caught before any work: alpha (every sweep value too) and (r, q, d)
+    for bad in (dict(alpha=0.0), dict(alpha=math.nan),
+                dict(mode="sweep", sweep_values=(0.3, 0.0)),
+                dict(state="squeezed_concentrated", q=(1.0, 0.0, 0.0),
+                     d=(1.0, 0.0, 0.0))):
+        with pytest.raises(ConfigError):
+            RunConfig(**bad).validate()
+    # the decoupled limit stays valid for a custom transition
+    RunConfig(alpha=0.0, transition="custom", omega=1.0).validate()
 
 
 # ---------------------------------------------------------------- fitting
@@ -247,7 +281,8 @@ def test_unknown_config_key_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["dt = abc", "alpha = foo",
-                                  "rel_tol = -1"])
+                                  "rel_tol = -1", "alpha = 0", "alpha = nan",
+                                  "q = 1, abc, 0", "fit_window = 1, 2, 3"])
 def test_bad_config_value_is_config_error(tmp_path, line):
     # a small solvable run but for the one bad value (a later line wins)
     cfg = tmp_path / "run.cfg"
@@ -256,6 +291,43 @@ def test_bad_config_value_is_config_error(tmp_path, line):
                   "--out", str(tmp_path / "c.csv"))
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("mode, lines", [
+    ("rates", "alpha = 0"),
+    ("rates", "fit_window = 0.5, 20"),
+    ("sweep", "sweep_values = 0.3, 0"),
+    ("sweep", "sweep_values = abc"),
+    ("solve", "state = squeezed_concentrated\nq = 1, 0, 0\nd = 1, 0, 0"),
+    ("solve", "state = custom\nrho_table = absent.txt\n"
+              "transition = custom\nomega = 1"),
+], ids=["rates-alpha-0", "rates-fit-window-outside", "sweep-alpha-0",
+        "sweep-values-not-numbers", "solve-d-along-q",
+        "solve-missing-rho-table"])
+def test_bad_config_is_config_error_in_every_mode(tmp_path, mode, lines):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"alpha = 0.5\ndt = 0.1\ntmax = 1\n{lines}\n")
+    res = run_cli(mode, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                  cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "configuration error" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_sweep_matches_one_interval_quadrature(tmp_path, monkeypatch):
+    # the batched quadrature must leave the sweep CSV byte-identical to the
+    # one-interval-at-a-time reference in test_quadrature.py
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("sweep_values = 0.3, 0.55, 0.8\n")
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(fast)]) == 0
+    for module in (qedvolterra.quadrature, qedvolterra.laplace):
+        monkeypatch.setattr(module, "integrate_finite",
+                            reference_integrate_finite)
+        monkeypatch.setattr(module, "_truncation_point",
+                            reference_truncation_point)
+    assert main(["sweep", "--config", str(cfg), "--out", str(slow)]) == 0
+    assert fast.read_bytes() == slow.read_bytes()
 
 
 def test_numerical_failure_exit_code(tmp_path):

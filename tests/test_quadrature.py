@@ -1,14 +1,171 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qedvolterra import QuadConfig, QuadratureError, integrate_finite, \
-    oscillatory_halfline
+from qedvolterra import QuadConfig, QuadratureError, hydrogen_density, \
+    integrate_finite, oscillatory_halfline
 from qedvolterra.kernels import hydrogen_vacuum_density
+from qedvolterra.quadrature import _truncation_point
 
 TIGHT = QuadConfig(rel_tol=1e-12, abs_tol=1e-14)
+
+# ------------------------------------------------ one-interval reference
+# The adaptive rule as it was before the integrand calls were batched: one
+# interval per estimate and two integrand calls per interval.  The batched
+# rule must reproduce it bit for bit.
+
+_X7, _W7 = np.polynomial.legendre.leggauss(7)
+_X15, _W15 = np.polynomial.legendre.leggauss(15)
+
+
+def _reference_pair_estimate(f, a, b):
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    y15 = np.asarray(f(mid + half * _X15), dtype=complex)
+    v15 = half * np.dot(_W15, y15)
+    y7 = np.asarray(f(mid + half * _X7), dtype=complex)
+    v7 = half * np.dot(_W7, y7)
+    return v15, abs(v15 - v7)
+
+
+def reference_integrate_finite(f, a, b, cfg=QuadConfig()):
+    if a == b:
+        return 0.0 + 0.0j, 0.0
+    val, err = _reference_pair_estimate(f, a, b)
+    heap = [(-err, a, b, val, err)]
+    total_val, total_err = val, err
+    n_sub = 1
+    while n_sub < cfg.max_subdivisions:
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
+        if total_err <= tol:
+            return total_val, total_err
+        _, ia, ib, ival, ierr = heapq.heappop(heap)
+        mid = 0.5 * (ia + ib)
+        v1, e1 = _reference_pair_estimate(f, ia, mid)
+        v2, e2 = _reference_pair_estimate(f, mid, ib)
+        total_val += (v1 + v2) - ival
+        total_err += (e1 + e2) - ierr
+        heapq.heappush(heap, (-e1, ia, mid, v1, e1))
+        heapq.heappush(heap, (-e2, mid, ib, v2, e2))
+        n_sub += 1
+    tol = max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
+    if total_err <= tol:
+        return total_val, total_err
+    raise QuadratureError(
+        f"no convergence after {cfg.max_subdivisions} subdivisions "
+        f"(err={total_err:.3e}, tol={tol:.3e})",
+        best_estimate=total_val, err_est=total_err)
+
+
+def reference_truncation_point(g, abs_tol, *, decay_order=None,
+                               decay_rate=None, peak=0.0, start=None):
+    P = start if start is not None else max(8.0 * max(peak, 0.0), 1.0)
+    for _ in range(200):
+        gP = abs(complex(np.max(np.abs(np.asarray(g(np.array([P])))))))
+        if decay_rate is not None:
+            bound = gP / decay_rate
+        else:
+            bound = gP * P / (decay_order - 1.0)
+        if bound <= abs_tol:
+            return P, bound
+        P *= 1.5
+    raise QuadratureError("could not find a truncation point for the tail")
+
+
+class _CallLog:
+    """Wraps an integrand and records the number of points of each call."""
+
+    def __init__(self, f):
+        self.f = f
+        self.sizes = []
+
+    def __call__(self, x):
+        self.sizes.append(np.size(x))
+        return self.f(x)
+
+
+def _near_pole_f_sub():
+    # the subtracted near-pole window of laplace._cauchy_transform at
+    # s = sigma - i omega, sigma = 1e-6: the costliest window of the search
+    alpha = 0.5
+    rho = hydrogen_density(alpha)
+    s = complex(1e-6, -0.375 * alpha * alpha)
+    pstar = -s.imag
+    P, _ = _truncation_point(rho.fn, 0.1 * 1e-15 * max(abs(s), 1.0),
+                             decay_order=rho.decay_order, peak=rho.peak)
+    delta = min(pstar, P - pstar, rho.scale)
+    rstar = complex(rho.fn(np.array([pstar]))[0])
+
+    def f_sub(p):
+        return (np.asarray(rho.fn(p), dtype=complex) - rstar) / (s + 1j * p)
+
+    return f_sub, pstar - delta, pstar + delta
+
+
+def _oracle_cases():
+    f_sub, a_sub, b_sub = _near_pole_f_sub()
+    w = 1e-4
+    return {
+        # past the degree the 15-point rule integrates exactly
+        "polynomial": (lambda x: x**40 - 3.0 * x**2 + 1.0, 0.0, 2.0,
+                       QuadConfig()),
+        "exp_ix": (lambda x: np.exp(1j * x), 0.0, 60.0, TIGHT),
+        "lorentzian": (lambda x: w / (x**2 + w**2), -1.0, 1.0,
+                       QuadConfig(rel_tol=1e-10, abs_tol=1e-12,
+                                  max_subdivisions=5000)),
+        "near_pole_f_sub": (f_sub, a_sub, b_sub,
+                            QuadConfig(rel_tol=1e-12, abs_tol=1e-15,
+                                       max_subdivisions=4000)),
+    }
+
+
+@pytest.mark.parametrize("name", ["polynomial", "exp_ix", "lorentzian",
+                                  "near_pole_f_sub"])
+def test_batched_rule_matches_one_interval_reference(name):
+    f, a, b, cfg = _oracle_cases()[name]
+    new_log, ref_log = _CallLog(f), _CallLog(f)
+    got = integrate_finite(new_log, a, b, cfg)
+    want = reference_integrate_finite(ref_log, a, b, cfg)
+    assert got == want
+    # one call per refinement step: [a, b] first, then both halves of each
+    # split together, on the same nodes the reference visits
+    assert new_log.sizes == [22] + [44] * (len(new_log.sizes) - 1)
+    assert 2 * len(new_log.sizes) - 1 == len(ref_log.sizes) // 2
+    assert sum(new_log.sizes) == sum(ref_log.sizes)
+
+
+def test_batched_rule_matches_reference_on_budget_exhaustion():
+    cfg = QuadConfig(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=40)
+    f = lambda x: np.cos(40.0 * x) / (1e-6 + x * x)
+    with pytest.raises(QuadratureError) as got:
+        integrate_finite(f, -1.0, 1.0, cfg)
+    with pytest.raises(QuadratureError) as want:
+        reference_integrate_finite(f, -1.0, 1.0, cfg)
+    assert got.value.best_estimate == want.value.best_estimate
+    assert got.value.err_est == want.value.err_est
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("abs_tol", [1e-2, 1e-10, 1e-17, 1e-40])
+def test_batched_ladder_matches_one_rung_reference(abs_tol):
+    rho = hydrogen_density(0.7)
+    for kw in (dict(decay_order=rho.decay_order, peak=rho.peak),
+               dict(decay_rate=0.5, start=0.3)):
+        g = rho.fn if "decay_order" in kw else (lambda p: np.exp(-0.5 * p))
+        new_log, ref_log = _CallLog(g), _CallLog(g)
+        got = _truncation_point(new_log, abs_tol, **kw)
+        want = reference_truncation_point(ref_log, abs_tol, **kw)
+        assert got == want
+        # the rungs the reference walked, eight to a call
+        assert new_log.sizes == [8] * -(-len(ref_log.sizes) // 8)
+
+
+def test_ladder_without_decay_raises():
+    with pytest.raises(QuadratureError):
+        _truncation_point(lambda p: np.ones_like(p), 1e-12, decay_order=3.0)
 
 
 def test_finite_polynomial_exact():
