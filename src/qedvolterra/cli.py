@@ -138,15 +138,24 @@ class DecayFit:
     window: tuple
 
 
+_MIN_FIT_POINTS = 10
+
+
+def _window_mask(t: np.ndarray, t1: float, t2: float) -> np.ndarray:
+    """The grid points a fit over [t1, t2] uses."""
+    return (t >= t1) & (t <= t2)
+
+
 def fit_decay(series: AmplitudeSeries, window: tuple) -> DecayFit:
     """Line through (t, log |c|^2); gamma_fit is minus the slope."""
     t1, t2 = window
     t = series.times
     if t1 < t[0] or t2 > t[-1] or t2 <= t1:
         raise ValueError("fit window must lie inside the solved range")
-    mask = (t >= t1) & (t <= t2)
-    if np.count_nonzero(mask) < 10:
-        raise ValueError("fewer than 10 points in the fit window")
+    mask = _window_mask(t, t1, t2)
+    if np.count_nonzero(mask) < _MIN_FIT_POINTS:
+        raise ValueError(f"fewer than {_MIN_FIT_POINTS} points in the fit "
+                         "window")
     a2 = series.abs2[mask]
     if np.any(a2 <= 0.0):
         raise ValueError("|c| vanishes inside the fit window")
@@ -319,11 +328,17 @@ def _run_solve(cfg: RunConfig) -> AmplitudeSeries:
 def _fit_window(cfg: RunConfig, grid: TimeGrid) -> tuple:
     """The fit window, checked against the grid before any solve."""
     if cfg.fit_window is None:
-        return (0.2 * grid.t_max, 0.9 * grid.t_max)
-    t1, t2 = cfg.fit_window
-    if not 0.0 <= t1 < t2 <= grid.t_max:
-        raise ConfigError(f"fit_window ({t1:g}, {t2:g}) must lie inside the "
-                          f"solved range [0, {grid.t_max:g}]")
+        t1, t2 = 0.2 * grid.t_max, 0.9 * grid.t_max
+    else:
+        t1, t2 = cfg.fit_window
+        if not 0.0 <= t1 < t2 <= grid.t_max:
+            raise ConfigError(f"fit_window ({t1:g}, {t2:g}) must lie inside "
+                              f"the solved range [0, {grid.t_max:g}]")
+    n = np.count_nonzero(_window_mask(grid.times, t1, t2))
+    if n < _MIN_FIT_POINTS:
+        raise ConfigError(f"fit window ({t1:g}, {t2:g}) holds {n} grid "
+                          f"points; the decay fit needs at least "
+                          f"{_MIN_FIT_POINTS} (refine dt or widen the window)")
     return t1, t2
 
 

@@ -58,7 +58,7 @@ class SpectralDensity:
 
     def __call__(self, p):
         p = np.asarray(p, dtype=float)
-        if np.any(p < 0.0):
+        if (p < 0.0).any():
             raise ValueError("momentum magnitude must be >= 0")
         val = self.fn(p)
         return val if np.ndim(val) else float(val)
@@ -69,7 +69,7 @@ def hydrogen_vacuum_density(p, alpha: float):
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0.0):
+    if (p < 0.0).any():
         raise ValueError("momentum magnitude must be >= 0")
     val = (alpha * alpha / (3.0 * math.pi**2)) * p / ((p / alpha)**2 + 2.25)**4
     return val if val.ndim else float(val)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .atom import ModelParams
 from .kernels import SpectralDensity
-from .quadrature import QuadConfig, QuadratureError, integrate_finite, \
+from .quadrature import QuadConfig, QuadratureError, _integrate_many, \
     _truncation_point
 from .volterra import AmplitudeSeries, TimeGrid
 
@@ -55,59 +55,105 @@ class LaplaceAnalysis:
     residual: float
 
 
-def _cauchy_transform(rho: SpectralDensity, s: complex,
-                      cfg: QuadConfig = _CAUCHY_CFG) -> complex:
-    """integral_0^inf rho(p)/(s + i p) dp for s off the cut s in -i[0,inf).
+def _cauchy_transform(rho: SpectralDensity, ss: list,
+                      cfg: QuadConfig = _CAUCHY_CFG) -> list:
+    """integral_0^inf rho(p)/(s + i p) dp for each s in ``ss``, off the cut.
 
     When the integrand develops a narrow Lorentzian at p* = -Im s (small
     |Re s|), the near-pole window is handled by subtracting rho(p*) and
-    integrating the subtracted pole in closed form.
+    integrating the subtracted pole in closed form; a milder peak is split
+    at p*.  Every piece of every transform is one problem of a single
+    lockstep :func:`_integrate_many`, so each refinement step evaluates rho
+    once for all of them.  Each transform keeps its own truncation point
+    and branch, and sums its pieces in the same order as a transform done
+    on its own, so the values do not depend on how many share the batch.
     """
-    if s == 0.0:
-        raise ValueError("s = 0 lies on the branch cut")
-    P, _ = _truncation_point(
-        rho.fn, 0.1 * cfg.abs_tol * max(abs(s), 1.0),
-        decay_order=rho.decay_order, decay_rate=rho.decay_rate, peak=rho.peak)
+    bounds, s_of, r_of = [], [], []
+    # per transform: its first piece, its piece count, its closed-form term
+    plans = []
+    for s in ss:
+        if s == 0.0:
+            raise ValueError("s = 0 lies on the branch cut")
+        P, _ = _truncation_point(
+            rho.fn, 0.1 * cfg.abs_tol * max(abs(s), 1.0),
+            decay_order=rho.decay_order, decay_rate=rho.decay_rate,
+            peak=rho.peak)
+        pstar = -s.imag
+        width = abs(s.real)
+        first = len(bounds)
+        log_term = None
+        # pieces (a, b, r) integrate (rho(p) - r) / (s + ip) over [a, b]
+        if 0.0 < pstar < P and width < 0.05 * rho.scale:
+            delta = min(pstar, P - pstar, rho.scale)
+            a, b = pstar - delta, pstar + delta
+            rstar = complex(rho.fn(np.array([pstar]))[0])
+            pieces = [(0.0, a, 0.0), (a, b, rstar), (b, P, 0.0)]
+            # int_a^b dp/(s+ip) along the vertical segment Re = Re(s); the
+            # principal log branch is crossed when Re(s) < 0
+            log_diff = cmath.log(s + 1j * b) - cmath.log(s + 1j * a)
+            if s.real < 0.0:
+                log_diff -= 2j * math.pi
+            log_term = rstar * log_diff / 1j
+        elif 0.0 < pstar < P:
+            # mild peak: split to help the adaptive rule
+            pieces = [(0.0, pstar, 0.0), (pstar, P, 0.0)]
+        else:
+            pieces = [(0.0, P, 0.0)]
+        for a, b, r in pieces:
+            bounds.append((a, b))
+            s_of.append(s)
+            r_of.append(r)
+        plans.append((first, len(pieces), log_term))
+    s_of = np.array(s_of, dtype=complex)
+    r_of = np.array(r_of, dtype=complex)
 
-    def f(p):
-        return np.asarray(rho.fn(p), dtype=complex) / (s + 1j * p)
+    def f(p, idx):
+        # subtracting r = 0 leaves the plain pieces' values unchanged
+        return (np.asarray(rho.fn(p), dtype=complex) - r_of[idx]) \
+            / (s_of[idx] + 1j * p)
 
-    pstar = -s.imag
-    width = abs(s.real)
-    if 0.0 < pstar < P and width < 0.05 * rho.scale:
-        delta = min(pstar, P - pstar, rho.scale)
-        a, b = pstar - delta, pstar + delta
-        rstar = complex(rho.fn(np.array([pstar]))[0])
+    vals = [v for v, _ in _integrate_many(f, bounds, cfg)]
+    out = []
+    for first, n, log_term in plans:
+        terms = vals[first:first + n]
+        if log_term is not None:
+            terms.insert(2, log_term)
+        val = terms[0]
+        for term in terms[1:]:
+            val += term
+        out.append(val)
+    return out
 
-        def f_sub(p):
-            return (np.asarray(rho.fn(p), dtype=complex) - rstar) / (s + 1j * p)
 
-        val = integrate_finite(f, 0.0, a, cfg)[0]
-        val += integrate_finite(f_sub, a, b, cfg)[0]
-        # int_a^b dp/(s+ip) along the vertical segment Re = Re(s); the
-        # principal log branch is crossed when Re(s) < 0
-        log_diff = cmath.log(s + 1j * b) - cmath.log(s + 1j * a)
-        if s.real < 0.0:
-            log_diff -= 2j * math.pi
-        val += rstar * log_diff / 1j
-        val += integrate_finite(f, b, P, cfg)[0]
-    elif 0.0 < pstar < P:
-        # mild peak: split to help the adaptive rule
-        val = integrate_finite(f, 0.0, pstar, cfg)[0]
-        val += integrate_finite(f, pstar, P, cfg)[0]
-    else:
-        val = integrate_finite(f, 0.0, P, cfg)[0]
-    return val
+def _first_sheet(rho: SpectralDensity, ss: list, cfg: QuadConfig) -> list:
+    """s_hat at each of the complex points ``ss``, as one batch."""
+    for s in ss:
+        if s.real <= 0.0:
+            raise ValueError("s_hat requires Re s > 0; "
+                             "use s_hat_second_sheet for the continuation")
+    return _cauchy_transform(rho, ss, cfg)
+
+
+def _second_sheet(rho: SpectralDensity, ss: list, cfg: QuadConfig) -> list:
+    """s_hat_second_sheet at each of the complex points ``ss``, as one batch."""
+    for s in ss:
+        if s.real > 0.0:
+            continue
+        if s.real == 0.0:
+            raise ValueError("evaluation on Re s = 0 is ambiguous; offset s")
+        if rho.analytic_extension is None:
+            raise MissingExtensionError(
+                f"density {rho.label!r} has no analytic extension; "
+                "second-sheet evaluation refused")
+    return [v if s.real > 0.0
+            else v + 2.0 * math.pi * rho.analytic_extension(1j * s)
+            for s, v in zip(ss, _cauchy_transform(rho, ss, cfg))]
 
 
 def s_hat(rho: SpectralDensity, s: complex,
           cfg: QuadConfig = _CAUCHY_CFG) -> complex:
     """Laplace transform of the stationary kernel, valid for Re s > 0."""
-    s = complex(s)
-    if s.real <= 0.0:
-        raise ValueError("s_hat requires Re s > 0; "
-                         "use s_hat_second_sheet for the continuation")
-    return _cauchy_transform(rho, s, cfg)
+    return _first_sheet(rho, [complex(s)], cfg)[0]
 
 
 def s_hat_second_sheet(rho: SpectralDensity, s: complex,
@@ -117,17 +163,7 @@ def s_hat_second_sheet(rho: SpectralDensity, s: complex,
     Equals s_hat for Re s > 0; for Re s < 0 it adds the Plemelj jump
     2 pi rho(i s), which requires the density's analytic extension.
     """
-    s = complex(s)
-    if s.real > 0.0:
-        return _cauchy_transform(rho, s, cfg)
-    if s.real == 0.0:
-        raise ValueError("evaluation on Re s = 0 is ambiguous; offset s")
-    if rho.analytic_extension is None:
-        raise MissingExtensionError(
-            f"density {rho.label!r} has no analytic extension; "
-            "second-sheet evaluation refused")
-    return _cauchy_transform(rho, s, cfg) \
-        + 2.0 * math.pi * rho.analytic_extension(1j * s)
+    return _second_sheet(rho, [complex(s)], cfg)[0]
 
 
 def markov_rate(rho: SpectralDensity, params: ModelParams) -> float:
@@ -136,26 +172,40 @@ def markov_rate(rho: SpectralDensity, params: ModelParams) -> float:
 
 
 def _newton(fun, seeds, scale, tol=_POLE_TOL):
-    roots = []
-    for s0 in seeds:
-        s = complex(s0)
-        ok = False
-        for _ in range(_MAX_NEWTON):
-            f = fun(s)
+    """Newton iteration with central differences from every seed, in lockstep.
+
+    ``fun`` maps a list of points to the list of F values.  Each round makes
+    one batch of F at the unfinished seeds, then one batch of F(s +- h) at
+    those not yet converged.  Each seed gets its own ``_MAX_NEWTON`` rounds
+    and stops on the same tests as when iterated on its own, so the roots,
+    returned in seed order, do not depend on the other seeds.
+    """
+    s = [complex(s0) for s0 in seeds]
+    ok = [False] * len(s)
+    active = list(range(len(s)))
+    for _ in range(_MAX_NEWTON):
+        if not active:
+            break
+        pending = []
+        for i, f in zip(active, fun([s[i] for i in active])):
             if abs(f) < tol:
-                ok = True
-                break
-            h = 1e-7 * max(abs(s), scale)
-            df = (fun(s + h) - fun(s - h)) / (2.0 * h)
+                ok[i] = True
+            else:
+                pending.append((i, f, 1e-7 * max(abs(s[i]), scale)))
+        if not pending:
+            break
+        shifted = fun([z for i, _, h in pending for z in (s[i] + h, s[i] - h)])
+        active = []
+        for k, (i, f, h) in enumerate(pending):
+            df = (shifted[2 * k] - shifted[2 * k + 1]) / (2.0 * h)
             if df == 0.0:
-                break
+                continue
             step = f / df
             if abs(step) > 10.0 * scale:
-                break
-            s -= step
-        if ok:
-            roots.append(s)
-    return roots
+                continue
+            s[i] -= step
+            active.append(i)
+    return [z for z, good in zip(s, ok) if good]
 
 
 def find_pole(rho: SpectralDensity, params: ModelParams,
@@ -164,8 +214,9 @@ def find_pole(rho: SpectralDensity, params: ModelParams,
     """Dominant resonance pole s0 of 1 / (s + alpha s_hat(s - i omega)).
 
     Newton iteration on F(s) = s + alpha * S_hat_II(s - i omega) from 8
-    seeds; the root with the greatest real part is returned.  A pole with
-    Re s0 > 0 violates unitarity and signals a broken kernel.
+    seeds, run in lockstep so that each round's transforms share one
+    quadrature; the root with the greatest real part is returned.  A pole
+    with Re s0 > 0 violates unitarity and signals a broken kernel.
     """
     if rho.analytic_extension is None:
         raise MissingExtensionError(
@@ -175,8 +226,11 @@ def find_pole(rho: SpectralDensity, params: ModelParams,
     if alpha == 0.0:
         raise ValueError("alpha = 0 has no resonance pole")
 
-    def F(s):
-        return s + alpha * s_hat_second_sheet(rho, s - 1j * omega, cfg)
+    def F(ss):
+        # complex() as in s_hat_second_sheet: the Plemelj term must see a
+        # Python complex, whose ** differs from numpy's in the last bits
+        sheet = _second_sheet(rho, [complex(z - 1j * omega) for z in ss], cfg)
+        return [z + alpha * v for z, v in zip(ss, sheet)]
 
     eps = 1e-6 * rho.scale
     if s_init is None:
@@ -226,7 +280,10 @@ def bromwich_invert(rho: SpectralDensity, params: ModelParams,
     decays like 1/|s|^3 along the contour and is summed by the trapezoid
     rule with spacing pi / (2 t_max).  The contour abscissa defaults to
     3 / t_max, which keeps the e^{sigma0 t} amplification at e^3 while the
-    aliasing error stays below e^{-4 sigma0 t_max} = e^{-12}.
+    aliasing error stays below e^{-4 sigma0 t_max} = e^{-12}.  The contour
+    is walked in blocks of 512 points per side; each block and the two
+    edge points of its truncation test are one batch of Cauchy transforms,
+    and their terms are added to c in contour order.
     """
     alpha, omega = params.alpha, params.omega
     times = t_grid.times
@@ -240,9 +297,11 @@ def bromwich_invert(rho: SpectralDensity, params: ModelParams,
     sigma = sigma0 if sigma0 is not None else 3.0 / t_max
     h = math.pi / (2.0 * t_max)
 
-    def chat_minus(s):
-        sh = s_hat(rho, s - 1j * omega, cfg)
-        return 1.0 / (s + alpha * sh) - 1.0 / s
+    def chat_minus(points):
+        sheet = _first_sheet(rho, [complex(s - 1j * omega) for s in points],
+                             cfg)
+        return [1.0 / (s + alpha * sh) - 1.0 / s
+                for s, sh in zip(points, sheet)]
 
     block = 512
     max_points = 400000
@@ -251,17 +310,18 @@ def bromwich_invert(rho: SpectralDensity, params: ModelParams,
     while k0 < max_points:
         ks = np.arange(k0, k0 + block)
         ys = ks * h
-        # k = 0 handled once; negative side mirrored explicitly
-        for sign in (1.0, -1.0):
-            sel = ys > 0 if sign < 0 else np.ones_like(ys, bool)
-            for y in ys[sel]:
-                s = complex(sigma, sign * y)
-                g = chat_minus(s)
-                c += amp * np.exp(1j * sign * y * times) * g
         k0 += block
         y_edge = (k0 - 1) * h
-        gm = max(abs(chat_minus(complex(sigma, y_edge))),
-                 abs(chat_minus(complex(sigma, -y_edge))))
+        # k = 0 handled once; negative side mirrored explicitly.  The block
+        # and its two edge points are one batch of transforms.
+        terms = [(sign, y) for sign in (1.0, -1.0)
+                 for y in (ys[ys > 0] if sign < 0 else ys)]
+        points = [complex(sigma, sign * y) for sign, y in terms]
+        g = chat_minus(points + [complex(sigma, y_edge),
+                                 complex(sigma, -y_edge)])
+        for (sign, y), g_k in zip(terms, g):
+            c += amp * np.exp(1j * sign * y * times) * g_k
+        gm = max(abs(g[-2]), abs(g[-1]))
         # 1/y^3 tail: sum_{y>Y} |g| ~ gm * Y / (2 h)
         tail = amp[-1] * gm * y_edge / (2.0 * h) * 2.0
         trunc[:] = tail

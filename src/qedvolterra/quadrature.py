@@ -4,6 +4,8 @@ Two entry points:
 
 * :func:`integrate_finite` -- globally adaptive Gauss quadrature on [a, b]
   for complex integrands, with a paired 7/15-point rule for error control.
+  It is the one-problem case of the private :func:`_integrate_many`, which
+  advances many such integrals in lockstep, one integrand call per step.
 * :func:`oscillatory_halfline` -- integrals of the form
   integral_0^inf g(p) exp(-i p tau) dp for envelopes with declared decay.
   Small |tau| is handled by truncated adaptive quadrature; otherwise the
@@ -60,20 +62,19 @@ class QuadConfig:
 DEFAULT_QUAD = QuadConfig()
 
 
-def _rule_estimates(f, edges):
-    """(15-point value, |15-point - 7-point|) on each [edges[i], edges[i+1]].
+def _rule_estimates(f, spans, idx):
+    """(15-point value, |15-point - 7-point|) on each interval of ``spans``.
 
-    ``f`` is called once, on the 15 + 7 nodes of every interval.  Each
-    interval's weighted sums are taken one row at a time, in the order a
-    single-interval evaluation would use, so for an f that evaluates each
-    point on its own the results do not depend on how many intervals share
-    the call.
+    ``f(p, idx)`` is called once, on the 15 + 7 nodes of every interval;
+    ``idx`` names the problem that owns each node.  Each interval's weighted
+    sums are taken one row at a time, in the order a single-interval
+    evaluation would use, so for an f that evaluates each point on its own
+    the results do not depend on how many intervals share the call.
     """
-    spans = list(zip(edges[:-1], edges[1:]))
     halves = [0.5 * (b - a) for a, b in spans]
-    nodes = np.concatenate([0.5 * (a + b) + half * _X22
-                            for (a, b), half in zip(spans, halves)])
-    y = np.asarray(f(nodes), dtype=complex).reshape(len(spans), _X22.size)
+    nodes = np.array([0.5 * (a + b) for a, b in spans])[:, None] \
+        + np.array(halves)[:, None] * _X22
+    y = np.asarray(f(nodes.ravel(), idx), dtype=complex).reshape(nodes.shape)
     out = []
     for half, row in zip(halves, y):
         v15 = half * np.dot(_W15, row[:15])
@@ -82,42 +83,83 @@ def _rule_estimates(f, edges):
     return out
 
 
+def _integrate_many(f, bounds, cfg: QuadConfig = DEFAULT_QUAD) -> list:
+    """Adaptive quadrature of many complex integrals, advanced in lockstep.
+
+    Problem i is the integral of ``f(p, i)`` over ``bounds[i] = (a, b)``.
+    Each problem keeps its own heap of intervals, running totals, stopping
+    test and subdivision budget, exactly as if it were integrated alone.  At
+    each lockstep step every unfinished problem splits its worst interval,
+    and ``f(p, idx)`` is called once on the nodes of all those intervals;
+    the integer array ``idx`` (read-only) holds the problem index of each
+    node.  Returns one (value, error estimate) per problem; raises
+    :class:`QuadratureError` for the first problem whose budget runs out
+    before its tolerance is met.
+    """
+    results = [(0.0 + 0.0j, 0.0)] * len(bounds)
+    live = [i for i, (a, b) in enumerate(bounds) if a != b]
+    if not live:
+        return results
+    # per problem: heap of (-err, a, b, value, err), worst interval first
+    heaps, totals = {}, {}
+    for i, (val, err) in zip(live, _rule_estimates(
+            f, [bounds[i] for i in live], np.array(live).repeat(_X22.size))):
+        a, b = bounds[i]
+        heaps[i] = [(-err, a, b, val, err)]
+        totals[i] = (val, err)
+    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
+    split_ids = idx = None
+    n_sub = 1
+    while n_sub < cfg.max_subdivisions:
+        spans, split = [], []
+        for i in live:
+            total_val, total_err = totals[i]
+            if total_err <= max(abs_tol, rel_tol * abs(total_val)):
+                results[i] = totals[i]
+                continue
+            _, ia, ib, ival, ierr = heapq.heappop(heaps[i])
+            mid = 0.5 * (ia + ib)
+            spans += [(ia, mid), (mid, ib)]
+            split.append((i, ia, mid, ib, ival, ierr))
+        if not split:
+            return results
+        live = [entry[0] for entry in split]
+        if live != split_ids:
+            # the owners change only when a problem finishes; both halves
+            # of a split (44 nodes) belong to one problem
+            split_ids, idx = live, np.array(live).repeat(2 * _X22.size)
+        est = _rule_estimates(f, spans, idx)
+        for k, (i, ia, mid, ib, ival, ierr) in enumerate(split):
+            (v1, e1), (v2, e2) = est[2 * k], est[2 * k + 1]
+            total_val, total_err = totals[i]
+            totals[i] = (total_val + ((v1 + v2) - ival),
+                         total_err + ((e1 + e2) - ierr))
+            heapq.heappush(heaps[i], (-e1, ia, mid, v1, e1))
+            heapq.heappush(heaps[i], (-e2, mid, ib, v2, e2))
+        n_sub += 1
+    for i in live:
+        total_val, total_err = totals[i]
+        tol = max(abs_tol, rel_tol * abs(total_val))
+        if not total_err <= tol:
+            raise QuadratureError(
+                f"no convergence after {cfg.max_subdivisions} subdivisions "
+                f"(err={total_err:.3e}, tol={tol:.3e})",
+                best_estimate=total_val, err_est=total_err)
+        results[i] = totals[i]
+    return results
+
+
 def integrate_finite(f, a: float, b: float,
                      cfg: QuadConfig = DEFAULT_QUAD) -> tuple[complex, float]:
     """Adaptive quadrature of a complex-valued f on [a, b].
 
-    ``f`` must accept numpy arrays and is called once per refinement step:
-    once for [a, b], then once for each split, on the nodes of both halves
-    together.  Returns (value, error estimate); raises
-    :class:`QuadratureError` when the subdivision budget is exhausted before
-    the tolerance is met.
+    The one-problem case of :func:`_integrate_many`.  ``f`` must accept
+    numpy arrays and is called once per refinement step: once for [a, b],
+    then once for each split, on the nodes of both halves together.
+    Returns (value, error estimate); raises :class:`QuadratureError` when
+    the subdivision budget is exhausted before the tolerance is met.
     """
-    if a == b:
-        return 0.0 + 0.0j, 0.0
-    [(val, err)] = _rule_estimates(f, (a, b))
-    # heap of (-err, a, b, value, err); refine the worst interval first
-    heap = [(-err, a, b, val, err)]
-    total_val, total_err = val, err
-    n_sub = 1
-    while n_sub < cfg.max_subdivisions:
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
-        if total_err <= tol:
-            return total_val, total_err
-        _, ia, ib, ival, ierr = heapq.heappop(heap)
-        mid = 0.5 * (ia + ib)
-        (v1, e1), (v2, e2) = _rule_estimates(f, (ia, mid, ib))
-        total_val += (v1 + v2) - ival
-        total_err += (e1 + e2) - ierr
-        heapq.heappush(heap, (-e1, ia, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, ib, v2, e2))
-        n_sub += 1
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
-    if total_err <= tol:
-        return total_val, total_err
-    raise QuadratureError(
-        f"no convergence after {cfg.max_subdivisions} subdivisions "
-        f"(err={total_err:.3e}, tol={tol:.3e})",
-        best_estimate=total_val, err_est=total_err)
+    return _integrate_many(lambda p, idx: f(p), [(a, b)], cfg)[0]
 
 
 def _iterated_aitken(s: np.ndarray, levels: int = _AITKEN_LEVELS) -> complex:

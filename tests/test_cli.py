@@ -88,6 +88,12 @@ def test_fit_window_checked_against_grid():
     for window in ((1.0, 10.5), (-1.0, 5.0), (5.0, 5.0)):
         with pytest.raises(ConfigError):
             _fit_window(RunConfig(fit_window=window), grid)
+    # fit_decay's own mask: [1.0, 1.95] holds 10 grid points, [1.0, 1.85] 9
+    assert _fit_window(RunConfig(fit_window=(1.0, 1.95)), grid) == (1.0, 1.95)
+    with pytest.raises(ConfigError, match="holds 9 grid points"):
+        _fit_window(RunConfig(fit_window=(1.0, 1.85)), grid)
+    with pytest.raises(ConfigError, match="holds 8 grid points"):
+        _fit_window(RunConfig(), TimeGrid(dt=0.1, n_steps=10))
 
 
 def test_run_config_validation():
@@ -296,12 +302,14 @@ def test_bad_config_value_is_config_error(tmp_path, line):
 @pytest.mark.parametrize("mode, lines", [
     ("rates", "alpha = 0"),
     ("rates", "fit_window = 0.5, 20"),
+    ("rates", "# the default window [0.2, 0.9] holds 8 grid points"),
     ("sweep", "sweep_values = 0.3, 0"),
     ("sweep", "sweep_values = abc"),
     ("solve", "state = squeezed_concentrated\nq = 1, 0, 0\nd = 1, 0, 0"),
     ("solve", "state = custom\nrho_table = absent.txt\n"
               "transition = custom\nomega = 1"),
-], ids=["rates-alpha-0", "rates-fit-window-outside", "sweep-alpha-0",
+], ids=["rates-alpha-0", "rates-fit-window-outside",
+        "rates-fit-window-too-few-points", "sweep-alpha-0",
         "sweep-values-not-numbers", "solve-d-along-q",
         "solve-missing-rho-table"])
 def test_bad_config_is_config_error_in_every_mode(tmp_path, mode, lines):
@@ -315,19 +323,33 @@ def test_bad_config_is_config_error_in_every_mode(tmp_path, mode, lines):
 
 
 def test_sweep_matches_one_interval_quadrature(tmp_path, monkeypatch):
-    # the batched quadrature must leave the sweep CSV byte-identical to the
-    # one-interval-at-a-time reference in test_quadrature.py
+    # the lockstep quadrature must leave the sweep CSV byte-identical to the
+    # one-interval-at-a-time reference in test_quadrature.py, run one
+    # transform piece at a time
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("sweep_values = 0.3, 0.55, 0.8\n")
     fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(fast)]) == 0
+    ran = []
+
+    def one_at_a_time(f, bounds, quad_cfg):
+        out = []
+        for i, (a, b) in enumerate(bounds):
+            ran.append(i)
+            out.append(reference_integrate_finite(
+                lambda p, i=i: f(p, np.full(p.shape, i)), a, b, quad_cfg))
+        return out
+
     for module in (qedvolterra.quadrature, qedvolterra.laplace):
-        monkeypatch.setattr(module, "integrate_finite",
-                            reference_integrate_finite)
+        monkeypatch.setattr(module, "_integrate_many", one_at_a_time)
         monkeypatch.setattr(module, "_truncation_point",
                             reference_truncation_point)
+    monkeypatch.setattr(qedvolterra.quadrature, "integrate_finite",
+                        reference_integrate_finite)
     assert main(["sweep", "--config", str(cfg), "--out", str(slow)]) == 0
     assert fast.read_bytes() == slow.read_bytes()
+    # the slow sweep's transform pieces went through the reference
+    assert len(ran) > 100
 
 
 def test_numerical_failure_exit_code(tmp_path):

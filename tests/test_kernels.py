@@ -71,6 +71,28 @@ def test_density_validation():
         hydrogen_vacuum_density(1.0, -0.3)
 
 
+@pytest.mark.parametrize("p", [np.array([0.5, -1.0, 2.0]), -1.0,
+                               np.array(-1.0), -0.0 - 1e-300],
+                         ids=["array", "scalar", "0-d", "tiny-negative"])
+def test_negative_momentum_rejected(p):
+    # a density whose fn does not check its argument: the wrapper must
+    rho = SpectralDensity(fn=lambda q: q * np.exp(-q), decay_rate=1.0)
+    with pytest.raises(ValueError, match="momentum"):
+        rho(p)
+    with pytest.raises(ValueError, match="momentum"):
+        hydrogen_vacuum_density(p, 1.0)
+
+
+@pytest.mark.parametrize("p", [np.array([0.0, 0.5, 2.0]), 0.0, -0.0,
+                               np.array(0.7)])
+def test_nonnegative_momentum_accepted(p):
+    rho = hydrogen_density(1.0)
+    want = hydrogen_vacuum_density(p, 1.0)
+    assert np.shape(rho(p)) == np.shape(want)
+    np.testing.assert_array_equal(rho(p), want)
+    assert np.all(np.asarray(want) >= 0.0)
+
+
 def test_density_from_table_round_trip(tmp_path):
     alpha = 1.0
     p = np.linspace(0.0, 30.0, 1200)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,6 +8,168 @@ from qedvolterra import MissingExtensionError, ModelParams, QuadConfig, \
     SpectralDensity, TimeGrid, analyze, bromwich_invert, find_pole, \
     hydrogen_density, integrate_finite, make_kernel, markov_rate, s_hat, \
     s_hat_second_sheet, solve_ide
+from qedvolterra.laplace import _BROMWICH_CFG, _CAUCHY_CFG, _MAX_NEWTON, \
+    _POLE_TOL, _cauchy_transform
+from qedvolterra.quadrature import _truncation_point
+from qedvolterra.volterra import AmplitudeSeries
+
+# ------------------------------------------------- one-at-a-time oracles
+# The Cauchy transform, the pole search and the Bromwich contour as they ran
+# before their transforms were batched: one point per transform, one
+# integrate_finite call per piece, one seed at a time.  The batched
+# routines must reproduce them bit for bit.
+
+
+def reference_cauchy_transform(rho, s, cfg=_CAUCHY_CFG):
+    P, _ = _truncation_point(
+        rho.fn, 0.1 * cfg.abs_tol * max(abs(s), 1.0),
+        decay_order=rho.decay_order, decay_rate=rho.decay_rate, peak=rho.peak)
+
+    def f(p):
+        return np.asarray(rho.fn(p), dtype=complex) / (s + 1j * p)
+
+    pstar = -s.imag
+    if 0.0 < pstar < P and abs(s.real) < 0.05 * rho.scale:
+        delta = min(pstar, P - pstar, rho.scale)
+        a, b = pstar - delta, pstar + delta
+        rstar = complex(rho.fn(np.array([pstar]))[0])
+
+        def f_sub(p):
+            return (np.asarray(rho.fn(p), dtype=complex) - rstar) / (s + 1j * p)
+
+        val = integrate_finite(f, 0.0, a, cfg)[0]
+        val += integrate_finite(f_sub, a, b, cfg)[0]
+        log_diff = cmath.log(s + 1j * b) - cmath.log(s + 1j * a)
+        if s.real < 0.0:
+            log_diff -= 2j * math.pi
+        val += rstar * log_diff / 1j
+        val += integrate_finite(f, b, P, cfg)[0]
+    elif 0.0 < pstar < P:
+        val = integrate_finite(f, 0.0, pstar, cfg)[0]
+        val += integrate_finite(f, pstar, P, cfg)[0]
+    else:
+        val = integrate_finite(f, 0.0, P, cfg)[0]
+    return val
+
+
+def reference_second_sheet(rho, s, cfg=_CAUCHY_CFG):
+    s = complex(s)
+    val = reference_cauchy_transform(rho, s, cfg)
+    if s.real > 0.0:
+        return val
+    return val + 2.0 * math.pi * rho.analytic_extension(1j * s)
+
+
+def reference_find_pole(rho, params, cfg=_CAUCHY_CFG):
+    alpha, omega = params.alpha, params.omega
+
+    def F(s):
+        return s + alpha * reference_second_sheet(rho, s - 1j * omega, cfg)
+
+    s_init = -alpha * reference_cauchy_transform(
+        rho, complex(1e-6 * rho.scale - 1j * omega), cfg)
+    scale = max(abs(s_init), 1e-3 * rho.scale)
+    offsets = [0.0, 0.3 * scale, -0.3 * scale, 0.3j * scale, -0.3j * scale,
+               (0.3 + 0.3j) * scale, (0.3 - 0.3j) * scale, 1.0j * scale]
+    roots = []
+    for off in offsets:
+        s = complex(s_init + off)
+        for _ in range(_MAX_NEWTON):
+            f = F(s)
+            if abs(f) < _POLE_TOL:
+                roots.append(s)
+                break
+            h = 1e-7 * max(abs(s), scale)
+            df = (F(s + h) - F(s - h)) / (2.0 * h)
+            if df == 0.0:
+                break
+            step = f / df
+            if abs(step) > 10.0 * scale:
+                break
+            s -= step
+    roots = [r for r in roots if abs(r.imag) <= rho.scale + omega]
+    uniq = []
+    for r in sorted(roots, key=lambda z: -z.real):
+        if all(abs(r - u) > 1e-6 * scale for u in uniq):
+            uniq.append(r)
+    return uniq[0]
+
+
+def reference_bromwich(rho, params, t_grid, cfg=_BROMWICH_CFG, tol=1e-4):
+    alpha, omega = params.alpha, params.omega
+    times, t_max = t_grid.times, t_grid.t_max
+    c = np.ones(len(times), dtype=complex)
+    sigma = 3.0 / t_max
+    h = math.pi / (2.0 * t_max)
+
+    def chat_minus(s):
+        sh = reference_cauchy_transform(rho, s - 1j * omega, cfg)
+        return 1.0 / (s + alpha * sh) - 1.0 / s
+
+    amp = np.exp(sigma * times) * (h / (2.0 * math.pi))
+    k0 = 0
+    while True:
+        ys = np.arange(k0, k0 + 512) * h
+        for sign in (1.0, -1.0):
+            for y in (ys[ys > 0] if sign < 0 else ys):
+                g = chat_minus(complex(sigma, sign * y))
+                c += amp * np.exp(1j * sign * y * times) * g
+        k0 += 512
+        y_edge = (k0 - 1) * h
+        gm = max(abs(chat_minus(complex(sigma, y_edge))),
+                 abs(chat_minus(complex(sigma, -y_edge))))
+        tail = amp[-1] * gm * y_edge / (2.0 * h) * 2.0
+        if tail < 0.1 * tol:
+            return c, tail
+
+
+def _hydrogen(alpha):
+    return hydrogen_density(alpha), ModelParams(alpha=alpha,
+                                                omega=0.375 * alpha**2)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.7565217391304349,
+                                   0.7913043478260870, 1.0])
+def test_lockstep_pole_search_matches_per_seed_reference(alpha):
+    # the two middle values are sweep points where a numpy complex in the
+    # Plemelj term moves the pole in the last bits
+    rho, params = _hydrogen(alpha)
+    assert find_pole(rho, params) == reference_find_pole(rho, params)
+
+
+def test_lockstep_pole_search_matches_reference_synthetic(synthetic_density):
+    for alpha in (0.0025, 0.01, 0.2):
+        params = ModelParams(alpha=alpha, omega=1.0)
+        assert find_pole(synthetic_density, params) \
+            == reference_find_pole(synthetic_density, params)
+
+
+def test_batched_cauchy_transform_matches_one_at_a_time(synthetic_density):
+    # near-pole (|Re s| small), split (mild peak) and plain branches, on
+    # both sides of the cut, in one batch
+    points = [1e-6 - 0.09375j, -1e-6 - 0.09375j, 0.3 - 0.1j, -0.02 - 0.2j,
+              0.5, 2.0 + 1.0j, 1e-3 - 5.0j]
+    for rho in (hydrogen_density(0.5), synthetic_density):
+        want = [reference_cauchy_transform(rho, s) for s in points]
+        assert _cauchy_transform(rho, points) == want
+        assert [s_hat_second_sheet(rho, s) for s in points] \
+            == [reference_second_sheet(rho, s) for s in points]
+
+
+@pytest.mark.parametrize("case", ["hydrogen", "synthetic"])
+def test_batched_bromwich_matches_per_point_reference(case,
+                                                      synthetic_density):
+    if case == "hydrogen":
+        rho, params = _hydrogen(0.5)
+        grid = TimeGrid(dt=1.0, n_steps=40)
+    else:
+        rho, params = synthetic_density, ModelParams(alpha=0.01, omega=1.0)
+        grid = TimeGrid(dt=1.0, n_steps=20)
+    series = bromwich_invert(rho, params, grid)
+    values, tail = reference_bromwich(rho, params, grid)
+    assert isinstance(series, AmplitudeSeries)
+    np.testing.assert_array_equal(series.values, values)
+    np.testing.assert_array_equal(series.truncation_error, tail)
 
 
 def test_s_hat_two_routes(synthetic_density):

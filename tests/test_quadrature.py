@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qedvolterra import QuadConfig, QuadratureError, hydrogen_density, \
     integrate_finite, oscillatory_halfline
 from qedvolterra.kernels import hydrogen_vacuum_density
-from qedvolterra.quadrature import _truncation_point
+from qedvolterra.quadrature import _integrate_many, _truncation_point
 
 TIGHT = QuadConfig(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -161,6 +161,76 @@ def test_batched_ladder_matches_one_rung_reference(abs_tol):
         assert got == want
         # the rungs the reference walked, eight to a call
         assert new_log.sizes == [8] * -(-len(ref_log.sizes) // 8)
+
+
+# ------------------------------------------------------ lockstep batch
+# _integrate_many advances many problems together.  Each problem must come
+# out exactly as the one-interval reference gives it alone.
+
+def _batched(fs):
+    """f(p, idx) for a batch of one-problem integrands; logs each call."""
+    calls = []
+
+    def f(p, idx):
+        calls.append(np.bincount(idx, minlength=len(fs)))
+        out = np.empty(p.shape, dtype=complex)
+        for i, fi in enumerate(fs):
+            sel = idx == i
+            if sel.any():
+                out[sel] = fi(p[sel])
+        return out
+
+    return f, calls
+
+
+def test_lockstep_batch_matches_one_interval_reference():
+    # problems that finish at different steps, plus an empty interval
+    f_sub, a_sub, b_sub = _near_pole_f_sub()
+    w = 1e-4
+    cases = [(lambda x: x**40 - 3.0 * x**2 + 1.0, 0.0, 2.0),
+             (lambda x: np.exp(1j * x), 0.0, 60.0),
+             (lambda x: w / (x**2 + w**2), -1.0, 1.0),
+             (f_sub, a_sub, b_sub),
+             (lambda x: np.ones_like(x), 0.5, 0.5)]
+    cfg = QuadConfig(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=4000)
+    f, calls = _batched([fi for fi, _, _ in cases])
+    got = _integrate_many(f, [(a, b) for _, a, b in cases], cfg)
+    splits = []
+    for (fi, a, b), value in zip(cases, got):
+        log = _CallLog(fi)
+        assert value == reference_integrate_finite(log, a, b, cfg)
+        # the reference calls f twice for [a, b], then four times per split
+        splits.append(max(len(log.sizes) - 2, 0) // 4)
+    assert got[4] == (0.0 + 0.0j, 0.0)
+    assert len(set(splits[:4])) == 4
+    # one call per lockstep step: 22 nodes of [a, b] per non-empty problem,
+    # then 44 per problem still refining
+    assert len(calls) == 1 + max(splits)
+    np.testing.assert_array_equal(calls[0], [22, 22, 22, 22, 0])
+    for step, per_problem in enumerate(calls[1:], start=1):
+        want = [44 if n >= step else 0 for n in splits]
+        np.testing.assert_array_equal(per_problem, want)
+
+
+def test_lockstep_budget_exhaustion_matches_single_call():
+    cfg = QuadConfig(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=40)
+    easy = lambda x: 3.0 * x**2 + 1.0
+    hard = lambda x: np.cos(40.0 * x) / (1e-6 + x * x)
+    f, _ = _batched([easy, hard, hard])
+    with pytest.raises(QuadratureError) as got:
+        _integrate_many(f, [(0.0, 2.0), (-1.0, 1.0), (-1.0, 0.5)], cfg)
+    with pytest.raises(QuadratureError) as want:
+        integrate_finite(hard, -1.0, 1.0, cfg)
+    assert got.value.best_estimate == want.value.best_estimate
+    assert got.value.err_est == want.value.err_est
+    assert str(got.value) == str(want.value)
+    # a NaN error estimate never meets the tolerance, as in a single call
+    nan = lambda x: np.full(x.shape, np.nan)
+    f, _ = _batched([easy, nan])
+    with pytest.raises(QuadratureError):
+        _integrate_many(f, [(0.0, 2.0), (0.0, 1.0)], cfg)
+    with pytest.raises(QuadratureError):
+        reference_integrate_finite(nan, 0.0, 1.0, cfg)
 
 
 def test_ladder_without_decay_raises():
