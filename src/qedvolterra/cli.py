@@ -80,6 +80,23 @@ class RunConfig:
             raise ConfigError(f"unknown transition {self.transition!r}")
         if self.method not in ("trapezoid", "gregory4"):
             raise ConfigError(f"unknown method {self.method!r}")
+        if self.state == "squeezed_general":
+            raise ConfigError("squeezed_general needs a pair wavepacket, "
+                              "which no configuration key supplies")
+        for name in sorted(_FLOAT_FIELDS | _TUPLE_FIELDS):
+            val = getattr(self, name)
+            vals = val if name in _TUPLE_FIELDS and val is not None \
+                else (val,)
+            if not all(v is None or math.isfinite(v) for v in vals):
+                raise ConfigError(f"{name} must be finite, got {val!r}")
+        try:
+            squeeze_finite = math.isfinite(math.sinh(self.r)
+                                           * math.cosh(self.r))
+        except OverflowError:
+            squeeze_finite = False
+        if not squeeze_finite:
+            raise ConfigError(f"r = {self.r:g} is too large: sinh(r) cosh(r) "
+                              "overflows")
         alphas = (self.alpha,) + (tuple(self.sweep_values)
                                   if self.mode == "sweep" else ())
         for alpha in alphas:
@@ -90,6 +107,8 @@ class RunConfig:
                                   "hydrogen_2p1s transition")
         if self.dt is not None and self.dt <= 0.0:
             raise ConfigError("dt must be positive")
+        if self.tmax is not None and self.tmax <= 0.0:
+            raise ConfigError("tmax must be positive")
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ConfigError("rel_tol and abs_tol must be positive")
         if self.dt is not None and self.tmax is not None \

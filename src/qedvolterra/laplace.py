@@ -26,7 +26,7 @@ import numpy as np
 from .atom import ModelParams
 from .kernels import SpectralDensity
 from .quadrature import QuadConfig, QuadratureError, _integrate_many, \
-    _truncation_point
+    _truncation_points
 from .volterra import AmplitudeSeries, TimeGrid
 
 _POLE_TOL = 1e-12
@@ -64,29 +64,38 @@ def _cauchy_transform(rho: SpectralDensity, ss: list,
     integrating the subtracted pole in closed form; a milder peak is split
     at p*.  Every piece of every transform is one problem of a single
     lockstep :func:`_integrate_many`, so each refinement step evaluates rho
-    once for all of them.  Each transform keeps its own truncation point
-    and branch, and sums its pieces in the same order as a transform done
-    on its own, so the values do not depend on how many share the batch.
+    once for all of them.  The truncation rungs (P_k, |rho(P_k)|) do not
+    depend on s, so one ladder walk gives every point its truncation point
+    (the first rung below its own threshold 0.1 abs_tol max(|s|, 1)), and
+    all the near-pole values rho(p*) come from one density call.  Each
+    transform keeps its own truncation point and branch, and sums its
+    pieces in the same order as a transform done on its own, so the values
+    do not depend on how many share the batch.
     """
-    bounds, s_of, r_of = [], [], []
-    # per transform: its first piece, its piece count, its closed-form term
-    plans = []
     for s in ss:
         if s == 0.0:
             raise ValueError("s = 0 lies on the branch cut")
-        P, _ = _truncation_point(
-            rho.fn, 0.1 * cfg.abs_tol * max(abs(s), 1.0),
-            decay_order=rho.decay_order, decay_rate=rho.decay_rate,
-            peak=rho.peak)
+    cutoffs = [P for P, _ in _truncation_points(
+        rho.fn, [0.1 * cfg.abs_tol * max(abs(s), 1.0) for s in ss],
+        decay_order=rho.decay_order, decay_rate=rho.decay_rate,
+        peak=rho.peak)]
+    near = [0.0 < -s.imag < P and abs(s.real) < 0.05 * rho.scale
+            for s, P in zip(ss, cutoffs)]
+    pstars = [-s.imag for s, is_near in zip(ss, near) if is_near]
+    rstars = iter(np.asarray(rho.fn(np.array(pstars))).tolist()
+                  if pstars else ())
+    bounds, s_of, r_of = [], [], []
+    # per transform: its first piece, its piece count, its closed-form term
+    plans = []
+    for s, P, is_near in zip(ss, cutoffs, near):
         pstar = -s.imag
-        width = abs(s.real)
         first = len(bounds)
         log_term = None
         # pieces (a, b, r) integrate (rho(p) - r) / (s + ip) over [a, b]
-        if 0.0 < pstar < P and width < 0.05 * rho.scale:
+        if is_near:
             delta = min(pstar, P - pstar, rho.scale)
             a, b = pstar - delta, pstar + delta
-            rstar = complex(rho.fn(np.array([pstar]))[0])
+            rstar = complex(next(rstars))
             pieces = [(0.0, a, 0.0), (a, b, rstar), (b, P, 0.0)]
             # int_a^b dp/(s+ip) along the vertical segment Re = Re(s); the
             # principal log branch is crossed when Re(s) < 0

@@ -26,6 +26,8 @@ _X7, _W7 = leggauss(7)
 _X15, _W15 = leggauss(15)
 # the 15- and 7-point nodes of one interval, in the order f sees them
 _X22 = np.concatenate([_X15, _X7])
+# complex weights for np.vecdot, so no row is cast on each call
+_W15C, _W7C = _W15.astype(complex), _W7.astype(complex)
 
 _AITKEN_LEVELS = 8
 # the truncation ladder: at most 200 rungs, evaluated 8 per call of g
@@ -62,25 +64,26 @@ class QuadConfig:
 DEFAULT_QUAD = QuadConfig()
 
 
-def _rule_estimates(f, spans, idx):
-    """(15-point value, |15-point - 7-point|) on each interval of ``spans``.
+def _rule_estimates(f, a, b, idx):
+    """15-point values and |15-point - 7-point| errors on [a[k], b[k]].
 
     ``f(p, idx)`` is called once, on the 15 + 7 nodes of every interval;
-    ``idx`` names the problem that owns each node.  Each interval's weighted
-    sums are taken one row at a time, in the order a single-interval
-    evaluation would use, so for an f that evaluates each point on its own
-    the results do not depend on how many intervals share the call.
+    ``idx`` names the problem that owns each node.  Returns two lists of
+    Python scalars, values and errors, one entry per interval.
+
+    Each row's weighted sum is ``np.vecdot`` with complex weights, which
+    sums every row in the same order as a per-row ``np.dot``, so the sums
+    are bitwise those of one interval evaluated alone; ``@`` runs a matrix
+    kernel (gemv) whose sums are not.  The error modulus is ``np.hypot`` of
+    the parts, which matches a scalar ``abs`` bit for bit; ``np.abs`` on a
+    complex array takes a vectorised path that can differ in the last bit.
     """
-    halves = [0.5 * (b - a) for a, b in spans]
-    nodes = np.array([0.5 * (a + b) for a, b in spans])[:, None] \
-        + np.array(halves)[:, None] * _X22
+    halves = 0.5 * (b - a)
+    nodes = (0.5 * (a + b))[:, None] + halves[:, None] * _X22
     y = np.asarray(f(nodes.ravel(), idx), dtype=complex).reshape(nodes.shape)
-    out = []
-    for half, row in zip(halves, y):
-        v15 = half * np.dot(_W15, row[:15])
-        v7 = half * np.dot(_W7, row[15:])
-        out.append((v15, abs(v15 - v7)))
-    return out
+    v15 = halves * np.vecdot(_W15C, y[:, :15])
+    d = v15 - halves * np.vecdot(_W7C, y[:, 15:])
+    return v15.tolist(), np.hypot(d.real, d.imag).tolist()
 
 
 def _integrate_many(f, bounds, cfg: QuadConfig = DEFAULT_QUAD) -> list:
@@ -95,6 +98,11 @@ def _integrate_many(f, bounds, cfg: QuadConfig = DEFAULT_QUAD) -> list:
     node.  Returns one (value, error estimate) per problem; raises
     :class:`QuadratureError` for the first problem whose budget runs out
     before its tolerance is met.
+
+    The heaps and running totals hold Python scalars, which add and compare
+    exactly as numpy scalars do but cost far less per operation; every
+    result and error payload is handed out as ``np.complex128`` /
+    ``np.float64``, the types callers' arithmetic has always seen.
     """
     results = [(0.0 + 0.0j, 0.0)] * len(bounds)
     live = [i for i, (a, b) in enumerate(bounds) if a != b]
@@ -102,8 +110,10 @@ def _integrate_many(f, bounds, cfg: QuadConfig = DEFAULT_QUAD) -> list:
         return results
     # per problem: heap of (-err, a, b, value, err), worst interval first
     heaps, totals = {}, {}
-    for i, (val, err) in zip(live, _rule_estimates(
-            f, [bounds[i] for i in live], np.array(live).repeat(_X22.size))):
+    ends = np.array([bounds[i] for i in live], dtype=float)
+    vals, errs = _rule_estimates(f, ends[:, 0], ends[:, 1],
+                                 np.array(live).repeat(_X22.size))
+    for i, val, err in zip(live, vals, errs):
         a, b = bounds[i]
         heaps[i] = [(-err, a, b, val, err)]
         totals[i] = (val, err)
@@ -111,15 +121,16 @@ def _integrate_many(f, bounds, cfg: QuadConfig = DEFAULT_QUAD) -> list:
     split_ids = idx = None
     n_sub = 1
     while n_sub < cfg.max_subdivisions:
-        spans, split = [], []
+        lo, hi, split = [], [], []
         for i in live:
             total_val, total_err = totals[i]
             if total_err <= max(abs_tol, rel_tol * abs(total_val)):
-                results[i] = totals[i]
+                results[i] = (np.complex128(total_val), np.float64(total_err))
                 continue
             _, ia, ib, ival, ierr = heapq.heappop(heaps[i])
             mid = 0.5 * (ia + ib)
-            spans += [(ia, mid), (mid, ib)]
+            lo += (ia, mid)
+            hi += (mid, ib)
             split.append((i, ia, mid, ib, ival, ierr))
         if not split:
             return results
@@ -128,9 +139,11 @@ def _integrate_many(f, bounds, cfg: QuadConfig = DEFAULT_QUAD) -> list:
             # the owners change only when a problem finishes; both halves
             # of a split (44 nodes) belong to one problem
             split_ids, idx = live, np.array(live).repeat(2 * _X22.size)
-        est = _rule_estimates(f, spans, idx)
+        vals, errs = _rule_estimates(f, np.array(lo, dtype=float),
+                                     np.array(hi, dtype=float), idx)
         for k, (i, ia, mid, ib, ival, ierr) in enumerate(split):
-            (v1, e1), (v2, e2) = est[2 * k], est[2 * k + 1]
+            v1, v2 = vals[2 * k], vals[2 * k + 1]
+            e1, e2 = errs[2 * k], errs[2 * k + 1]
             total_val, total_err = totals[i]
             totals[i] = (total_val + ((v1 + v2) - ival),
                          total_err + ((e1 + e2) - ierr))
@@ -144,8 +157,9 @@ def _integrate_many(f, bounds, cfg: QuadConfig = DEFAULT_QUAD) -> list:
             raise QuadratureError(
                 f"no convergence after {cfg.max_subdivisions} subdivisions "
                 f"(err={total_err:.3e}, tol={tol:.3e})",
-                best_estimate=total_val, err_est=total_err)
-        results[i] = totals[i]
+                best_estimate=np.complex128(total_val),
+                err_est=np.float64(total_err))
+        results[i] = (np.complex128(total_val), np.float64(total_err))
     return results
 
 
@@ -181,15 +195,25 @@ def _iterated_aitken(s: np.ndarray, levels: int = _AITKEN_LEVELS) -> complex:
     return complex(s[-1])
 
 
-def _truncation_point(g, abs_tol, *, decay_order=None, decay_rate=None,
-                      peak=0.0, start=None):
-    """Point P past which the analytic tail bound of |g| drops below abs_tol.
+def _truncation_points(g, abs_tols, *, decay_order=None, decay_rate=None,
+                       peak=0.0, start=None) -> list:
+    """(P, bound) for each tolerance in ``abs_tols``, from one ladder walk.
 
-    P walks the ladder start * 1.5^k, k < 200, and stops at the first rung
-    whose bound is met.  g is evaluated on blocks of rungs, one call each.
+    P walks the ladder start * 1.5^k, k < 200, and each tolerance takes the
+    first rung whose analytic tail bound of |g| meets it.  The rungs and
+    their bounds do not depend on the tolerance, so one walk serves them
+    all: g is evaluated on blocks of rungs, one call each, until every
+    tolerance is met, and each result equals a walk made for that tolerance
+    alone.  Raises :class:`QuadratureError` if some tolerance is met by no
+    rung.
     """
+    tols = np.asarray(abs_tols, dtype=float)
+    out = [None] * len(tols)
+    pending = np.arange(len(tols))
     P = start if start is not None else max(8.0 * max(peak, 0.0), 1.0)
     for _ in range(_LADDER_RUNGS // _LADDER_BLOCK):
+        if not pending.size:
+            return out
         ladder = []
         for _ in range(_LADDER_BLOCK):
             ladder.append(P)
@@ -201,9 +225,25 @@ def _truncation_point(g, abs_tol, *, decay_order=None, decay_rate=None,
                 bound = gP / decay_rate
             else:
                 bound = gP * P_k / (decay_order - 1.0)
-            if bound <= abs_tol:
-                return P_k, bound
-    raise QuadratureError("could not find a truncation point for the tail")
+            met = bound <= tols[pending]
+            for i in pending[met].tolist():
+                out[i] = (P_k, bound)
+            pending = pending[~met]
+    if pending.size:
+        raise QuadratureError("could not find a truncation point for the tail")
+    return out
+
+
+def _truncation_point(g, abs_tol, *, decay_order=None, decay_rate=None,
+                      peak=0.0, start=None):
+    """Point P past which the analytic tail bound of |g| drops below abs_tol.
+
+    The one-tolerance case of :func:`_truncation_points`: returns (P, bound)
+    for the first rung of the ladder start * 1.5^k whose bound is met.
+    """
+    return _truncation_points(g, [abs_tol], decay_order=decay_order,
+                              decay_rate=decay_rate, peak=peak,
+                              start=start)[0]
 
 
 def _panel_values(f, edges: np.ndarray) -> np.ndarray:

@@ -261,7 +261,8 @@ def solve_ide(kernel: KernelEvaluator, params: ModelParams, grid: TimeGrid,
     O(dt^4) ('gregory4').
 
     Raises :class:`SolverError` when the implicit step is not contractive
-    at some grid time, alpha*dt^2*|S(t_k, t_k)|/2 >= 1.
+    at some grid time, alpha*dt^2*|S(t_k, t_k)|/2 >= 1, or when c is not
+    finite on the whole grid (checked once, after the last step).
     """
     if method not in ("trapezoid", "gregory4"):
         raise ValueError(f"unknown method {method!r}")
@@ -272,6 +273,10 @@ def solve_ide(kernel: KernelEvaluator, params: ModelParams, grid: TimeGrid,
         c = _solve_trapezoid(kernel, params, grid)
     else:
         c = _solve_gregory4(kernel, params, grid)
+    if not np.isfinite(c).all():
+        k = int(np.flatnonzero(~np.isfinite(c))[0])
+        raise SolverError(f"amplitude is not finite from t = {k * grid.dt:g} "
+                          "on (kernel or parameters produce NaN/inf)")
     return AmplitudeSeries(grid=grid, values=c, method=method,
                            kernel_label=kernel.label,
                            alpha=params.alpha, omega=params.omega)

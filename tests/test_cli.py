@@ -288,7 +288,10 @@ def test_unknown_config_key_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("line", ["dt = abc", "alpha = foo",
                                   "rel_tol = -1", "alpha = 0", "alpha = nan",
-                                  "q = 1, abc, 0", "fit_window = 1, 2, 3"])
+                                  "q = 1, abc, 0", "fit_window = 1, 2, 3",
+                                  "r = nan", "omega = inf", "tmax = inf",
+                                  "r = 1e3", "amplitude = nan",
+                                  "q = inf, 0, 0", "fit_window = 0.2, nan"])
 def test_bad_config_value_is_config_error(tmp_path, line):
     # a small solvable run but for the one bad value (a later line wins)
     cfg = tmp_path / "run.cfg"
@@ -308,10 +311,18 @@ def test_bad_config_value_is_config_error(tmp_path, line):
     ("solve", "state = squeezed_concentrated\nq = 1, 0, 0\nd = 1, 0, 0"),
     ("solve", "state = custom\nrho_table = absent.txt\n"
               "transition = custom\nomega = 1"),
+    ("sweep", "sweep_values = 0.3, inf"),
+    ("solve", "state = squeezed_concentrated\nr = nan"),
+    ("solve", "state = squeezed_concentrated\nr = 0.5\namplitude = nan"),
+    ("solve", "state = squeezed_concentrated\nr = 1e3"),
+    ("solve", "state = squeezed_general\nr = 0.5"),
+    ("kernel", "state = squeezed_general\nr = 0.5"),
 ], ids=["rates-alpha-0", "rates-fit-window-outside",
         "rates-fit-window-too-few-points", "sweep-alpha-0",
         "sweep-values-not-numbers", "solve-d-along-q",
-        "solve-missing-rho-table"])
+        "solve-missing-rho-table", "sweep-alpha-inf", "solve-squeezed-r-nan",
+        "solve-squeezed-amplitude-nan", "solve-squeezed-r-overflows",
+        "solve-squeezed-general", "kernel-squeezed-general"])
 def test_bad_config_is_config_error_in_every_mode(tmp_path, mode, lines):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"alpha = 0.5\ndt = 0.1\ntmax = 1\n{lines}\n")
@@ -320,6 +331,16 @@ def test_bad_config_is_config_error_in_every_mode(tmp_path, mode, lines):
     assert res.returncode == 2, res.stderr
     assert "configuration error" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("tmax", ["-1", "0"])
+def test_nonpositive_tmax_without_dt_is_config_error(tmp_path, tmax):
+    # with no dt there is no tmax > dt check to catch it
+    res = run_cli("solve", "--alpha", "0.5", "--tmax", tmax,
+                  "--out", str(tmp_path / "c.csv"))
+    assert res.returncode == 2
+    assert "tmax must be positive" in res.stderr
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_sweep_matches_one_interval_quadrature(tmp_path, monkeypatch):
@@ -340,16 +361,26 @@ def test_sweep_matches_one_interval_quadrature(tmp_path, monkeypatch):
                 lambda p, i=i: f(p, np.full(p.shape, i)), a, b, quad_cfg))
         return out
 
+    walked = []
+
+    def one_ladder_per_tolerance(g, abs_tols, **kw):
+        walked.extend(abs_tols)
+        return [reference_truncation_point(g, tol, **kw) for tol in abs_tols]
+
     for module in (qedvolterra.quadrature, qedvolterra.laplace):
         monkeypatch.setattr(module, "_integrate_many", one_at_a_time)
-        monkeypatch.setattr(module, "_truncation_point",
-                            reference_truncation_point)
+        monkeypatch.setattr(module, "_truncation_points",
+                            one_ladder_per_tolerance)
+    monkeypatch.setattr(qedvolterra.quadrature, "_truncation_point",
+                        reference_truncation_point)
     monkeypatch.setattr(qedvolterra.quadrature, "integrate_finite",
                         reference_integrate_finite)
     assert main(["sweep", "--config", str(cfg), "--out", str(slow)]) == 0
     assert fast.read_bytes() == slow.read_bytes()
-    # the slow sweep's transform pieces went through the reference
+    # the slow sweep's transform pieces and ladders went through the
+    # references
     assert len(ran) > 100
+    assert len(walked) > 100
 
 
 def test_numerical_failure_exit_code(tmp_path):

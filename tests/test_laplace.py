@@ -156,6 +156,31 @@ def test_batched_cauchy_transform_matches_one_at_a_time(synthetic_density):
             == [reference_second_sheet(rho, s) for s in points]
 
 
+def test_batched_near_pole_values_share_one_density_call(synthetic_density):
+    # near-pole points with distinct p* on both sheets, among plain ones:
+    # their rho(p*) come from one density call, each at its own point
+    points = [1e-6 - 0.3j, 0.4 - 0.2j, -2e-4 - 0.05j, 1e-3 - 0.7j,
+              -1e-5 - 1.1j, 2.0 + 1.0j, 3e-3 - 0.3j]
+    for rho in (hydrogen_density(0.5), synthetic_density):
+        calls = []
+
+        def fn(p, rho=rho):
+            calls.append(np.size(p))
+            return rho.fn(p)
+
+        logged = SpectralDensity(fn=fn, label=rho.label, scale=rho.scale,
+                                 peak=rho.peak, decay_order=rho.decay_order,
+                                 decay_rate=rho.decay_rate)
+        want = [reference_cauchy_transform(rho, s) for s in points]
+        assert _cauchy_transform(logged, points) == want
+        near = [s for s in points if abs(s.real) < 0.05 * rho.scale]
+        assert len(near) == 5
+        # one ladder call and one rho(p*) call; every other call is a
+        # lockstep step of 22 or 44 nodes per piece
+        assert calls.count(len(near)) == 1
+        assert all(n % 22 == 0 or n in (8, len(near)) for n in calls)
+
+
 @pytest.mark.parametrize("case", ["hydrogen", "synthetic"])
 def test_batched_bromwich_matches_per_point_reference(case,
                                                       synthetic_density):

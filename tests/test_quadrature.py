@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from qedvolterra import QuadConfig, QuadratureError, hydrogen_density, \
     integrate_finite, oscillatory_halfline
 from qedvolterra.kernels import hydrogen_vacuum_density
-from qedvolterra.quadrature import _integrate_many, _truncation_point
+from qedvolterra.quadrature import _integrate_many, _rule_estimates, \
+    _truncation_point, _truncation_points
 
 TIGHT = QuadConfig(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -163,6 +164,106 @@ def test_batched_ladder_matches_one_rung_reference(abs_tol):
         assert new_log.sizes == [8] * -(-len(ref_log.sizes) // 8)
 
 
+def _bits(values):
+    """The IEEE bit patterns of a list of floats or complexes."""
+    return np.asarray(values).view(np.uint64).tolist()
+
+
+def _oracle_rows(rng, n):
+    """n rows of 15 + 7 integrand values that stress the rule sums: parts
+    from 1e-300 to 1e300, exact and signed zeros, and one-hot rows whose
+    15-point and 7-point sums are equal."""
+    kind = (np.arange(n) + rng.integers(4)) % 4
+    mag = 10.0 ** rng.uniform(-300.0, 300.0, (n, 1))
+    # kind 0: one magnitude per row; kind 1: every part its own magnitude
+    y = mag * (rng.standard_normal((n, 22))
+               + 1j * rng.standard_normal((n, 22)))
+    wide = 10.0 ** rng.uniform(-300.0, 300.0, (n, 22, 2))
+    y[kind == 1] = (np.sign(rng.standard_normal((n, 22)))
+                    * wide[..., 0] + 1j * wide[..., 1])[kind == 1]
+    for r in np.flatnonzero(kind == 2):
+        # exact and signed zeros among the parts, or a whole zero row
+        zero = rng.random(22) < 0.5 if r % 8 != 2 else np.ones(22, bool)
+        y[r, zero] = rng.choice([0.0, -0.0]) + 1j * rng.choice([0.0, -0.0])
+    for r in np.flatnonzero(kind == 3):
+        # w7[k] at 15-point node j, w15[j] at 7-point node k: both sums are
+        # w15[j] w7[k] 2^m, so the error estimate is exactly zero
+        j, k = rng.integers(15), rng.integers(7)
+        scale = 2.0 ** int(rng.integers(-900, 900))
+        y[r] = 0.0
+        y[r, j] = _W7[k] * scale
+        y[r, 15 + k] = _W15[j] * scale
+    return y
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 44, 1000])
+def test_rule_estimates_match_per_row_reference(n):
+    # the array-form rule sums against one np.dot per row and scalar abs,
+    # bit for bit; two draws per span count, 2 108 rows in all
+    rng = np.random.default_rng(n)
+    for _ in range(2):
+        a = rng.uniform(-5.0, 5.0, n)
+        b = a + 10.0 ** rng.uniform(-6.0, 0.0, n)
+        y = _oracle_rows(rng, n)
+        idx = np.arange(n).repeat(22)
+        seen = []
+
+        def f(p, owner):
+            seen.append(p.reshape(n, 22))
+            return y.ravel()
+
+        vals, errs = _rule_estimates(f, a, b, idx)
+        assert len(seen) == 1
+        want_vals, want_errs = [], []
+        for ak, bk, row, nodes in zip(a.tolist(), b.tolist(), y, seen[0]):
+            half = 0.5 * (bk - ak)
+            mid = 0.5 * (ak + bk)
+            np.testing.assert_array_equal(
+                nodes, mid + half * np.concatenate([_X15, _X7]))
+            v15 = half * np.dot(_W15, row[:15])
+            v7 = half * np.dot(_W7, row[15:])
+            want_vals.append(v15)
+            want_errs.append(abs(v15 - v7))
+        assert all(type(v) is complex for v in vals)
+        assert all(type(e) is float for e in errs)
+        assert vals == want_vals and errs == want_errs
+        assert _bits(vals) == _bits(want_vals)
+        assert _bits(errs) == _bits(want_errs)
+        if n >= 4:
+            assert 0.0 in errs
+
+
+@pytest.mark.parametrize("kind", ["algebraic", "exponential"])
+def test_batched_ladder_matches_per_tolerance_reference(kind):
+    # one ladder walk for many tolerances, unsorted and duplicated, against
+    # one reference walk per tolerance
+    rho = hydrogen_density(0.7)
+    if kind == "algebraic":
+        g, kw = rho.fn, dict(decay_order=rho.decay_order, peak=rho.peak)
+    else:
+        g, kw = (lambda p: np.exp(-0.5 * p)), dict(decay_rate=0.5, start=0.3)
+    tols = [1e-10, 1e-2, 1e-17, 1e-10, 3e-16, 1e-40, 1e-2, 2e-16, 1e-17]
+    # a tolerance equal to a rung's bound is met at that rung
+    tols.append(reference_truncation_point(g, 1e-12, **kw)[1])
+    log = _CallLog(g)
+    got = _truncation_points(log, tols, **kw)
+    want, walked = [], []
+    for tol in tols:
+        ref_log = _CallLog(g)
+        want.append(reference_truncation_point(ref_log, tol, **kw))
+        walked.append(len(ref_log.sizes))
+    assert got == want
+    # the strictest tolerance's rungs, eight to a call, walked once
+    assert log.sizes == [8] * -(-max(walked) // 8)
+    assert max(walked) > 8
+    assert _truncation_points(log, [], **kw) == []
+    # a tolerance no rung meets fails the whole batch, as it fails alone
+    with pytest.raises(QuadratureError):
+        reference_truncation_point(g, -1.0, **kw)
+    with pytest.raises(QuadratureError):
+        _truncation_points(g, tols + [-1.0], **kw)
+
+
 # ------------------------------------------------------ lockstep batch
 # _integrate_many advances many problems together.  Each problem must come
 # out exactly as the one-interval reference gives it alone.
@@ -231,6 +332,21 @@ def test_lockstep_budget_exhaustion_matches_single_call():
         _integrate_many(f, [(0.0, 2.0), (0.0, 1.0)], cfg)
     with pytest.raises(QuadratureError):
         reference_integrate_finite(nan, 0.0, 1.0, cfg)
+
+
+def test_results_are_numpy_scalars():
+    # the heaps run on Python scalars, but callers' arithmetic (the Newton
+    # division, the Plemelj term) has always seen numpy scalars
+    val, err = integrate_finite(lambda x: np.exp(1j * x), 0.0, 2.0)
+    assert type(val) is np.complex128 and type(err) is np.float64
+    f, _ = _batched([lambda x: 3.0 * x**2 + 1.0, np.exp])
+    for got in _integrate_many(f, [(0.0, 2.0), (0.0, 1.0), (1.0, 1.0)])[:2]:
+        assert [type(x) for x in got] == [np.complex128, np.float64]
+    with pytest.raises(QuadratureError) as exc:
+        integrate_finite(lambda x: np.cos(40.0 * x) / (1e-6 + x * x),
+                         -1.0, 1.0, QuadConfig(max_subdivisions=8))
+    assert type(exc.value.best_estimate) is np.complex128
+    assert type(exc.value.err_est) is np.float64
 
 
 def test_ladder_without_decay_raises():

@@ -113,6 +113,23 @@ def test_step_size_refusal_over_whole_grid(method):
                   TimeGrid(dt=0.5, n_steps=20), method)
 
 
+@pytest.mark.parametrize("method", ["trapezoid", "gregory4"])
+def test_non_finite_amplitude_refused(method):
+    # S0 turns NaN past lag 2.5; every step stays contractive, so only the
+    # final finiteness check can refuse the NaN amplitude
+    def tau_fn(lag):
+        return complex(math.exp(-lag)) if abs(lag) < 2.5 else complex("nan")
+
+    kernel = KernelEvaluator(None, stationary=True, label="nan-tail",
+                             tau_fn=tau_fn)
+    params = ModelParams(alpha=0.2, omega=0.5)
+    with pytest.raises(SolverError, match="not finite from t = 2.5"):
+        solve_ide(kernel, params, TimeGrid(dt=0.1, n_steps=40), method)
+    # the same kernel short of the NaN lags solves
+    series = solve_ide(kernel, params, TimeGrid(dt=0.1, n_steps=20), method)
+    assert np.isfinite(series.values).all()
+
+
 def test_unknown_method():
     with pytest.raises(ValueError):
         solve_ide(const_kernel(), ModelParams(alpha=0.1, omega=0.0),
