@@ -141,6 +141,11 @@ _FLOAT_FIELDS = frozenset(f.name for f in fields(RunConfig)
                           if f.type in ("float", "Optional[float]"))
 _TUPLE_FIELDS = frozenset(f.name for f in fields(RunConfig)
                           if f.type in ("tuple", "Optional[tuple]"))
+# a config file's text is kept as written for these: `out = 5` names file 5
+_STR_FIELDS = frozenset(f.name for f in fields(RunConfig)
+                        if f.type in ("str", "Optional[str]"))
+_BOOL_FIELDS = frozenset(f.name for f in fields(RunConfig)
+                         if f.type == "bool")
 
 
 def _is_number(val) -> bool:
@@ -202,22 +207,25 @@ def _parse_value(raw: str):
     try:
         if "," in raw:
             return tuple(float(tok) for tok in raw.split(","))
-        return int(raw) if raw.lstrip("+-").isdigit() else float(raw)
+        return float(raw)
     except ValueError:
         return raw
 
 
 def parse_config_file(path: str) -> dict:
     values = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file ({exc.reason})") from None
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, raw = line.split("=", 1)
-        values[key.strip()] = _parse_value(raw)
+        key, raw = (part.strip() for part in line.split("=", 1))
+        values[key] = raw if key in _STR_FIELDS else _parse_value(raw)
     return values
 
 
@@ -239,6 +247,10 @@ def build_config(file_values: dict, flag_values: dict) -> RunConfig:
                 raise ConfigError(f"{key} must be comma-separated numbers, "
                                   f"got {merged[key]!r}")
             val = tuple(float(v) for v in val)
+        elif key in _STR_FIELDS and not isinstance(val, str):
+            raise ConfigError(f"{key} must be text, got {val!r}")
+        elif key in _BOOL_FIELDS and not isinstance(val, bool):
+            raise ConfigError(f"{key} must be true or false, got {val!r}")
         setattr(cfg, key, val)
     cfg.validate()
     return cfg

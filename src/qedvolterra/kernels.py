@@ -16,6 +16,10 @@ follows directly from the pair expectation values) and obtains the
 concentrated form as its narrow-wavepacket limit; the concentrated overall
 amplitude is an explicit scalar (default 1) since the wavepacket
 normalization convention is not fixed by the derivation.
+
+scipy's ``CubicSpline`` is imported only inside the two functions that build
+splines, ``density_from_table`` and the ``tabulate=`` path of
+``make_kernel``, so a run that builds no spline imports numpy alone.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline
 
 from .atom import SmearingFunction
 from .quadrature import QuadConfig, DEFAULT_QUAD, oscillatory_halfline
@@ -110,10 +113,14 @@ def density_from_table(table, tail_order: float,
     p_tab, rho_tab = data[:, 0], data[:, 1]
     if np.any(np.diff(p_tab) <= 0.0):
         raise ValueError("table momenta must be strictly increasing")
+    if not (p_tab[0] >= 0.0 and p_tab[-1] > 0.0):
+        raise ValueError("table momenta must start at p >= 0 and end at "
+                         "p > 0")
     if np.any(rho_tab < 0.0):
         raise ValueError("table density must be nonnegative")
     if tail_order < 2.0:
         raise ValueError("tail exponent must be >= 2")
+    from scipy.interpolate import CubicSpline
     spline = CubicSpline(p_tab, rho_tab)
     p_last, rho_last = p_tab[-1], rho_tab[-1]
     i_peak = int(np.argmax(rho_tab))
@@ -353,6 +360,7 @@ def _tabulated_tau(rho: SpectralDensity, cfg: QuadConfig, tau_max: float,
     n = max(int(math.ceil(tau_max / spacing)), 8)
     taus = np.linspace(0.0, tau_max * (1.0 + 2.0 / n), n + 3)
     vals = np.array([vacuum_kernel(float(x), rho, cfg) for x in taus])
+    from scipy.interpolate import CubicSpline
     spl_re = CubicSpline(taus, vals.real)
     spl_im = CubicSpline(taus, vals.imag)
 

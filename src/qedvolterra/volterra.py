@@ -14,7 +14,8 @@ equivalent second-kind integral form c(T) = 1 - integral_0^T Z(T-s) c(s) ds
 is also provided.  The history sums of the stationary part, in all three
 solvers, are taken by blocked FFT in O(N log^2 N) (Hairer, Lubich &
 Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532-541) instead of one
-O(k) dot product per step.
+O(k) dot product per step.  The module needs numpy only; scipy is never
+imported here.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .atom import ModelParams
 from .kernels import KernelEvaluator
@@ -290,7 +290,9 @@ def compute_Z(kernel: KernelEvaluator, params: ModelParams,
     times = grid.times
     integrand = params.alpha * kernel.tau_values(times) \
         * np.exp(1j * params.omega * times)
-    z = cumulative_trapezoid(integrand, dx=grid.dt, initial=0.0)
+    # the sums of scipy's cumulative_trapezoid(dx=dt, initial=0), in order
+    z = np.zeros_like(integrand)
+    np.cumsum(grid.dt * (integrand[1:] + integrand[:-1]) / 2.0, out=z[1:])
     return ZKernel(grid=grid, values=z)
 
 

@@ -2,10 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qedvolterra.laplace
 import qedvolterra.quadrature
@@ -68,6 +71,54 @@ def test_flags_override_file_values():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError):
         build_config({"alhpa": 0.1}, {})
+
+
+_NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**400, 10**400).map(str),
+    st.sampled_from(["nan", "-inf", "Infinity", "1e400", "-0", "1_000"]))
+_WORD_TEXT = st.one_of(
+    st.text("abcdefghijklmnopqrstuvwxyz_./-0123456789", max_size=12),
+    st.sampled_from(["solve", "rates", "sweep", "kernel", "vacuum",
+                     "squeezed_concentrated", "squeezed_general", "custom",
+                     "hydrogen_2p1s", "gregory4", "alpha"]))
+_BOOL_TEXT = st.sampled_from(["true", "false", "yes", "no", "on", "off",
+                              "True", "FALSE"])
+_LIST_TEXT = st.lists(st.one_of(_NUMBER_TEXT, _WORD_TEXT, _BOOL_TEXT),
+                      min_size=2, max_size=4).map(", ".join)
+_CONFIG_LINE = st.tuples(
+    st.sampled_from([f.name for f in fields(RunConfig)]
+                    + ["alhpa", "n_steps", "Mode", ""]),
+    st.one_of(_NUMBER_TEXT, _WORD_TEXT, _BOOL_TEXT, _LIST_TEXT))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(_CONFIG_LINE, max_size=8))
+def test_random_config_text_is_valid_or_config_error(lines):
+    # in process, no run: a config file either validates or is refused
+    # with ConfigError, never another exception
+    text = "".join(f"{key} = {value}\n" for key, value in lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        Path(path).write_text(text)
+        try:
+            cfg = build_config(parse_config_file(path), {})
+        except ConfigError:
+            return
+    assert isinstance(cfg, RunConfig)
+    assert isinstance(cfg.fit, bool) and isinstance(cfg.force, bool)
+    for f in fields(RunConfig):
+        if "str" in f.type:
+            assert getattr(cfg, f.name) is None \
+                or isinstance(getattr(cfg, f.name), str), f.name
+
+
+def test_text_and_boolean_keys_are_type_checked():
+    assert build_config({"out": "5", "fit": False}, {}).out == "5"
+    for bad in ({"out": 5}, {"rho_table": 1.0}, {"fit": "abc"},
+                {"force": 1}):
+        with pytest.raises(ConfigError):
+            build_config(bad, {})
 
 
 def test_list_values_coerced_to_floats():
@@ -291,7 +342,10 @@ def test_unknown_config_key_is_config_error(tmp_path):
                                   "q = 1, abc, 0", "fit_window = 1, 2, 3",
                                   "r = nan", "omega = inf", "tmax = inf",
                                   "r = 1e3", "amplitude = nan",
-                                  "q = inf, 0, 0", "fit_window = 0.2, nan"])
+                                  "q = inf, 0, 0", "fit_window = 0.2, nan",
+                                  "fit = abc", "fit = 1", "force = maybe",
+                                  pytest.param("alpha = 1" + "0" * 400,
+                                               id="alpha = 1e400 as digits")])
 def test_bad_config_value_is_config_error(tmp_path, line):
     # a small solvable run but for the one bad value (a later line wins)
     cfg = tmp_path / "run.cfg"
@@ -300,6 +354,36 @@ def test_bad_config_value_is_config_error(tmp_path, line):
                   "--out", str(tmp_path / "c.csv"))
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
+
+
+def test_numeric_out_names_a_file(tmp_path):
+    # a str field keeps its text: `out = 5` writes the file "5"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 0.5\ndt = 0.1\ntmax = 1\nout = 5\n")
+    res = run_cli("solve", "--config", str(cfg), cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "5").read_text().startswith("t,re_c,im_c,abs2_c\n")
+
+
+def test_binary_config_file_is_config_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"alpha = 0.5\n\xff\xfe\x00\n")
+    res = run_cli("solve", "--config", str(cfg), cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_table_with_negative_momenta_is_config_error(tmp_path):
+    table = tmp_path / "rho.txt"
+    np.savetxt(table, [[-3.0, 1.0], [-2.0, 1.0], [-1.0, 1.0], [0.0, 1.0]])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"state = custom\nrho_table = {table}\n"
+                   "transition = custom\nomega = 1.0\nalpha = 0.01\n")
+    res = run_cli("solve", "--config", str(cfg), cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "p >= 0" in res.stderr
+    assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("mode, lines", [

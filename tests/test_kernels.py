@@ -121,6 +121,10 @@ def test_density_from_table_rejections():
         density_from_table(negative, tail_order=4.0)
     with pytest.raises(ValueError):
         density_from_table(good, tail_order=1.2)
+    for shift in (-3.0, -1.0, -1e-12):
+        # momenta below 0, or a last momentum at or below 0
+        with pytest.raises(ValueError, match="p >= 0"):
+            density_from_table(good + [shift, 0.0], tail_order=4.0)
 
 
 def test_tabulated_kernel_matches_direct():

@@ -147,6 +147,24 @@ def test_compute_z_exponential_kernel():
     assert np.max(np.abs(z.values - exact)) < 1e-7
 
 
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 1000, 50_000])
+def test_compute_z_matches_cumulative_trapezoid_bitwise(n_steps):
+    # scipy is the oracle here only; compute_Z takes the same sums in numpy
+    from scipy.integrate import cumulative_trapezoid
+    # a complex kernel; compute_Z reads it at lags >= 0 only
+    kernel = KernelEvaluator(
+        None, stationary=True, label="damped",
+        tau_fn=lambda lag: cmath.exp(complex(-0.3, 1.1) * lag))
+    params = ModelParams(alpha=0.37, omega=0.61)
+    grid = TimeGrid(dt=7.0 / n_steps, n_steps=n_steps)
+    integrand = params.alpha * kernel.tau_values(grid.times) \
+        * np.exp(1j * params.omega * grid.times)
+    expected = cumulative_trapezoid(integrand, dx=grid.dt, initial=0.0)
+    z = compute_Z(kernel, params, grid).values
+    assert z.dtype == expected.dtype == np.complex128
+    assert z.tobytes() == expected.tobytes()
+
+
 def test_compute_z_rejects_nonstationary():
     rho = hydrogen_density(1.0)
     from qedvolterra import SqueezeParams, hydrogen_chi
