@@ -35,9 +35,10 @@ SUMMARY_KEYS = ("gamma_markov", "gamma_pole", "pole_re", "pole_im",
 
 # largest grid a solve may request without --force; physical-alpha hydrogen
 # needs ~1e13 steps (decay time 1/gamma ~ alpha^-5 vs kernel memory ~ 1/alpha).
-# With FFT history sums the solver itself takes ~1.7 s for 2e5 trapezoid
-# steps (2-vCPU Xeon VM); what bounds such a run now is tabulating the
-# kernel, one adaptive quadrature per lag at 0.7-0.9 ms, 2-3 min for 2e5.
+# Solving leaf blocks over FFT history sums, the solver itself takes 0.3-0.4 s
+# for 2e5 trapezoid steps with the kernel's lags given (2-vCPU Xeon VM);
+# what bounds such a run is tabulating the kernel, one adaptive quadrature
+# per lag at 0.7-0.9 ms, 2-3 min for 2e5.
 _MAX_SOLVE_STEPS = 200_000
 
 
@@ -105,6 +106,13 @@ class RunConfig:
             if self.transition == "hydrogen_2p1s" and alpha == 0.0:
                 raise ConfigError("alpha must be positive for the "
                                   "hydrogen_2p1s transition")
+        analyzed = {"rates": (self.alpha,), "sweep": self.sweep_values}
+        if 0.0 in analyzed.get(self.mode, ()):
+            raise ConfigError(f"{self.mode} mode needs alpha > 0: alpha = 0 "
+                              "has no resonance pole")
+        if self.mode == "kernel" and self.alpha == 0.0 \
+                and self.state != "custom" and self.rho_table is None:
+            raise ConfigError("the hydrogen density needs alpha > 0")
         if self.dt is not None and self.dt <= 0.0:
             raise ConfigError("dt must be positive")
         if self.tmax is not None and self.tmax <= 0.0:
@@ -122,6 +130,8 @@ class RunConfig:
             raise ConfigError("sweep mode requires nonempty sweep_values")
         if self.fit_window is not None and len(self.fit_window) != 2:
             raise ConfigError("fit_window needs two comma-separated values")
+        if self.mode == "sweep" and self.sweep_axis != "alpha":
+            raise ConfigError("only sweep_axis = alpha is supported")
         self.squeeze_params()
 
     def squeeze_params(self) -> Optional[SqueezeParams]:
@@ -171,7 +181,11 @@ def _window_mask(t: np.ndarray, t1: float, t2: float) -> np.ndarray:
 
 
 def fit_decay(series: AmplitudeSeries, window: tuple) -> DecayFit:
-    """Line through (t, log |c|^2); gamma_fit is minus the slope."""
+    """Line through (t, log |c|^2); gamma_fit is minus the slope.
+
+    A window outside the series is a ValueError; a |c| of 0 inside it, where
+    the logarithm fails, is a :class:`SolverError`.
+    """
     t1, t2 = window
     t = series.times
     if t1 < t[0] or t2 > t[-1] or t2 <= t1:
@@ -182,7 +196,7 @@ def fit_decay(series: AmplitudeSeries, window: tuple) -> DecayFit:
                          "window")
     a2 = series.abs2[mask]
     if np.any(a2 <= 0.0):
-        raise ValueError("|c| vanishes inside the fit window")
+        raise SolverError("|c| vanishes inside the fit window")
     x = t[mask]
     y = np.log(a2)
     slope, intercept = np.polyfit(x, y, 1)
@@ -270,7 +284,10 @@ def _load_chi(cfg: RunConfig) -> SmearingFunction:
         raise ConfigError("chi_table must have four columns "
                           "(p, chi_x, chi_y, chi_z)")
     from scipy.interpolate import CubicSpline
-    spl = CubicSpline(data[:, 0], data[:, 1:], axis=0)
+    try:
+        spl = CubicSpline(data[:, 0], data[:, 1:], axis=0)
+    except ValueError as exc:
+        raise ConfigError(f"chi_table: {exc}") from None
 
     # table samples chi along the carrier ray; evaluated at |p|
     def fn(p):
@@ -286,6 +303,9 @@ def _model(cfg: RunConfig) -> tuple[ModelParams, SpectralDensity]:
     try:
         omega = transition_frequency(cfg.alpha) \
             if cfg.transition == "hydrogen_2p1s" else float(cfg.omega)
+        if not math.isfinite(omega):
+            raise ValueError(f"the transition frequency of alpha = "
+                             f"{cfg.alpha:g} overflows")
         params = ModelParams(alpha=cfg.alpha, omega=omega)
         if cfg.state == "custom" or cfg.rho_table is not None:
             density = density_from_table(cfg.rho_table, cfg.rho_tail_order,
@@ -302,21 +322,30 @@ def _default_grid(cfg: RunConfig, params: ModelParams,
     # resolve both the e^{i omega t} phase and the kernel memory width
     dt = cfg.dt
     if dt is None:
+        if not density.scale > 0.0:
+            raise ConfigError("the hydrogen density at alpha = 0 sets no "
+                              "time step; give dt")
         candidates = [0.05 / density.scale * (2.0 / 3.0)]
         if params.omega > 0.0:
             candidates.append(0.05 / params.omega)
         dt = min(candidates)
     tmax = cfg.tmax
     if tmax is None:
-        gamma = markov_rate(density, params)
+        # the decoupled limit alpha = 0 reads no density value
+        gamma = markov_rate(density, params) if params.alpha > 0.0 else 0.0
         tmax = 5.0 / gamma if gamma > 0.0 else 1000.0 * dt
-    return TimeGrid(dt=dt, n_steps=max(int(round(tmax / dt)), 1))
+    steps = tmax / dt
+    if not (dt > 0.0 and steps < sys.maxsize):
+        raise ConfigError(f"dt = {dt:g} and tmax = {tmax:g} give no usable "
+                          "time grid")
+    return TimeGrid(dt=dt, n_steps=max(int(round(steps)), 1))
 
 
 def _build_kernel(cfg: RunConfig, params, density, grid: Optional[TimeGrid]):
     quad_cfg = QuadConfig(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
     tabulate = None
-    if grid is not None and grid.n_steps > 4000:
+    # the decoupled limit alpha = 0 reads no kernel value
+    if grid is not None and grid.n_steps > 4000 and params.alpha > 0.0:
         tabulate = (grid.t_max, max(grid.dt, 0.02 / density.scale))
     squeeze = cfg.squeeze_params()
     chi = _load_chi(cfg) if squeeze is not None else None
@@ -445,9 +474,6 @@ def run(cfg: RunConfig) -> int:
 
     # sweep: repeat `rates` per axis value, in axis order; the work is
     # Python-bound, so threads would not run it in parallel
-    if cfg.sweep_axis != "alpha":
-        raise ConfigError("only sweep_axis = alpha is supported")
-
     def one(value: float) -> str:
         sub = replace(cfg, alpha=float(value), mode="rates")
         pairs = dict(_rates_pairs(sub, with_fit=False))
@@ -493,7 +519,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, SolverError, RuntimeError, ValueError) as exc:
+    except (QuadratureError, SolverError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -27,7 +27,7 @@ from .atom import ModelParams
 from .kernels import SpectralDensity
 from .quadrature import QuadConfig, QuadratureError, _integrate_many, \
     _truncation_points
-from .volterra import AmplitudeSeries, TimeGrid
+from .volterra import AmplitudeSeries, SolverError, TimeGrid
 
 _POLE_TOL = 1e-12
 _MAX_NEWTON = 50
@@ -225,7 +225,9 @@ def find_pole(rho: SpectralDensity, params: ModelParams,
     Newton iteration on F(s) = s + alpha * S_hat_II(s - i omega) from 8
     seeds, run in lockstep so that each round's transforms share one
     quadrature; the root with the greatest real part is returned.  A pole
-    with Re s0 > 0 violates unitarity and signals a broken kernel.
+    with Re s0 > 0 violates unitarity and signals a broken kernel.  Raises
+    :class:`SolverError` when no seed converges, when an iterate lands on
+    Re(s - i omega) = 0, or for such a pole.
     """
     if rho.analytic_extension is None:
         raise MissingExtensionError(
@@ -238,7 +240,11 @@ def find_pole(rho: SpectralDensity, params: ModelParams,
     def F(ss):
         # complex() as in s_hat_second_sheet: the Plemelj term must see a
         # Python complex, whose ** differs from numpy's in the last bits
-        sheet = _second_sheet(rho, [complex(z - 1j * omega) for z in ss], cfg)
+        points = [complex(z - 1j * omega) for z in ss]
+        if any(z.real == 0.0 for z in points):
+            raise SolverError("pole search reached Re s = 0, where the "
+                              "continuation is ambiguous")
+        sheet = _second_sheet(rho, points, cfg)
         return [z + alpha * v for z, v in zip(ss, sheet)]
 
     eps = 1e-6 * rho.scale
@@ -251,7 +257,7 @@ def find_pole(rho: SpectralDensity, params: ModelParams,
     roots = [r for r in _newton(F, seeds, scale)
              if abs(r.imag) <= rho.scale + omega]
     if not roots:
-        raise RuntimeError("pole search did not converge from any seed")
+        raise SolverError("pole search did not converge from any seed")
     # deduplicate, keep the dominant (largest Re) root
     uniq: list[complex] = []
     for r in sorted(roots, key=lambda z: -z.real):
@@ -259,7 +265,7 @@ def find_pole(rho: SpectralDensity, params: ModelParams,
             uniq.append(r)
     s0 = uniq[0]
     if s0.real > 1e-9 * scale:
-        raise RuntimeError(
+        raise SolverError(
             f"pole with Re s0 = {s0.real:g} > 0 found; unitarity violated "
             "(kernel or density is inconsistent)")
     return s0

@@ -7,15 +7,19 @@ by implicit product integration: a trapezoid baseline (global O(dt^2)) and a
 Gregory-4 / Adams-Moulton scheme (global O(dt^4)) whose starting values come
 from Richardson-extrapolated trapezoid sub-steps.  Both read the history
 rows K_k[j] = exp(i omega (t_k - t_j)) S(t_k, t_j), j = 0..k, as a
-stationary lag sequence plus an optional correction row, so one loop per
-method serves stationary and non-stationary kernels alike, and every step
-checks its own implicit diagonal weight.  For stationary kernels the
-equivalent second-kind integral form c(T) = 1 - integral_0^T Z(T-s) c(s) ds
-is also provided.  The history sums of the stationary part, in all three
-solvers, are taken by blocked FFT in O(N log^2 N) (Hairer, Lubich &
-Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532-541) instead of one
-O(k) dot product per step.  The module needs numpy only; scipy is never
-imported here.
+stationary lag sequence plus an optional correction row.  For stationary
+kernels the equivalent second-kind integral form
+c(T) = 1 - integral_0^T Z(T-s) c(s) ds is also provided.
+
+All three solvers share one time stepper.  The history sums of the
+stationary part over earlier leaves of 64 steps are taken by blocked FFT in
+O(N log^2 N) (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
+(1985) 532-541).  What is left inside a leaf is linear in its unknown c
+values, so each leaf is one lower-triangular linear system instead of 64
+steps: for a stationary kernel every leaf shares one inverse, applied as a
+convolution, and a non-stationary leaf is one ``np.linalg.solve``.  The
+implicit diagonal weight is checked at every grid time.  The module needs
+numpy only; scipy is never imported here.
 """
 
 from __future__ import annotations
@@ -32,15 +36,9 @@ from .kernels import KernelEvaluator
 # Gregory end weights of order 4 (error O(h^4)); interior weight is 1
 _GREGORY_END = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
 
-# closed Newton-Cotes weight rows for small interval counts
-_NEWTON_COTES = {
-    1: np.array([0.5, 0.5]),
-    2: np.array([1.0, 4.0, 1.0]) / 3.0,
-    3: np.array([3.0, 9.0, 9.0, 3.0]) / 8.0,
-    4: np.array([14.0, 64.0, 24.0, 64.0, 14.0]) / 45.0,
-    5: np.array([1.0 / 3.0, 4.0 / 3.0, 17.0 / 24.0, 9.0 / 8.0,
-                 9.0 / 8.0, 3.0 / 8.0]),
-}
+# five intervals: Simpson's rule on [t_0, t_2], the 3/8 rule on [t_2, t_5]
+_FIVE_INTERVALS = np.array([1.0 / 3.0, 4.0 / 3.0, 17.0 / 24.0, 9.0 / 8.0,
+                            9.0 / 8.0, 3.0 / 8.0])
 
 
 class SolverError(RuntimeError):
@@ -106,37 +104,45 @@ class OrderEstimate:
 
 
 def _gregory_weights(n: int) -> np.ndarray:
-    if n >= 6:
-        w = np.ones(n + 1)
-        w[:3] = _GREGORY_END
-        w[-3:] = _GREGORY_END[::-1]
-        return w
-    return _NEWTON_COTES[n].copy()
+    """Quadrature weights over t_0 .. t_n, n >= 5, of order 4."""
+    if n == 5:
+        return _FIVE_INTERVALS
+    w = np.ones(n + 1)
+    w[:3] = _GREGORY_END
+    w[-3:] = _GREGORY_END[::-1]
+    return w
 
 
-def _check_step(alpha: float, dt: float, s_diag: complex):
-    # the implicit diagonal weight alpha*dt/2*S(t,t) must stay contractive
-    if alpha * dt * dt * abs(s_diag) / 2.0 >= 1.0:
-        suggested = math.sqrt(0.5 / (alpha * abs(s_diag)))
+def _check_step(alpha: float, dt: float, s_diag):
+    """Refuse the first grid time, in the order of ``s_diag`` (the values
+    S(t_k, t_k)), whose implicit diagonal weight alpha*dt^2/2*|S(t,t)| is
+    not contractive."""
+    bad = np.flatnonzero(alpha * dt * dt * np.abs(s_diag) / 2.0 >= 1.0)
+    if bad.size:
+        suggested = math.sqrt(0.5 / (alpha * abs(s_diag[bad[0]])))
         raise SolverError(
             f"dt={dt:g} too large for this kernel (diagonal weight >= 1); "
             f"use dt < {suggested:.3g}")
 
 
 class _HistorySum:
-    """H_k = sum_{j<k} c_j W_{k-j}, read for k = 1, 2, ... in increasing
-    order while the caller fills in ``c``; H_k needs only c_0 .. c_{k-1}.
+    """Far-field history sums F_k = sum_{j<lo} c_j W_{k-j} for the leaf
+    [lo, lo + _LEAF) holding k, read leaf by leaf in increasing order while
+    the caller fills in ``c``; the leaf at lo needs only c_0 .. c_{lo-1}.
 
-    A pair (j, k) inside one leaf of ``_LEAF`` steps is summed directly when
-    H_k is read.  Any other pair lies in a smallest aligned dyadic block,
-    with j in its lower half [m - B, m) and k in its upper half [m, m + B).
-    That source half reaches all its targets through one circular FFT of
-    size 2B as soon as c_{m-1} is known.  Each leaf boundary m = q * _LEAF
-    completes exactly one source half, B = _LEAF * (q & -q), so a solve of
-    N steps costs O(N log^2 N) instead of O(N^2).
+    Any pair (j, k) in different leaves lies in a smallest aligned dyadic
+    block, with j in its lower half [m - B, m) and k in its upper half
+    [m, m + B).  That source half reaches all its targets through one
+    circular FFT of size 2B as soon as c_{m-1} is known.  Each leaf
+    boundary m = q * _LEAF completes exactly one source half,
+    B = _LEAF * (q & -q), so a solve of N steps costs O(N log^2 N) instead
+    of O(N^2).  The transform of W[:2B] depends on B only and is kept.
     """
 
-    # leaves of 32 to 512 steps time alike on 50k-step solves
+    # three 50k-step solves (2-vCPU Xeon VM) take 0.50, 0.33, 0.29 and 0.25 s
+    # with leaves of 32, 64, 128 and 256 steps, and peak at 47.0, 47.1, 47.6
+    # and 48.4 MiB against 45.6 MiB for one step per iteration: 64 buys most
+    # of the speed for 1.5 MiB
     _LEAF = 64
 
     def __init__(self, W: np.ndarray, c: np.ndarray):
@@ -144,62 +150,198 @@ class _HistorySum:
         self._c = c
         self._far = np.zeros(len(W), dtype=complex)
         self._done = 0      # source blocks ending at or before here are in
+        self._W_fft = {}    # block size B -> fft(W[:2B], n=2B)
+
+    def leaf(self, lo: int) -> np.ndarray:
+        """F_k for k in the leaf [lo, lo + _LEAF)."""
+        while self._done < lo:
+            self._done += self._LEAF
+            self._add_block(self._done)
+        return self._far[lo:lo + self._LEAF]
 
     def __call__(self, k: int) -> complex:
-        leaf = self._LEAF
-        while self._done + leaf <= k:
-            self._done += leaf
-            self._add_block(self._done)
-        lo = k - k % leaf
-        return self._far[k] + np.dot(self._c[lo:k], self._W[k - lo:0:-1])
+        """H_k = sum_{j<k} c_j W_{k-j}: F_k plus the pairs inside k's leaf,
+        summed directly; needs c_0 .. c_{k-1}."""
+        lo = k - k % self._LEAF
+        return self.leaf(lo)[k - lo] \
+            + np.dot(self._c[lo:k], self._W[k - lo:0:-1])
 
     def _add_block(self, m: int):
         q = m // self._LEAF
         b = self._LEAF * (q & -q)
+        w = self._W_fft.get(b)
+        if w is None:
+            w = self._W_fft[b] = np.fft.fft(self._W[:2 * b], n=2 * b)
         # circular length 2b: target m + v reads lags b + v - u <= 2b - 1
         # for source m - b + u, and the wrapped products land below b
         a = np.fft.fft(self._c[m - b:m], n=2 * b)
-        a *= np.fft.fft(self._W[:2 * b], n=2 * b)
+        a *= w
         np.fft.ifft(a, out=a)
         top = min(b, len(self._W) - m)
         self._far[m:m + top] += a[b:b + top]
 
 
-def _history(kernel, times, omega, c):
-    """Step source k -> (sum_{j<k} c_j K_k[j], K_k) for the history rows
-    K_k[j] = e^{i omega (t_k - t_j)} S(t_k, t_j), j = 0..k, read for
-    increasing k while ``c`` is filled in.
+# The three solvers share one scheme.  With the history rows
+# K_k[j] = W[k - j] + R_k[j], j = 0..k, each takes the quadrature
+#     phi_k = -scale * sum_j w_j c_j K_k[j],
+# whose weights are w_j = ends[j] and w_{k-m} = ends[m] at the two ends
+# and 1 in between, and steps
+#     c_k - c_{k-1} = sum_q beta_q phi_{k-q},
+# or, for the integral form (beta None), sets c_k = c_0 + phi_k.
+_TRAPEZOID_ENDS = np.array([0.5])
+# beta in units of dt: the trapezoid rule and Adams-Moulton of order 4
+_TRAPEZOID_BETA = np.array([0.5, 0.5])
+_GREGORY_BETA = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
 
-    The stationary part W[k - j] goes through one :class:`_HistorySum`.
+
+def _leaf_matrix(Bu, beta):
+    """A of c_k - c_{k-1} - sum_q beta_q (Bu c)_{k-q} = rhs_k on one leaf,
+    or of c_k - (Bu c)_k = rhs_k for beta None, Bu being B over the leaf's
+    unknown columns.  Row k reads rows k-Q .. k of Bu only."""
+    m = len(Bu)
+    if beta is None:
+        return np.eye(m) - Bu
+    A = np.eye(m, dtype=complex) - np.eye(m, k=-1)
+    for q, b in enumerate(beta):
+        A[q:] -= b * Bu[:m - q]
+    return A
+
+
+def _toeplitz_inverse(a):
+    """First column of A^-1 for the lower-triangular Toeplitz A whose first
+    column is ``a``; A^-1 is lower-triangular Toeplitz too.  Its entry i,
+    taken by forward substitution, reads a_0 .. a_i only."""
+    if a[0] == 0.0:
+        raise SolverError("leaf system is singular (zero diagonal)")
+    x = np.empty(len(a), dtype=complex)
+    x[0] = 1.0 / a[0]
+    for i in range(1, len(a)):
+        x[i] = -np.dot(a[i:0:-1], x[:i]) / a[0]
+    return x
+
+
+def _solve_leaves(c, start, phi, W, extra, scale, ends, beta, check=None):
+    """Fill c[start:] given c[:start] and phi_{start-Q} .. phi_{start-1}
+    (``phi``, Q = len(beta) - 1) for the scheme above, K_k[j] being
+    W[k - j] + extra(k)[j] (W or extra may be None).
+
+    Each leaf [lo, hi) of :class:`_HistorySum` is one lower-triangular
+    linear system A c[s:hi] = rhs in its unknowns, s = max(lo, start).  The
+    right-hand side carries everything known: the FFT far field of W and
+    the rows' own sums over j < lo (weight 1), the end-weight corrections
+    at j < len(ends) and at the lags that reach back before lo, the known
+    columns of the first leaf, c_{s-1} and the boundary phi values.  A
+    stationary kernel's leaves share one inverse; a non-stationary leaf
+    goes into one ``np.linalg.solve``.
+    ``check`` sees each row's diagonal K_k[k] before its leaf is solved.
     """
-    W, extra = kernel._history_split(times, omega)
+    n = len(c) - 1
+    leaf = _HistorySum._LEAF
     hist = _HistorySum(W, c) if W is not None else None
+    inverse = None
+    if extra is None:
+        if check is not None:
+            check(W[:1])
+        # every stationary leaf's A is a leading block of this Toeplitz
+        # one, and so is its inverse, applied as a convolution
+        m = min(leaf, n + 1)
+        B = _leaf_coefficients(c, 0, 0, m, W, None, scale, ends, None, None)
+        inverse = _toeplitz_inverse(_leaf_matrix(B, beta)[:, 0])
+        finite = np.isfinite(inverse)
+        n_finite = m if finite.all() else int(np.argmin(finite))
+    full = None     # B of the full stationary leaves after the first
+    phi = np.asarray(phi, dtype=complex)
+    for lo in range(0, n + 1, leaf):
+        hi = min(lo + leaf, n + 1)
+        s = max(lo, start)
+        if s >= hi:
+            continue
+        m = hi - s
+        known = np.zeros(m, dtype=complex)
+        if W is not None:
+            known += hist.leaf(lo)[s - lo:hi - lo]
+            # the end corrections at j < len(ends) <= start
+            for j, e in enumerate(ends):
+                known += (e - 1.0) * c[j] * W[s - j:hi - j]
+        shared = extra is None and lo > 0 and m == leaf
+        if shared and full is not None:
+            B = full
+        else:
+            B = _leaf_coefficients(c, lo, s, hi, W, extra, scale, ends, known,
+                                   check)
+            if shared:
+                full = B
+        c0 = hi - B.shape[1]
+        p = -scale * known + B[:, :s - c0] @ c[c0:s]
+        if beta is None:
+            rhs = p + c[0]
+        else:
+            # row k reads phi_{k-Q} .. phi_k only, so a NaN stays in its row
+            ext = np.concatenate((phi, p))
+            q = len(phi)
+            rhs = sum(b * ext[q - i:q - i + m] for i, b in enumerate(beta))
+            rhs[0] += c[s - 1]
+        ok = np.isfinite(rhs)
+        if inverse is None:
+            A = _leaf_matrix(B[:, -m:], beta)
+            ok &= np.isfinite(A).all(axis=1)
+        else:
+            ok[n_finite:] = False
+        # c is NaN from the first row with a non-finite coefficient on, as a
+        # step-by-step loop would make it
+        k = m if ok.all() else int(np.argmin(ok))
+        if inverse is not None:
+            c[s:s + k] = np.convolve(inverse[:k], rhs[:k])[:k] if k else []
+        else:
+            try:
+                c[s:s + k] = np.linalg.solve(A[:k, :k], rhs[:k])
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"leaf system not solvable: {exc}") \
+                    from None
+        if k < m:
+            c[s + k:hi] = np.nan
+            continue
+        # the next leaf reads phi on the last Q rows of this one
+        t = min(m, len(phi))
+        phi = np.concatenate((phi[t:], p[m - t:] + B[m - t:, -m:] @ c[s:hi]))
 
-    def step(k):
-        if extra is None:
-            return hist(k), W[k::-1]
-        # a correction row has no convolution structure: dotted directly
-        R = extra(k)
-        base = np.dot(c[:k], R[:k])
-        if W is None:
-            return base, R
-        return hist(k) + base, W[k::-1] + R
-    return step
+
+def _leaf_coefficients(c, lo, s, hi, W, extra, scale, ends, known, check):
+    """B of the leaf [lo, hi): phi_k = -scale * known_k + sum_j B[k, j] c_j
+    for k in [s, hi) over the leaf's columns j in [max(lo - P, 0), hi),
+    P = len(ends) - 1.  B[k, j] carries c_j's quadrature weight in phi_k
+    less the 1 the far field already gives each j < lo.  A non-stationary
+    kernel's rows are read one at a time; their sums over j < lo and their
+    end corrections go into ``known``, and ``check`` sees their
+    diagonals."""
+    cols = np.arange(max(lo - len(ends) + 1, 0), hi)
+    lag = np.arange(s, hi)[:, None] - cols
+    w = (lag >= 0).astype(float)
+    for m, e in enumerate(ends):
+        w[lag == m] = e
+    w[:, cols < lo] -= 1.0
+    K = W[np.maximum(lag, 0)] if W is not None \
+        else np.zeros(w.shape, dtype=complex)
+    if extra is not None:
+        c0 = cols[0]
+        e = len(ends)
+        start_corr = (ends - 1.0) * c[:e]
+        for i, k in enumerate(range(s, hi)):
+            row = extra(k)
+            known[i] += np.dot(c[:lo], row[:lo]) + np.dot(start_corr, row[:e])
+            K[i, :k + 1 - c0] += row[c0:]
+        if check is not None:
+            check(K[np.arange(hi - s), np.arange(s, hi) - c0])
+    return -scale * w * K
 
 
 def _solve_trapezoid(kernel, params, grid) -> np.ndarray:
-    alpha, dt, n = params.alpha, grid.dt, grid.n_steps
-    c = np.empty(n + 1, dtype=complex)
+    c = np.empty(grid.n_steps + 1, dtype=complex)
     c[0] = 1.0
-    history = _history(kernel, grid.times, params.omega, c)
-    phi_prev = 0.0 + 0.0j
-    for k in range(1, n + 1):
-        base, K = history(k)
-        _check_step(alpha, dt, K[k])
-        phik = -alpha * dt * (base - 0.5 * c[0] * K[0])
-        denom = 1.0 + 0.25 * alpha * dt * dt * K[k]
-        c[k] = (c[k - 1] + 0.5 * dt * (phi_prev + phik)) / denom
-        phi_prev = phik - 0.5 * alpha * dt * K[k] * c[k]
+    W, extra = kernel._history_split(grid.times, params.omega)
+    _solve_leaves(c, 1, [0.0], W, extra, params.alpha * grid.dt,
+                  _TRAPEZOID_ENDS, grid.dt * _TRAPEZOID_BETA,
+                  lambda d: _check_step(params.alpha, grid.dt, d))
     return c
 
 
@@ -217,12 +359,6 @@ def _richardson_start(kernel, params, grid, n_start: int) -> np.ndarray:
     return c
 
 
-def _gregory_phi(c, K, k, alpha, dt):
-    """phi_k = -alpha*dt * sum_j w_j c_j K_k[j], Gregory/Newton-Cotes
-    weights."""
-    return -alpha * dt * np.dot(_gregory_weights(k), c[:k + 1] * K)
-
-
 def _solve_gregory4(kernel, params, grid) -> np.ndarray:
     alpha, dt, n = params.alpha, grid.dt, grid.n_steps
     c = np.empty(n + 1, dtype=complex)
@@ -230,28 +366,18 @@ def _solve_gregory4(kernel, params, grid) -> np.ndarray:
     c[:n_start + 1] = _richardson_start(kernel, params, grid, n_start)
     if n <= 7:
         return c
+    W, extra = kernel._history_split(grid.times, params.omega)
 
-    history = _history(kernel, grid.times, params.omega, c)
-    phi_hist = {k: _gregory_phi(c, history(k)[1], k, alpha, dt)
-                for k in range(4, 8)}
-    for k in range(8, n + 1):
-        base, K = history(k)
-        _check_step(alpha, dt, K[k])
-        v0 = c[0] * K[0]
-        v1 = c[1] * K[1]
-        v2 = c[2] * K[2]
-        vn2 = c[k - 2] * K[k - 2]
-        vn1 = c[k - 1] * K[k - 1]
-        conv = base + (3.0 / 8.0 - 1.0) * v0 + (7.0 / 6.0 - 1.0) * (v1 + vn1) \
-            + (23.0 / 24.0 - 1.0) * (v2 + vn2)
-        phi_known = -alpha * dt * conv
-        rhs = c[k - 1] + dt / 24.0 * (9.0 * phi_known + 19.0 * phi_hist[k - 1]
-                                      - 5.0 * phi_hist[k - 2]
-                                      + phi_hist[k - 3])
-        denom = 1.0 + alpha * dt * dt * (9.0 / 24.0) * (3.0 / 8.0) * K[k]
-        c[k] = rhs / denom
-        phi_hist[k] = phi_known - alpha * dt * (3.0 / 8.0) * K[k] * c[k]
-        phi_hist.pop(k - 3, None)
+    def row(k):
+        if extra is None:
+            return W[k::-1]
+        return extra(k) if W is None else W[k::-1] + extra(k)
+
+    # the steps from t_8 on read phi_5 .. phi_7 of the start-up values
+    phi = [-alpha * dt * np.dot(_gregory_weights(k), c[:k + 1] * row(k))
+           for k in (5, 6, 7)]
+    _solve_leaves(c, 8, phi, W, extra, alpha * dt, _GREGORY_END,
+                  dt * _GREGORY_BETA, lambda d: _check_step(alpha, dt, d))
     return c
 
 
@@ -299,18 +425,16 @@ def compute_Z(kernel: KernelEvaluator, params: ModelParams,
 def solve_integral_form(z: ZKernel, grid: TimeGrid) -> AmplitudeSeries:
     """Trapezoid product integration of c(T) = 1 - int_0^T Z(T-s) c(s) ds.
 
-    Explicit in c(t_n) because Z(0) = 0.
+    Explicit in c(t_n) when Z(0) = 0, as :func:`compute_Z` gives; a Z(0)
+    that zeroes the implicit weight 1 + dt Z(0) / 2 raises
+    :class:`SolverError`.  A non-finite c is returned as it is.
     """
     if z.grid != grid:
         raise ValueError("Z kernel grid does not match the solver grid")
-    dt = grid.dt
-    n = grid.n_steps
-    Z = z.values
-    c = np.empty(n + 1, dtype=complex)
+    c = np.empty(grid.n_steps + 1, dtype=complex)
     c[0] = 1.0
-    hist = _HistorySum(Z, c)
-    for k in range(1, n + 1):
-        c[k] = 1.0 - dt * (hist(k) - 0.5 * c[0] * Z[k])
+    # c_k = c_0 + phi_k, phi_k = -dt * (trapezoid sum of c_j Z_{k-j})
+    _solve_leaves(c, 1, [], z.values, None, grid.dt, _TRAPEZOID_ENDS, None)
     return AmplitudeSeries(grid=grid, values=c, method="integral_trapezoid",
                            kernel_label="Z")
 

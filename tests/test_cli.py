@@ -113,6 +113,62 @@ def test_random_config_text_is_valid_or_config_error(lines):
                 or isinstance(getattr(cfg, f.name), str), f.name
 
 
+_RUN_MODES = ("kernel", "solve", "rates", "sweep")
+
+
+@st.composite
+def _small_run(draw):
+    """A config file for one bounded run: at most 40 steps of dt >= 0.05,
+    and values that may still be refused or fail numerically."""
+    alpha = st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.0, 1e-3, 50.0,
+                                                            1e200]))
+    lines = {"alpha": draw(alpha)}
+    lines["dt"] = dt = draw(st.floats(0.05, 1.0))
+    lines["tmax"] = dt * draw(st.floats(0.5, 40.0))
+    if draw(st.booleans()):
+        lines["method"] = "gregory4"
+    if draw(st.booleans()):
+        lines["transition"] = "custom"
+        lines["omega"] = draw(st.floats(0.0, 3.0))
+    state = draw(st.sampled_from(["vacuum", "vacuum", "squeezed_concentrated",
+                                  "custom"]))
+    lines["state"] = state
+    if state == "squeezed_concentrated":
+        lines["r"] = draw(st.floats(-1.0, 1.0))
+        vec = st.tuples(*[st.sampled_from([0.0, 0.3, 1.0])] * 3)
+        lines["q"] = ", ".join(map(str, draw(vec)))
+        lines["d"] = ", ".join(map(str, draw(vec)))
+        lines["amplitude"] = draw(st.floats(0.0, 2.0))
+    lines["fit"] = draw(st.sampled_from(["true", "false"]))
+    if draw(st.booleans()):
+        t1 = draw(st.floats(0.0, 40.0))
+        lines["fit_window"] = f"{t1}, {t1 + draw(st.floats(0.0, 40.0))}"
+    lines["sweep_values"] = ", ".join(
+        map(str, draw(st.lists(alpha, min_size=1, max_size=2))))
+    return draw(st.sampled_from(_RUN_MODES)), lines
+
+
+@settings(deadline=None, max_examples=40)
+@given(_small_run())
+def test_random_small_runs_end_in_an_exit_code(run):
+    # in process, through main: every run ends in 0, 2 or 3 and raises
+    # nothing; a custom state reads a valid p e^{-p} table
+    mode, lines = run
+    with tempfile.TemporaryDirectory() as tmp:
+        if lines["state"] == "custom":
+            p = np.linspace(0.0, 20.0, 60)
+            table = os.path.join(tmp, "rho.txt")
+            np.savetxt(table, np.column_stack([p, p * np.exp(-p)]))
+            lines["rho_table"] = table
+        path = os.path.join(tmp, "run.cfg")
+        Path(path).write_text("".join(f"{k} = {v}\n"
+                                      for k, v in lines.items()))
+        out = os.path.join(tmp, "out")
+        code = main([mode, "--config", path, "--out", out])
+        assert code in (0, 2, 3)
+        assert os.path.exists(out) == (code == 0)
+
+
 def test_text_and_boolean_keys_are_type_checked():
     assert build_config({"out": "5", "fit": False}, {}).out == "5"
     for bad in ({"out": 5}, {"rho_table": 1.0}, {"fit": "abc"},
@@ -401,12 +457,18 @@ def test_table_with_negative_momenta_is_config_error(tmp_path):
     ("solve", "state = squeezed_concentrated\nr = 1e3"),
     ("solve", "state = squeezed_general\nr = 0.5"),
     ("kernel", "state = squeezed_general\nr = 0.5"),
+    ("rates", "transition = custom\nomega = 1\nalpha = 0"),
+    ("kernel", "transition = custom\nomega = 1\nalpha = 0"),
+    ("solve", "alpha = 1e200"),
+    ("solve", "dt = 1e-300\nforce = true"),
 ], ids=["rates-alpha-0", "rates-fit-window-outside",
         "rates-fit-window-too-few-points", "sweep-alpha-0",
         "sweep-values-not-numbers", "solve-d-along-q",
         "solve-missing-rho-table", "sweep-alpha-inf", "solve-squeezed-r-nan",
         "solve-squeezed-amplitude-nan", "solve-squeezed-r-overflows",
-        "solve-squeezed-general", "kernel-squeezed-general"])
+        "solve-squeezed-general", "kernel-squeezed-general",
+        "rates-custom-alpha-0", "kernel-hydrogen-alpha-0",
+        "solve-omega-overflows", "solve-grid-overflows"])
 def test_bad_config_is_config_error_in_every_mode(tmp_path, mode, lines):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"alpha = 0.5\ndt = 0.1\ntmax = 1\n{lines}\n")
@@ -465,6 +527,18 @@ def test_sweep_matches_one_interval_quadrature(tmp_path, monkeypatch):
     # references
     assert len(ran) > 100
     assert len(walked) > 100
+
+
+@pytest.mark.parametrize("alpha, message", [
+    ("50", "did not converge"), ("1", "reached Re s = 0")])
+def test_pole_search_failure_exit_code(tmp_path, capsys, alpha, message):
+    # omega = 0 puts the branch point at s = 0: the pole search fails as a
+    # numerical failure, exit 3
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"transition = custom\nomega = 0\nsweep_values = {alpha}\n")
+    assert main(["sweep", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_code(tmp_path):

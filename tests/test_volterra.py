@@ -8,7 +8,7 @@ from qedvolterra import KernelEvaluator, ModelParams, SolverError, \
     SqueezeParams, TimeGrid, compute_Z, estimate_order, hydrogen_chi, \
     hydrogen_density, make_kernel, solve_ide, solve_integral_form, \
     squeezed_delta_concentrated
-from qedvolterra.volterra import _HistorySum, _gregory_weights
+from qedvolterra.volterra import ZKernel, _HistorySum, _gregory_weights
 
 
 def const_kernel(value=1.0):
@@ -254,14 +254,26 @@ def test_history_sum_matches_direct_dot():
                 (n, k)
 
 
-def direct_trapezoid(W, alpha, dt):
-    """The product-trapezoid loop with one O(k) history dot per step."""
-    n = len(W) - 1
+def history_rows(kernel, omega, grid):
+    """k -> K_k[0..k], the history rows of ``kernel`` on ``grid``."""
+    W, extra = kernel._history_split(grid.times, omega)
+    if extra is None:
+        return lambda k: W[k::-1]
+    if W is None:
+        return extra
+    return lambda k: W[k::-1] + extra(k)
+
+
+def direct_trapezoid(W, alpha, dt, n=None):
+    """The product-trapezoid loop with one O(k) history dot per step; W is
+    the lag sequence or, with n, a function k -> K_k[0..k]."""
+    row = W if n is not None else (lambda k: W[k::-1])
+    n = n if n is not None else len(W) - 1
     c = np.empty(n + 1, dtype=complex)
     c[0] = 1.0
     phi_prev = 0.0 + 0.0j
     for k in range(1, n + 1):
-        K = W[k::-1]
+        K = row(k)
         phik = -alpha * dt * (0.5 * c[0] * K[0] + np.dot(c[1:k], K[1:k]))
         c[k] = (c[k - 1] + 0.5 * dt * (phi_prev + phik)) \
             / (1.0 + 0.25 * alpha * dt * dt * K[k])
@@ -273,23 +285,23 @@ def direct_gregory4(kernel, params, grid):
     """The Gregory-4 loop with one O(k) history dot per step, started from
     direct trapezoid solves at dt, dt/2 and dt/4."""
     alpha, dt, n = params.alpha, grid.dt, grid.n_steps
-
-    def lag_row(h, m):
-        t = np.arange(m + 1) * h
-        return kernel.tau_values(t) * np.exp(1j * params.omega * t)
-
-    coarse, half, quarter = (direct_trapezoid(lag_row(dt / r, 7 * r), alpha,
-                                              dt / r) for r in (1, 2, 4))
+    n_start = min(7, n)
+    coarse, half, quarter = (
+        direct_trapezoid(history_rows(kernel, params.omega,
+                                      TimeGrid(dt / r, n_start * r)),
+                         alpha, dt / r, n_start * r) for r in (1, 2, 4))
     r1 = (4.0 * half[::2] - coarse) / 3.0
     r2 = (4.0 * quarter[::2] - half) / 3.0
     c = np.empty(n + 1, dtype=complex)
-    c[:8] = (16.0 * r2[::2] - r1) / 15.0
+    c[:n_start + 1] = (16.0 * r2[::2] - r1) / 15.0
     c[0] = 1.0
-    W = lag_row(dt, n)
-    phi = {k: -alpha * dt * np.dot(_gregory_weights(k), c[:k + 1] * W[k::-1])
-           for k in range(4, 8)}
+    if n <= 7:
+        return c
+    row = history_rows(kernel, params.omega, grid)
+    phi = {k: -alpha * dt * np.dot(_gregory_weights(k), c[:k + 1] * row(k))
+           for k in range(5, 8)}
     for k in range(8, n + 1):
-        K = W[k::-1]
+        K = row(k)
         conv = np.dot(c[:k], K[:k]) + (3.0 / 8.0 - 1.0) * c[0] * K[0] \
             + (7.0 / 6.0 - 1.0) * (c[1] * K[1] + c[k - 1] * K[k - 1]) \
             + (23.0 / 24.0 - 1.0) * (c[2] * K[2] + c[k - 2] * K[k - 2])
@@ -326,6 +338,147 @@ def test_fft_history_solvers_match_direct_loops():
     integral = solve_integral_form(z, grid).values
     assert np.max(np.abs(integral - direct_integral_form(
         z.values, grid.dt))) <= 1e-12
+
+
+LEAF = _HistorySum._LEAF
+
+
+def uncached_far(W, c):
+    """The far-field sums of every leaf, each block's transform of W taken
+    afresh."""
+    n = len(W) - 1
+    far = np.zeros(n + 1, dtype=complex)
+    for m in range(LEAF, n + 1, LEAF):
+        q = m // LEAF
+        b = LEAF * (q & -q)
+        a = np.fft.fft(c[m - b:m], n=2 * b)
+        a *= np.fft.fft(W[:2 * b], n=2 * b)
+        np.fft.ifft(a, out=a)
+        top = min(b, n + 1 - m)
+        far[m:m + top] += a[b:b + top]
+    return far
+
+
+@pytest.mark.parametrize("n", [LEAF - 1, 4 * LEAF, 5 * LEAF + 3, 4097])
+def test_history_sum_caches_block_transforms_bitwise(n):
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    W = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    hist = _HistorySum(W, c)
+    far = np.concatenate([hist.leaf(lo) for lo in range(0, n + 1, LEAF)])
+    assert far.tobytes() == uncached_far(W, c).tobytes()
+    # one transform of W per block size
+    blocks = {LEAF * (q & -q) for q in range(1, n // LEAF + 1)}
+    assert set(hist._W_fft) == blocks
+
+
+def damped_kernel():
+    return KernelEvaluator(
+        None, stationary=True, label="damped",
+        tau_fn=lambda lag: cmath.exp(complex(-0.3, 1.1) * abs(lag)))
+
+
+@pytest.mark.parametrize("n_steps", sorted(
+    {1, 7, 8, 9, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 3}
+    | {2**p + d for p in range(1, 13) for d in (-1, 1)}))
+def test_leaf_solvers_match_direct_loops(n_steps):
+    # every leaf shape: the first leaf with its known start, full leaves,
+    # and a last leaf of any length
+    params = ModelParams(alpha=0.37, omega=0.61)
+    grid = TimeGrid(dt=0.01, n_steps=n_steps)
+    kernel = damped_kernel()
+    W = kernel.tau_values(grid.times) * np.exp(1j * params.omega * grid.times)
+    z = compute_Z(kernel, params, grid)
+    pairs = [(solve_ide(kernel, params, grid, "trapezoid").values,
+              direct_trapezoid(W, params.alpha, grid.dt)),
+             (solve_ide(kernel, params, grid, "gregory4").values,
+              direct_gregory4(kernel, params, grid)),
+             (solve_integral_form(z, grid).values,
+              direct_integral_form(z.values, grid.dt))]
+    for fast, slow in pairs:
+        scale = max(1.0, np.max(np.abs(slow)))
+        assert np.max(np.abs(fast - slow)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("method", ["trapezoid", "gregory4"])
+def test_non_stationary_leaf_solve_matches_direct_loop(method):
+    # the squeezed S0 + R split over four leaves against the step loop on
+    # its full rows
+    params = ModelParams(alpha=SQ_ALPHA, omega=SQ_OMEGA)
+    grid = TimeGrid(dt=0.1, n_steps=3 * LEAF + 5)
+    kernel = squeezed_kernel(0.5, tabulate=(grid.t_max, grid.dt / 4.0))[0]
+    fast = solve_ide(kernel, params, grid, method).values
+    if method == "trapezoid":
+        slow = direct_trapezoid(history_rows(kernel, params.omega, grid),
+                                params.alpha, grid.dt, grid.n_steps)
+    else:
+        slow = direct_gregory4(kernel, params, grid)
+    assert np.max(np.abs(fast - slow)) <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["trapezoid", "gregory4"])
+def test_step_size_refusal_inside_a_later_leaf(method):
+    # S(t, t) = (1 + t)^2: the first non-contractive step lies in the
+    # sixth leaf, and its own diagonal sets the suggested dt
+    alpha, dt = 2.0, 0.05
+    kernel = KernelEvaluator(lambda t, s: (1.0 + t) * (1.0 + s),
+                             stationary=False, label="growing",
+                             row_fn=lambda t, s: (1.0 + t)
+                             * (1.0 + np.asarray(s)))
+    grid = TimeGrid(dt=dt, n_steps=8 * LEAF)
+    diag = (1.0 + grid.times) ** 2
+    k = int(np.flatnonzero(alpha * dt * dt * diag / 2.0 >= 1.0)[0])
+    assert 5 * LEAF < k < 6 * LEAF
+    suggested = math.sqrt(0.5 / (alpha * diag[k]))
+    message = (f"dt={dt:g} too large for this kernel (diagonal weight >= 1); "
+               f"use dt < {suggested:.3g}")
+    with pytest.raises(SolverError) as info:
+        solve_ide(kernel, ModelParams(alpha=alpha, omega=0.0), grid, method)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("method", ["trapezoid", "gregory4"])
+def test_nan_rows_are_a_solver_error(method):
+    # a non-stationary kernel turns NaN from t = 20 on, inside a later leaf:
+    # the leaf solve stops there and the finiteness check refuses it
+    def row(t, s):
+        s = np.asarray(s)
+        return np.exp(-(t - s)) * (1.0 + 0.1j * s) if t < 20.0 \
+            else np.full(s.shape, np.nan)
+
+    kernel = KernelEvaluator(lambda t, s: row(t, np.array(s)).item(),
+                             stationary=False, label="nan-late", row_fn=row)
+    grid = TimeGrid(dt=0.1, n_steps=4 * LEAF)
+    with pytest.raises(SolverError, match="not finite from t = 20 on"):
+        solve_ide(kernel, ModelParams(alpha=0.3, omega=0.5), grid, method)
+
+
+def test_nan_lags_past_the_first_leaf():
+    # NaN lags from t = 15 on reach the solves through the far field of a
+    # later leaf, whose rows then start non-finite: c turns NaN there and
+    # stays NaN, and the IDE solvers refuse it
+    def tau_fn(lag):
+        return complex(math.exp(-lag)) if abs(lag) < 15.0 else complex("nan")
+
+    kernel = KernelEvaluator(None, stationary=True, label="nan-tail",
+                             tau_fn=tau_fn)
+    params = ModelParams(alpha=0.2, omega=0.5)
+    grid = TimeGrid(dt=0.1, n_steps=4 * LEAF)
+    for method in ("trapezoid", "gregory4"):
+        with pytest.raises(SolverError, match="not finite"):
+            solve_ide(kernel, params, grid, method)
+    c = solve_integral_form(compute_Z(kernel, params, grid), grid).values
+    first = int(np.argmin(np.isfinite(c)))
+    assert LEAF <= first <= 150 and not np.isfinite(c[first:]).any()
+
+
+def test_singular_leaf_system_is_a_solver_error():
+    # Z(0) = -2/dt zeroes the diagonal of the integral form's leaf system
+    grid = TimeGrid(dt=0.1, n_steps=10)
+    values = np.zeros(11, dtype=complex)
+    values[0] = -2.0 / grid.dt
+    with pytest.raises(SolverError, match="singular"):
+        solve_integral_form(ZKernel(grid=grid, values=values), grid)
 
 
 # ----------------------------------------------- non-stationary kernels
