@@ -21,7 +21,7 @@ from .atom import ModelParams, SmearingFunction, hydrogen_chi, \
     transition_frequency
 from .kernels import SpectralDensity, SqueezeParams, density_from_table, \
     hydrogen_density, make_kernel
-from .laplace import MissingExtensionError, analyze, markov_rate
+from .laplace import analyze, markov_rate
 from .quadrature import QuadConfig, QuadratureError
 from .units import FINE_STRUCTURE
 from .volterra import AmplitudeSeries, SolverError, TimeGrid, solve_ide
@@ -377,10 +377,7 @@ def _write_summary(pairs: list[tuple[str, object]], path: str):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _run_solve(cfg: RunConfig) -> AmplitudeSeries:
-    params, density = _model(cfg)
-    grid = _default_grid(cfg, params, density)
-    _refuse_oversized(cfg, grid)
+def _solve(cfg: RunConfig, params, density, grid: TimeGrid) -> AmplitudeSeries:
     kernel = _build_kernel(cfg, params, density, grid)
     return solve_ide(kernel, params, grid, cfg.method)
 
@@ -402,29 +399,42 @@ def _fit_window(cfg: RunConfig, grid: TimeGrid) -> tuple:
     return t1, t2
 
 
-def _rates_pairs(cfg: RunConfig, with_fit: bool) -> list[tuple[str, object]]:
-    params, density = _model(cfg)
-    grid = _default_grid(cfg, params, density)
+def _laplace_summaries(models) -> list[dict]:
+    """The Laplace summary values of each (params, density) in ``models``.
+
+    One pole search serves every density with an analytic extension; the
+    others keep their Markov rate and get NaN for the pole values.
+    """
+    searched = [(p, d) for p, d in models if d.analytic_extension is not None]
+    found = iter(analyze([d for _, d in searched], [p for p, _ in searched]))
+    out = []
+    for params, density in models:
+        if density.analytic_extension is None:
+            out.append({"gamma_markov": markov_rate(density, params),
+                        "gamma_pole": math.nan, "pole_re": math.nan,
+                        "pole_im": math.nan, "lamb_shift": math.nan,
+                        "residual": math.nan})
+            continue
+        an = next(found)
+        out.append({"gamma_markov": an.gamma_markov,
+                    "gamma_pole": an.gamma_pole, "pole_re": an.pole.real,
+                    "pole_im": an.pole.imag, "lamb_shift": an.lamb_shift,
+                    "residual": an.residual})
+    return out
+
+
+def _rates_pairs(cfg: RunConfig, params, density,
+                 grid: TimeGrid) -> list[tuple[str, object]]:
     # skip the time-domain fit when the grid would be desk-scale infeasible
     solvable = grid.n_steps <= _MAX_SOLVE_STEPS or cfg.force
-    window = _fit_window(cfg, grid) if with_fit and solvable else None
+    window = _fit_window(cfg, grid) if cfg.fit and solvable else None
     pairs: list[tuple[str, object]] = [("alpha", _fmt(params.alpha)),
                                        ("omega", _fmt(params.omega))]
-    gamma_m = markov_rate(density, params)
-    try:
-        an = analyze(density, params)
-        lap = {"gamma_markov": an.gamma_markov, "gamma_pole": an.gamma_pole,
-               "pole_re": an.pole.real, "pole_im": an.pole.imag,
-               "lamb_shift": an.lamb_shift, "residual": an.residual}
-    except MissingExtensionError:
-        lap = {"gamma_markov": gamma_m, "gamma_pole": math.nan,
-               "pole_re": math.nan, "pole_im": math.nan,
-               "lamb_shift": math.nan, "residual": math.nan}
+    lap = _laplace_summaries([(params, density)])[0]
     pairs.extend((k, lap[k]) for k in SUMMARY_KEYS)
 
     if window is not None:
-        kernel = _build_kernel(cfg, params, density, grid)
-        series = solve_ide(kernel, params, grid, cfg.method)
+        series = _solve(cfg, params, density, grid)
         fit = fit_decay(series, window)
         pairs.extend([("gamma_fit", fit.gamma_fit),
                       ("fit_intercept", fit.intercept),
@@ -433,56 +443,73 @@ def _rates_pairs(cfg: RunConfig, with_fit: bool) -> list[tuple[str, object]]:
     return pairs
 
 
+def _kernel_lines(cfg: RunConfig, params, density,
+                  grid: TimeGrid) -> list[str]:
+    # point evaluations only; skip the solver's spline tabulation
+    kernel = _build_kernel(cfg, params, density, None)
+    times = grid.times
+    if len(times) > 4096:
+        times = times[::len(times) // 4096 + 1]
+    if kernel.stationary:
+        lines = ["tau,re_S,im_S"]
+        for tau in times:
+            v = kernel.tau(float(tau))
+            lines.append(",".join((_fmt(tau), _fmt(v.real), _fmt(v.imag))))
+    else:
+        lines = ["t,s,re_S,im_S"]
+        sample = times[::max(len(times) // 64, 1)]
+        for t in sample:
+            for s in sample[sample <= t]:
+                v = kernel.eval(float(t), float(s))
+                lines.append(",".join((_fmt(t), _fmt(s),
+                                       _fmt(v.real), _fmt(v.imag))))
+    return lines
+
+
+def _sweep_rows(cfg: RunConfig) -> list[str]:
+    # the `rates` summary of each axis value, in axis order.  Every value's
+    # model and grid are checked first; then one pole search runs all their
+    # Newton seeds in lockstep, so each quadrature step serves every alpha,
+    # and each value's row equals its own `rates` run
+    models = []
+    for value in cfg.sweep_values:
+        sub = replace(cfg, alpha=float(value), mode="rates")
+        params, density = _model(sub)
+        _default_grid(sub, params, density)
+        models.append((params, density))
+    return [",".join([_fmt(float(value))]
+                     + [_fmt(float(lap[k])) for k in SUMMARY_KEYS])
+            for value, lap in zip(cfg.sweep_values,
+                                  _laplace_summaries(models))]
+
+
 def run(cfg: RunConfig) -> int:
     """Execute one configured run; returns the process exit status."""
     cfg.validate()
-    if cfg.mode == "solve":
-        series = _run_solve(cfg)
-        _write_series(series, cfg.out)
+    if cfg.mode == "sweep":
+        header = "alpha," + ",".join(SUMMARY_KEYS)
+        Path(cfg.out).write_text("\n".join([header] + _sweep_rows(cfg))
+                                 + "\n")
         return 0
-
-    if cfg.mode == "kernel":
-        params, density = _model(cfg)
-        grid = _default_grid(cfg, params, density)
-        # point evaluations only; skip the solver's spline tabulation
-        kernel = _build_kernel(cfg, params, density, None)
-        times = grid.times
-        if len(times) > 4096:
-            times = times[::len(times) // 4096 + 1]
-        if kernel.stationary:
-            lines = ["tau,re_S,im_S"]
-            for tau in times:
-                v = kernel.tau(float(tau))
-                lines.append(",".join((_fmt(tau), _fmt(v.real), _fmt(v.imag))))
+    if cfg.mode == "rates" and cfg.state.startswith("squeezed"):
+        raise ConfigError("rates mode needs a stationary (vacuum/custom) "
+                          "state")
+    params, density = _model(cfg)
+    grid = _default_grid(cfg, params, density)
+    try:
+        if cfg.mode == "solve":
+            _refuse_oversized(cfg, grid)
+            _write_series(_solve(cfg, params, density, grid), cfg.out)
+        elif cfg.mode == "kernel":
+            Path(cfg.out).write_text(
+                "\n".join(_kernel_lines(cfg, params, density, grid)) + "\n")
         else:
-            lines = ["t,s,re_S,im_S"]
-            sample = times[::max(len(times) // 64, 1)]
-            for t in sample:
-                for s in sample[sample <= t]:
-                    v = kernel.eval(float(t), float(s))
-                    lines.append(",".join((_fmt(t), _fmt(s),
-                                           _fmt(v.real), _fmt(v.imag))))
-        Path(cfg.out).write_text("\n".join(lines) + "\n")
-        return 0
-
-    if cfg.mode == "rates":
-        if cfg.state.startswith("squeezed"):
-            raise ConfigError("rates mode needs a stationary (vacuum/custom) "
-                              "state")
-        _write_summary(_rates_pairs(cfg, with_fit=cfg.fit), cfg.out)
-        return 0
-
-    # sweep: repeat `rates` per axis value, in axis order; the work is
-    # Python-bound, so threads would not run it in parallel
-    def one(value: float) -> str:
-        sub = replace(cfg, alpha=float(value), mode="rates")
-        pairs = dict(_rates_pairs(sub, with_fit=False))
-        return ",".join([_fmt(float(value))]
-                        + [_fmt(float(pairs[k])) for k in SUMMARY_KEYS])
-
-    rows = [one(value) for value in cfg.sweep_values]
-    header = "alpha," + ",".join(SUMMARY_KEYS)
-    Path(cfg.out).write_text("\n".join([header] + rows) + "\n")
+            _write_summary(_rates_pairs(cfg, params, density, grid), cfg.out)
+    except MemoryError:
+        # only arrays the size of the grid can exhaust memory
+        raise ConfigError(f"the grid of {grid.n_steps} steps does not fit "
+                          "in memory; set dt / tmax for a smaller grid") \
+            from None
     return 0
 
 

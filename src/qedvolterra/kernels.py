@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -328,9 +329,12 @@ class KernelEvaluator:
         return r if self._tau_fn is None else self._s0(t - s) + r
 
     def _s0(self, lags) -> np.ndarray:
-        lags = np.asarray(lags)
-        return np.fromiter((self._tau_fn(float(x)) for x in lags),
-                           dtype=complex, count=len(lags))
+        # tau_fn sees Python floats, read a block at a time: a list of all
+        # 50 001 lags would add about 2 MiB to a long solve's peak memory
+        lags = np.asarray(lags, dtype=float)
+        floats = chain.from_iterable(lags[i:i + 4096].tolist()
+                                     for i in range(0, len(lags), 4096))
+        return np.fromiter(map(self._tau_fn, floats), complex, len(lags))
 
     def _history_split(self, times: np.ndarray, omega: float):
         """(W, extra) with K_k[j] = W[k - j] + extra(k)[j] for the history

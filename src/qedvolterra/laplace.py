@@ -55,71 +55,93 @@ class LaplaceAnalysis:
     residual: float
 
 
-def _cauchy_transform(rho: SpectralDensity, ss: list,
-                      cfg: QuadConfig = _CAUCHY_CFG) -> list:
+def _cauchy_transform(rho, ss: list, cfg: QuadConfig = _CAUCHY_CFG) -> list:
     """integral_0^inf rho(p)/(s + i p) dp for each s in ``ss``, off the cut.
 
-    When the integrand develops a narrow Lorentzian at p* = -Im s (small
-    |Re s|), the near-pole window is handled by subtracting rho(p*) and
-    integrating the subtracted pole in closed form; a milder peak is split
-    at p*.  Every piece of every transform is one problem of a single
-    lockstep :func:`_integrate_many`, so each refinement step evaluates rho
-    once for all of them.  The truncation rungs (P_k, |rho(P_k)|) do not
-    depend on s, so one ladder walk gives every point its truncation point
-    (the first rung below its own threshold 0.1 abs_tol max(|s|, 1)), and
-    all the near-pole values rho(p*) come from one density call.  Each
-    transform keeps its own truncation point and branch, and sums its
-    pieces in the same order as a transform done on its own, so the values
-    do not depend on how many share the batch.
+    ``rho`` is one density for every point, or a sequence of densities, one
+    per point.  When the integrand develops a narrow Lorentzian at
+    p* = -Im s (small |Re s|), the near-pole window is handled by
+    subtracting rho(p*) and integrating the subtracted pole in closed form;
+    a milder peak is split at p*.  Every piece of every transform is one
+    problem of a single lockstep :func:`_integrate_many`, the problems of
+    each distinct density contiguous, so each refinement step calls each
+    density once, on its own slice of the nodes.  The truncation rungs
+    (P_k, |rho(P_k)|) do not depend on s, so one ladder walk per density
+    gives each of its points a truncation point (the first rung below its
+    own threshold 0.1 abs_tol max(|s|, 1)), and one call per density gives
+    its near-pole values rho(p*).  Each transform keeps its own truncation
+    point and branch, and sums its pieces in the same order as a transform
+    done on its own, so the values do not depend on what shares the batch.
     """
+    rhos = [rho] * len(ss) if isinstance(rho, SpectralDensity) else list(rho)
     for s in ss:
         if s == 0.0:
             raise ValueError("s = 0 lies on the branch cut")
-    cutoffs = [P for P, _ in _truncation_points(
-        rho.fn, [0.1 * cfg.abs_tol * max(abs(s), 1.0) for s in ss],
-        decay_order=rho.decay_order, decay_rate=rho.decay_rate,
-        peak=rho.peak)]
-    near = [0.0 < -s.imag < P and abs(s.real) < 0.05 * rho.scale
-            for s, P in zip(ss, cutoffs)]
-    pstars = [-s.imag for s, is_near in zip(ss, near) if is_near]
-    rstars = iter(np.asarray(rho.fn(np.array(pstars))).tolist()
-                  if pstars else ())
+    # the points of each distinct density, in order of first appearance
+    groups = {}
+    for k, r in enumerate(rhos):
+        groups.setdefault(id(r), (r, []))[1].append(k)
     bounds, s_of, r_of = [], [], []
-    # per transform: its first piece, its piece count, its closed-form term
-    plans = []
-    for s, P, is_near in zip(ss, cutoffs, near):
-        pstar = -s.imag
-        first = len(bounds)
-        log_term = None
-        # pieces (a, b, r) integrate (rho(p) - r) / (s + ip) over [a, b]
-        if is_near:
-            delta = min(pstar, P - pstar, rho.scale)
-            a, b = pstar - delta, pstar + delta
-            rstar = complex(next(rstars))
-            pieces = [(0.0, a, 0.0), (a, b, rstar), (b, P, 0.0)]
-            # int_a^b dp/(s+ip) along the vertical segment Re = Re(s); the
-            # principal log branch is crossed when Re(s) < 0
-            log_diff = cmath.log(s + 1j * b) - cmath.log(s + 1j * a)
-            if s.real < 0.0:
-                log_diff -= 2j * math.pi
-            log_term = rstar * log_diff / 1j
-        elif 0.0 < pstar < P:
-            # mild peak: split to help the adaptive rule
-            pieces = [(0.0, pstar, 0.0), (pstar, P, 0.0)]
-        else:
-            pieces = [(0.0, P, 0.0)]
-        for a, b, r in pieces:
-            bounds.append((a, b))
-            s_of.append(s)
-            r_of.append(r)
-        plans.append((first, len(pieces), log_term))
+    # per density: its first problem; per transform: its first piece, its
+    # piece count, its closed-form term
+    starts, plans = [], [None] * len(ss)
+    for r, ks in groups.values():
+        cutoffs = [P for P, _ in _truncation_points(
+            r.fn, [0.1 * cfg.abs_tol * max(abs(ss[k]), 1.0) for k in ks],
+            decay_order=r.decay_order, decay_rate=r.decay_rate,
+            peak=r.peak)]
+        near = [0.0 < -ss[k].imag < P and abs(ss[k].real) < 0.05 * r.scale
+                for k, P in zip(ks, cutoffs)]
+        pstars = [-ss[k].imag for k, is_near in zip(ks, near) if is_near]
+        rstars = iter(np.asarray(r.fn(np.array(pstars))).tolist()
+                      if pstars else ())
+        starts.append(len(bounds))
+        for k, P, is_near in zip(ks, cutoffs, near):
+            s = ss[k]
+            pstar = -s.imag
+            first = len(bounds)
+            log_term = None
+            # pieces (a, b, r) integrate (rho(p) - r) / (s + ip) over [a, b]
+            if is_near:
+                delta = min(pstar, P - pstar, r.scale)
+                a, b = pstar - delta, pstar + delta
+                rstar = complex(next(rstars))
+                pieces = [(0.0, a, 0.0), (a, b, rstar), (b, P, 0.0)]
+                # int_a^b dp/(s+ip) along the vertical segment Re = Re(s);
+                # the principal log branch is crossed when Re(s) < 0
+                log_diff = cmath.log(s + 1j * b) - cmath.log(s + 1j * a)
+                if s.real < 0.0:
+                    log_diff -= 2j * math.pi
+                log_term = rstar * log_diff / 1j
+            elif 0.0 < pstar < P:
+                # mild peak: split to help the adaptive rule
+                pieces = [(0.0, pstar, 0.0), (pstar, P, 0.0)]
+            else:
+                pieces = [(0.0, P, 0.0)]
+            for a, b, rp in pieces:
+                bounds.append((a, b))
+                s_of.append(s)
+                r_of.append(rp)
+            plans[k] = (first, len(pieces), log_term)
     s_of = np.array(s_of, dtype=complex)
     r_of = np.array(r_of, dtype=complex)
+    fns = [r.fn for r, _ in groups.values()]
+    starts = np.array(starts[1:])
 
     def f(p, idx):
-        # subtracting r = 0 leaves the plain pieces' values unchanged
-        return (np.asarray(rho.fn(p), dtype=complex) - r_of[idx]) \
-            / (s_of[idx] + 1j * p)
+        # idx is nondecreasing, so each density's nodes are one slice
+        edges = [0, *np.searchsorted(idx, starts).tolist(), len(p)]
+        rho_p = np.empty(p.shape, dtype=complex)
+        for fn, lo, hi in zip(fns, edges, edges[1:]):
+            if lo < hi:
+                rho_p[lo:hi] = fn(p[lo:hi])
+        # subtracting r = 0 leaves the plain pieces' values unchanged; in
+        # place, so that few node-sized arrays are alive at once
+        rho_p -= r_of[idx]
+        den = 1j * p
+        den += s_of[idx]
+        rho_p /= den
+        return rho_p
 
     vals = [v for v, _ in _integrate_many(f, bounds, cfg)]
     out = []
@@ -134,8 +156,9 @@ def _cauchy_transform(rho: SpectralDensity, ss: list,
     return out
 
 
-def _first_sheet(rho: SpectralDensity, ss: list, cfg: QuadConfig) -> list:
-    """s_hat at each of the complex points ``ss``, as one batch."""
+def _first_sheet(rho, ss: list, cfg: QuadConfig) -> list:
+    """s_hat at each of the complex points ``ss``, as one batch; ``rho`` is
+    one density or one per point."""
     for s in ss:
         if s.real <= 0.0:
             raise ValueError("s_hat requires Re s > 0; "
@@ -143,20 +166,22 @@ def _first_sheet(rho: SpectralDensity, ss: list, cfg: QuadConfig) -> list:
     return _cauchy_transform(rho, ss, cfg)
 
 
-def _second_sheet(rho: SpectralDensity, ss: list, cfg: QuadConfig) -> list:
-    """s_hat_second_sheet at each of the complex points ``ss``, as one batch."""
-    for s in ss:
+def _second_sheet(rho, ss: list, cfg: QuadConfig) -> list:
+    """s_hat_second_sheet at each of the complex points ``ss``, as one
+    batch; ``rho`` is one density or one per point."""
+    rhos = [rho] * len(ss) if isinstance(rho, SpectralDensity) else list(rho)
+    for s, r in zip(ss, rhos):
         if s.real > 0.0:
             continue
         if s.real == 0.0:
             raise ValueError("evaluation on Re s = 0 is ambiguous; offset s")
-        if rho.analytic_extension is None:
+        if r.analytic_extension is None:
             raise MissingExtensionError(
-                f"density {rho.label!r} has no analytic extension; "
+                f"density {r.label!r} has no analytic extension; "
                 "second-sheet evaluation refused")
     return [v if s.real > 0.0
-            else v + 2.0 * math.pi * rho.analytic_extension(1j * s)
-            for s, v in zip(ss, _cauchy_transform(rho, ss, cfg))]
+            else v + 2.0 * math.pi * r.analytic_extension(1j * s)
+            for s, r, v in zip(ss, rhos, _cauchy_transform(rhos, ss, cfg))]
 
 
 def s_hat(rho: SpectralDensity, s: complex,
@@ -180,41 +205,107 @@ def markov_rate(rho: SpectralDensity, params: ModelParams) -> float:
     return 2.0 * math.pi * params.alpha * float(rho(params.omega))
 
 
-def _newton(fun, seeds, scale, tol=_POLE_TOL):
+def _newton(fun, seeds, scales, tol=_POLE_TOL):
     """Newton iteration with central differences from every seed, in lockstep.
 
-    ``fun`` maps a list of points to the list of F values.  Each round makes
-    one batch of F at the unfinished seeds, then one batch of F(s +- h) at
-    those not yet converged.  Each seed gets its own ``_MAX_NEWTON`` rounds
-    and stops on the same tests as when iterated on its own, so the roots,
-    returned in seed order, do not depend on the other seeds.
+    ``fun(ids, points)`` maps the points of the seeds ``ids`` to their F
+    values.  Each round makes one batch of F at the unfinished seeds, then
+    one batch of F(s +- h) at those not yet converged; seed i steps with
+    its own scale ``scales[i]``.  Each seed gets its own ``_MAX_NEWTON``
+    rounds and stops on the same tests as when iterated on its own, so the
+    results do not depend on the other seeds.  Returns, in seed order,
+    (root, |F(root)|) from the round that accepted the root, or None for a
+    seed that did not converge.
     """
     s = [complex(s0) for s0 in seeds]
-    ok = [False] * len(s)
+    found = [None] * len(s)
     active = list(range(len(s)))
     for _ in range(_MAX_NEWTON):
         if not active:
             break
         pending = []
-        for i, f in zip(active, fun([s[i] for i in active])):
+        for i, f in zip(active, fun(active, [s[i] for i in active])):
             if abs(f) < tol:
-                ok[i] = True
+                found[i] = (s[i], abs(f))
             else:
-                pending.append((i, f, 1e-7 * max(abs(s[i]), scale)))
+                pending.append((i, f, 1e-7 * max(abs(s[i]), scales[i])))
         if not pending:
             break
-        shifted = fun([z for i, _, h in pending for z in (s[i] + h, s[i] - h)])
+        shifted = fun([i for i, _, _ in pending for _ in (0, 1)],
+                      [z for i, _, h in pending for z in (s[i] + h, s[i] - h)])
         active = []
         for k, (i, f, h) in enumerate(pending):
             df = (shifted[2 * k] - shifted[2 * k + 1]) / (2.0 * h)
             if df == 0.0:
                 continue
             step = f / df
-            if abs(step) > 10.0 * scale:
+            if abs(step) > 10.0 * scales[i]:
                 continue
             s[i] -= step
             active.append(i)
-    return [z for z, good in zip(s, ok) if good]
+    return found
+
+
+# Newton seeds around s_init, in units of the search scale
+_SEED_OFFSETS = (0.0, 0.3, -0.3, 0.3j, -0.3j, 0.3 + 0.3j, 0.3 - 0.3j, 1.0j)
+
+
+def _find_poles(rhos, params, s_inits, cfg: QuadConfig) -> list:
+    """(s0, |F(s0)|) for each problem (rhos[k], params[k]), from one
+    lockstep Newton search over every problem's seeds.
+
+    Problems whose ``s_inits[k]`` is None take it from one batch of
+    first-sheet transforms.  Each problem keeps its own seeds, scale and
+    root selection, so its pole does not depend on the other problems.
+    """
+    for rho, p in zip(rhos, params):
+        if rho.analytic_extension is None:
+            raise MissingExtensionError(
+                f"density {rho.label!r} has no analytic extension; "
+                "pole finding refused")
+        if p.alpha == 0.0:
+            raise ValueError("alpha = 0 has no resonance pole")
+    s_inits = list(s_inits)
+    todo = [k for k, z in enumerate(s_inits) if z is None]
+    firsts = _first_sheet([rhos[k] for k in todo],
+                          [complex(1e-6 * rhos[k].scale
+                                   - 1j * params[k].omega) for k in todo],
+                          cfg)
+    for k, v in zip(todo, firsts):
+        s_inits[k] = -params[k].alpha * v
+    scales = [max(abs(z), 1e-3 * rho.scale) for z, rho in zip(s_inits, rhos)]
+    owner = [k for k in range(len(rhos)) for _ in _SEED_OFFSETS]
+    seeds = [z + off * scale for z, scale in zip(s_inits, scales)
+             for off in _SEED_OFFSETS]
+
+    def F(ids, zs):
+        # complex() as in s_hat_second_sheet: the Plemelj term must see a
+        # Python complex, whose ** differs from numpy's in the last bits
+        points = [complex(z - 1j * params[owner[i]].omega)
+                  for i, z in zip(ids, zs)]
+        if any(z.real == 0.0 for z in points):
+            raise SolverError("pole search reached Re s = 0, where the "
+                              "continuation is ambiguous")
+        sheet = _second_sheet([rhos[owner[i]] for i in ids], points, cfg)
+        return [z + params[owner[i]].alpha * v
+                for i, z, v in zip(ids, zs, sheet)]
+
+    found = _newton(F, seeds, [scales[k] for k in owner])
+    n = len(_SEED_OFFSETS)
+    out = []
+    for k, (rho, p, scale) in enumerate(zip(rhos, params, scales)):
+        roots = [r for r in found[k * n:(k + 1) * n]
+                 if r is not None and abs(r[0].imag) <= rho.scale + p.omega]
+        if not roots:
+            raise SolverError("pole search did not converge from any seed")
+        # the dominant (largest Re) root, the first seed's on a tie
+        s0, resid = min(roots, key=lambda r: -r[0].real)
+        if s0.real > 1e-9 * scale:
+            raise SolverError(
+                f"pole with Re s0 = {s0.real:g} > 0 found; unitarity violated "
+                "(kernel or density is inconsistent)")
+        out.append((s0, resid))
+    return out
 
 
 def find_pole(rho: SpectralDensity, params: ModelParams,
@@ -229,60 +320,28 @@ def find_pole(rho: SpectralDensity, params: ModelParams,
     :class:`SolverError` when no seed converges, when an iterate lands on
     Re(s - i omega) = 0, or for such a pole.
     """
-    if rho.analytic_extension is None:
-        raise MissingExtensionError(
-            f"density {rho.label!r} has no analytic extension; "
-            "pole finding refused")
-    alpha, omega = params.alpha, params.omega
-    if alpha == 0.0:
-        raise ValueError("alpha = 0 has no resonance pole")
-
-    def F(ss):
-        # complex() as in s_hat_second_sheet: the Plemelj term must see a
-        # Python complex, whose ** differs from numpy's in the last bits
-        points = [complex(z - 1j * omega) for z in ss]
-        if any(z.real == 0.0 for z in points):
-            raise SolverError("pole search reached Re s = 0, where the "
-                              "continuation is ambiguous")
-        sheet = _second_sheet(rho, points, cfg)
-        return [z + alpha * v for z, v in zip(ss, sheet)]
-
-    eps = 1e-6 * rho.scale
-    if s_init is None:
-        s_init = -alpha * s_hat(rho, eps - 1j * omega, cfg)
-    scale = max(abs(s_init), 1e-3 * rho.scale)
-    offsets = [0.0, 0.3 * scale, -0.3 * scale, 0.3j * scale, -0.3j * scale,
-               (0.3 + 0.3j) * scale, (0.3 - 0.3j) * scale, 1.0j * scale]
-    seeds = [s_init + off for off in offsets]
-    roots = [r for r in _newton(F, seeds, scale)
-             if abs(r.imag) <= rho.scale + omega]
-    if not roots:
-        raise SolverError("pole search did not converge from any seed")
-    # deduplicate, keep the dominant (largest Re) root
-    uniq: list[complex] = []
-    for r in sorted(roots, key=lambda z: -z.real):
-        if all(abs(r - u) > 1e-6 * scale for u in uniq):
-            uniq.append(r)
-    s0 = uniq[0]
-    if s0.real > 1e-9 * scale:
-        raise SolverError(
-            f"pole with Re s0 = {s0.real:g} > 0 found; unitarity violated "
-            "(kernel or density is inconsistent)")
-    return s0
+    return _find_poles([rho], [params], [s_init], cfg)[0][0]
 
 
-def analyze(rho: SpectralDensity, params: ModelParams,
-            cfg: QuadConfig = _CAUCHY_CFG) -> LaplaceAnalysis:
-    """Markov rate, resonance pole and derived quantities in one record."""
-    pole = find_pole(rho, params, cfg=cfg)
-    resid = abs(pole + params.alpha
-                * s_hat_second_sheet(rho, pole - 1j * params.omega, cfg))
-    return LaplaceAnalysis(
-        density=rho, params=params, pole=pole,
-        gamma_pole=-2.0 * pole.real,
-        gamma_markov=markov_rate(rho, params),
-        lamb_shift=pole.imag,
-        residual=resid)
+def analyze(rho, params, cfg: QuadConfig = _CAUCHY_CFG):
+    """Markov rate, resonance pole and derived quantities in one record.
+
+    Given sequences of densities and params instead, one per problem, it
+    returns one record per problem, in order, from one lockstep pole search
+    for all of them; each record equals the one of its problem alone.  The
+    residual |F(s0)| is the one of the Newton round that accepted s0.
+    """
+    single = isinstance(rho, SpectralDensity)
+    rhos, ps = ([rho], [params]) if single else (list(rho), list(params))
+    if len(rhos) != len(ps):
+        raise ValueError("one params record per density is needed")
+    out = [LaplaceAnalysis(density=r, params=p, pole=pole,
+                           gamma_pole=-2.0 * pole.real,
+                           gamma_markov=markov_rate(r, p),
+                           lamb_shift=pole.imag, residual=resid)
+           for r, p, (pole, resid) in zip(
+               rhos, ps, _find_poles(rhos, ps, [None] * len(rhos), cfg))]
+    return out[0] if single else out
 
 
 def bromwich_invert(rho: SpectralDensity, params: ModelParams,

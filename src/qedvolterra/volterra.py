@@ -242,6 +242,17 @@ def _solve_leaves(c, start, phi, W, extra, scale, ends, beta, check=None):
     if extra is None:
         if check is not None:
             check(W[:1])
+        finite = np.isfinite(W)
+        if not finite.all():
+            # a step loop's c_k reads lags 0..k only, so c is NaN from the
+            # first non-finite lag m on and c[:m] is the solve on W[:m]; the
+            # FFT far field would carry lag m into rows before m
+            m = int(np.argmin(finite))
+            if m > start:
+                _solve_leaves(c[:m], start, phi, W[:m], None, scale, ends,
+                              beta)
+            c[max(m, start):] = np.nan
+            return
         # every stationary leaf's A is a leading block of this Toeplitz
         # one, and so is its inverse, applied as a convolution
         m = min(leaf, n + 1)

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qedvolterra.cli
 import qedvolterra.laplace
 import qedvolterra.quadrature
 from qedvolterra import ModelParams, TimeGrid, hydrogen_density, \
     make_kernel, solve_ide
-from qedvolterra.cli import ConfigError, DecayFit, RunConfig, _fit_window, \
-    build_config, fit_decay, main, parse_config_file
+from qedvolterra.cli import SUMMARY_KEYS, ConfigError, DecayFit, RunConfig, \
+    _fit_window, _fmt, build_config, fit_decay, main, parse_config_file
 from test_quadrature import reference_integrate_finite, \
     reference_truncation_point
 
@@ -334,6 +335,80 @@ def test_sweep_ordered_table(tmp_path):
     assert lines[0].startswith("alpha,gamma_markov,gamma_pole")
     alphas = [float(line.split(",")[0]) for line in lines[1:]]
     assert alphas == [0.3, 0.1, 0.2]  # axis order, not completion order
+
+
+@pytest.mark.parametrize("table", [False, True],
+                         ids=["hydrogen", "rho-table"])
+def test_sweep_rows_equal_per_alpha_rates_runs(tmp_path, table):
+    # one pole search serves the whole sweep, and each row is still byte
+    # for byte the summary of a `rates` run at its alpha; a table density
+    # has no analytic extension, so its rows keep the Markov rate and carry
+    # NaN pole values
+    base = ""
+    if table:
+        p = np.linspace(0.0, 3.0, 60)
+        np.savetxt(tmp_path / "rho.txt", np.column_stack([p, p * np.exp(-p)]))
+        base = (f"state = custom\nrho_table = {tmp_path / 'rho.txt'}\n"
+                "transition = custom\nomega = 0.5\n")
+    alphas = ["0.3", "0.55", "0.8"]
+    cfg, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
+    cfg.write_text(base + f"sweep_values = {', '.join(alphas)}\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert rows[0] == "alpha," + ",".join(SUMMARY_KEYS)
+    assert len(rows) == 1 + len(alphas)
+    for alpha, row in zip(alphas, rows[1:]):
+        cfg.write_text(base + f"alpha = {alpha}\nfit = false\n")
+        summary_path = tmp_path / f"rates-{alpha}.txt"
+        assert main(["rates", "--config", str(cfg),
+                     "--out", str(summary_path)]) == 0
+        summary = read_summary(summary_path)
+        assert row == ",".join([_fmt(float(alpha))]
+                               + [summary[k] for k in SUMMARY_KEYS])
+        assert (row.split(",")[2:] == ["nan"] * 5) == table
+
+
+def _allocation_refused() -> bool:
+    """Whether the kernel refuses at once a request far beyond its memory
+    (Linux overcommit heuristic or strict accounting), so none is touched."""
+    try:
+        mode = Path("/proc/sys/vm/overcommit_memory").read_text().strip()
+    except OSError:
+        return False
+    return mode in ("0", "2")
+
+
+@pytest.mark.skipif(not _allocation_refused(),
+                    reason="a 16 TB request might be granted and touched")
+@pytest.mark.parametrize("mode, lines", [
+    ("solve", "alpha = 0\ntransition = custom\nomega = 1\nforce = true"),
+    ("kernel", "alpha = 0.5")])
+def test_grid_too_large_to_allocate_is_config_error(tmp_path, capsys, mode,
+                                                    lines):
+    # a grid of 1e12 steps (about 16 TB for a solve; `force` lets a solve
+    # ask for it) fails to allocate, and the run exits 2 naming the step
+    # count
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{lines}\ndt = 1e-9\ntmax = 1000\n")
+    assert main([mode, "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "1000000000000 steps" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_memory_error_in_a_rates_solve_is_config_error(tmp_path, capsys,
+                                                       monkeypatch):
+    def refuse(kernel, params, grid, method):
+        raise MemoryError
+
+    monkeypatch.setattr(qedvolterra.cli, "solve_ide", refuse)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 0.3\ndt = 0.1\ntmax = 120\n")
+    assert main(["rates", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "grid of 1200 steps does not fit in memory" \
+        in capsys.readouterr().err
 
 
 def test_kernel_mode(tmp_path):

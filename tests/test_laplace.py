@@ -181,6 +181,89 @@ def test_batched_near_pole_values_share_one_density_call(synthetic_density):
         assert all(n % 22 == 0 or n in (8, len(near)) for n in calls)
 
 
+def _logged(rho):
+    """rho with a density function that records the size of each call."""
+    calls = []
+
+    def fn(p):
+        calls.append(np.size(p))
+        return rho.fn(p)
+
+    return SpectralDensity(fn=fn, label=rho.label, scale=rho.scale,
+                           peak=rho.peak, decay_order=rho.decay_order,
+                           decay_rate=rho.decay_rate,
+                           analytic_extension=rho.analytic_extension), calls
+
+
+def test_multi_density_cauchy_transform_matches_per_density(
+        synthetic_density):
+    # three densities, their points interleaved, near-pole, split and plain
+    # branches on both sides of the cut: each value equals its density's
+    # own batch, and each density sees exactly the calls of its own batch
+    # (each density's first point is not near its pole, whose first piece
+    # [0, p* - delta] is often empty, so each density's first problem is
+    # live in the first call)
+    plain = [(hydrogen_density(0.5), [0.3 - 0.1j, 1e-6 - 0.09375j, 0.5]),
+             (synthetic_density, [2.0 + 1.0j, -0.02 - 0.2j, 1e-3 - 5.0j,
+                                  -1e-5 - 1.1j]),
+             (hydrogen_density(0.9), [0.2 - 0.3j, -1e-6 - 0.30375j])]
+    alone, mixed = [], []
+    for rho, points in plain:
+        alone_rho, alone_calls = _logged(rho)
+        mixed_rho, mixed_calls = _logged(rho)
+        want = _cauchy_transform(alone_rho, points)
+        assert want == [reference_cauchy_transform(rho, s) for s in points]
+        alone.append((points, want, alone_calls))
+        mixed.append((mixed_rho, mixed_calls))
+    rhos, points = [], []
+    for k in range(4):
+        for (rho, _), (pts, _, _) in zip(mixed, alone):
+            if k < len(pts):
+                rhos.append(rho)
+                points.append(pts[k])
+    got = _cauchy_transform(rhos, points)
+    for (rho, calls), (pts, want, alone_calls) in zip(mixed, alone):
+        assert [v for r, v in zip(rhos, got) if r is rho] == want
+        assert calls == alone_calls
+
+
+def test_batched_analyze_matches_per_problem_analyze(synthetic_density):
+    rhos, params = [], []
+    for alpha in (0.2, 0.7565217391304349, 1.0):
+        rho, p = _hydrogen(alpha)
+        rhos.append(rho)
+        params.append(p)
+    rhos.insert(1, synthetic_density)
+    params.insert(1, ModelParams(alpha=0.01, omega=1.0))
+    got = analyze(rhos, params)
+    assert isinstance(got, list) and len(got) == 4
+    for rho, p, an in zip(rhos, params, got):
+        one = analyze(rho, p)
+        assert an.density is rho and an.params is p
+        assert (an.pole, an.gamma_pole, an.gamma_markov, an.lamb_shift,
+                an.residual) == (one.pole, one.gamma_pole, one.gamma_markov,
+                                 one.lamb_shift, one.residual)
+        assert an.pole == reference_find_pole(rho, p)
+    assert analyze([], []) == []
+    with pytest.raises(ValueError):
+        analyze(rhos, params[:2])
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.7565217391304349, 1.0, None])
+def test_residual_is_the_accepting_rounds(alpha, synthetic_density):
+    # the residual |F(s0)| of the Newton round that accepted s0 is the one
+    # an extra transform at s0 gives, bit for bit
+    if alpha is None:
+        rho, params = synthetic_density, ModelParams(alpha=0.01, omega=1.0)
+    else:
+        rho, params = _hydrogen(alpha)
+    an = analyze(rho, params)
+    want = abs(an.pole + params.alpha
+               * s_hat_second_sheet(rho, an.pole - 1j * params.omega))
+    assert np.array(an.residual).tobytes() == np.array(want).tobytes()
+    assert type(an.residual) is type(want)
+
+
 @pytest.mark.parametrize("case", ["hydrogen", "synthetic"])
 def test_batched_bromwich_matches_per_point_reference(case,
                                                       synthetic_density):

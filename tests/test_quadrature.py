@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from qedvolterra import QuadConfig, QuadratureError, hydrogen_density, \
     integrate_finite, oscillatory_halfline
 from qedvolterra.kernels import hydrogen_vacuum_density
+import qedvolterra.quadrature
 from qedvolterra.quadrature import _integrate_many, _rule_estimates, \
-    _truncation_point, _truncation_points
+    _truncation_point, _truncation_points, _worst
 
 TIGHT = QuadConfig(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -224,8 +225,8 @@ def test_rule_estimates_match_per_row_reference(n):
             v7 = half * np.dot(_W7, row[15:])
             want_vals.append(v15)
             want_errs.append(abs(v15 - v7))
-        assert all(type(v) is complex for v in vals)
-        assert all(type(e) is float for e in errs)
+        assert vals.dtype == np.complex128 and errs.dtype == np.float64
+        vals, errs = vals.tolist(), errs.tolist()
         assert vals == want_vals and errs == want_errs
         assert _bits(vals) == _bits(want_vals)
         assert _bits(errs) == _bits(want_errs)
@@ -335,8 +336,8 @@ def test_lockstep_budget_exhaustion_matches_single_call():
 
 
 def test_results_are_numpy_scalars():
-    # the heaps run on Python scalars, but callers' arithmetic (the Newton
-    # division, the Plemelj term) has always seen numpy scalars
+    # callers' arithmetic (the Newton division, the Plemelj term) has
+    # always seen numpy scalars
     val, err = integrate_finite(lambda x: np.exp(1j * x), 0.0, 2.0)
     assert type(val) is np.complex128 and type(err) is np.float64
     f, _ = _batched([lambda x: 3.0 * x**2 + 1.0, np.exp])
@@ -347,6 +348,153 @@ def test_results_are_numpy_scalars():
                          -1.0, 1.0, QuadConfig(max_subdivisions=8))
     assert type(exc.value.best_estimate) is np.complex128
     assert type(exc.value.err_est) is np.float64
+
+
+def _reference_batch(cases, cfg):
+    """Each problem through the one-interval reference, in order: the list
+    of (value, error), or the first problem's QuadratureError."""
+    want = []
+    for fi, a, b in cases:
+        try:
+            want.append(reference_integrate_finite(fi, a, b, cfg))
+        except QuadratureError as exc:
+            return exc
+    return want
+
+
+def _assert_batch_matches_reference(cases, cfg):
+    f, calls = _batched([fi for fi, _, _ in cases])
+    bounds = [(a, b) for _, a, b in cases]
+    want = _reference_batch(cases, cfg)
+    if isinstance(want, QuadratureError):
+        # the same first problem runs out of budget, with the same payload
+        with pytest.raises(QuadratureError) as got:
+            _integrate_many(f, bounds, cfg)
+        assert str(got.value) == str(want)
+        assert _bits([got.value.best_estimate]) == _bits([want.best_estimate])
+        assert _bits([got.value.err_est]) == _bits([want.err_est])
+        return calls
+    got = _integrate_many(f, bounds, cfg)
+    assert got == want
+    assert _bits([v for v, _ in got]) == _bits([v for v, _ in want])
+    assert _bits([e for _, e in got]) == _bits([e for _, e in want])
+    return calls
+
+
+def _peak_and_wave(x0, w, k, c):
+    return lambda x: w / ((x - x0) ** 2 + w * w) + c * np.exp(1j * k * x)
+
+
+_PROBLEM = st.tuples(
+    st.floats(-2.0, 2.0), st.one_of(st.just(0.0), st.floats(1e-3, 3.0)),
+    st.floats(-1.0, 1.0), st.floats(1e-3, 1.0), st.floats(0.0, 40.0),
+    st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_PROBLEM, min_size=1, max_size=7),
+       st.sampled_from([(1e-8, 1e-10, 400), (1e-12, 1e-14, 60),
+                        (1e-13, 1e-15, 12)]),
+       st.sampled_from([1, 2, 3, 128]))
+def test_random_lockstep_batches_match_one_interval_reference(problems,
+                                                              tols, cap):
+    # peaks and waves on random intervals, some empty, under budgets that
+    # some problems exhaust, with batches of 1, 2, 3 or 128 problems: every
+    # value and error, or the first raising problem and its payload, comes
+    # out bit for bit as the one-interval reference gives it
+    rel_tol, abs_tol, max_sub = tols
+    cfg = QuadConfig(rel_tol=rel_tol, abs_tol=abs_tol,
+                     max_subdivisions=max_sub)
+    cases = [(_peak_and_wave(x0, w, k, c), a, a + width)
+             for a, width, x0, w, k, c in problems]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qedvolterra.quadrature, "_LOCKSTEP_PROBLEMS", cap)
+        _assert_batch_matches_reference(cases, cfg)
+
+
+@pytest.mark.parametrize("f", [lambda x: 1.0 / (x * x + 1e-2),
+                               lambda x: np.cos(8.0 * x)],
+                         ids=["lorentzian", "cosine"])
+def test_exact_error_ties_split_the_smaller_a_first(f, monkeypatch):
+    # an even integrand on [-1, 1]: mirrored intervals have bitwise equal
+    # errors, and the heap order (-err, a, b) splits the one with the
+    # smaller a first, which is not always the first column
+    moved = []
+
+    def spy(error, a, b):
+        j = worst(error, a, b)
+        moved.append(np.any(j != error.argmax(axis=1)))
+        return j
+
+    worst = qedvolterra.quadrature._worst
+    monkeypatch.setattr(qedvolterra.quadrature, "_worst", spy)
+    cfg = QuadConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=400)
+    _assert_batch_matches_reference([(f, -1.0, 1.0), (f, -1.0, 1.0)], cfg)
+    assert any(moved)
+
+
+def test_worst_interval_order():
+    # largest error, then smallest a, then smallest b; a NaN error is taken
+    # first, in column order
+    nan = math.nan
+    error = np.array([[1.0, 2.0, 2.0, 0.5], [3.0, 1.0, 3.0, 3.0],
+                      [2.0, 2.0, 1.0, 0.0], [1.0, nan, 2.0, nan]])
+    a = np.array([[0.0, 0.5, 0.25, 0.75], [0.5, 0.0, 0.5, 0.25],
+                  [0.3, 0.3, 0.0, 0.9], [0.0, 0.5, 0.25, 0.1]])
+    b = np.array([[0.25, 0.75, 0.5, 1.0], [0.6, 0.5, 0.55, 0.5],
+                  [0.4, 0.35, 0.3, 1.0], [0.25, 0.75, 0.5, 0.2]])
+    np.testing.assert_array_equal(_worst(error, a, b), [2, 3, 1, 1])
+
+
+def test_budget_exhaustion_in_a_later_batch(monkeypatch):
+    # six non-empty problems in batches of three: the first problem to run
+    # out of budget is the sixth, in the second batch; each call of f holds
+    # the live problems of one batch only
+    monkeypatch.setattr(qedvolterra.quadrature, "_LOCKSTEP_PROBLEMS", 3)
+    cfg = QuadConfig(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=40)
+    easy = lambda x: 3.0 * x**2 + 1.0
+    hard = lambda x: np.cos(40.0 * x) / (1e-6 + x * x)
+    cases = [(easy, 0.0, 2.0), (np.exp, 0.0, 1.0), (easy, 1.0, 1.0),
+             (np.sin, 0.0, 3.0), (easy, -1.0, 0.0), (hard, -1.0, 1.0),
+             (hard, -1.0, 0.5)]
+    calls = _assert_batch_matches_reference(cases, cfg)
+    batches = [set(np.flatnonzero(c).tolist()) for c in calls]
+    assert batches[0] == {0, 1, 3} and {4, 5, 6} in batches
+    assert all(s <= {0, 1, 3} or s <= {4, 5, 6} for s in batches)
+
+
+def test_batch_larger_than_the_cap_matches_reference():
+    # more problems than one lockstep batch holds: consecutive batches in
+    # index order, every result as alone
+    cap = qedvolterra.quadrature._LOCKSTEP_PROBLEMS
+    rng = np.random.default_rng(5)
+    cases = [(_peak_and_wave(x0, 0.3, k, 0.5), a, a + 1.0)
+             for x0, k, a in zip(rng.uniform(-1, 1, 2 * cap + 5),
+                                 rng.uniform(0, 5, 2 * cap + 5),
+                                 rng.uniform(-1, 1, 2 * cap + 5))]
+    calls = _assert_batch_matches_reference(
+        cases, QuadConfig(rel_tol=1e-10, abs_tol=1e-12))
+    assert max(np.count_nonzero(c) for c in calls) == cap
+    firsts = [int(np.flatnonzero(c)[0]) for c in calls]
+    assert firsts == sorted(firsts)
+
+
+def test_nan_on_one_seven_point_node():
+    # a NaN at one 7-point node of [a, b] leaves the 15-point value finite
+    # and makes the error NaN; the total error never meets the tolerance,
+    # so the budget runs out with err = nan, exactly as in the reference
+    bad = 0.5 + 0.5 * _X7[0]
+
+    def f(x):
+        return np.where(x == bad, np.nan, np.exp(1j * x))
+
+    cfg = QuadConfig(max_subdivisions=30)
+    _assert_batch_matches_reference([(np.exp, 0.0, 1.0), (f, 0.0, 1.0)],
+                                    cfg)
+    with pytest.raises(QuadratureError) as exc:
+        integrate_finite(f, 0.0, 1.0, cfg)
+    assert math.isnan(exc.value.err_est) and "err=nan" in str(exc.value)
+    assert np.isfinite(exc.value.best_estimate)
 
 
 def test_ladder_without_decay_raises():

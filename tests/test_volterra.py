@@ -8,7 +8,8 @@ from qedvolterra import KernelEvaluator, ModelParams, SolverError, \
     SqueezeParams, TimeGrid, compute_Z, estimate_order, hydrogen_chi, \
     hydrogen_density, make_kernel, solve_ide, solve_integral_form, \
     squeezed_delta_concentrated
-from qedvolterra.volterra import ZKernel, _HistorySum, _gregory_weights
+from qedvolterra.volterra import ZKernel, _HistorySum, _gregory_weights, \
+    _solve_gregory4, _solve_trapezoid
 
 
 def const_kernel(value=1.0):
@@ -454,9 +455,10 @@ def test_nan_rows_are_a_solver_error(method):
 
 
 def test_nan_lags_past_the_first_leaf():
-    # NaN lags from t = 15 on reach the solves through the far field of a
-    # later leaf, whose rows then start non-finite: c turns NaN there and
-    # stays NaN, and the IDE solvers refuse it
+    # NaN lags from t = 15 on (k = 150, in the third leaf): c is NaN from
+    # exactly there, as in the step loops, and finite before it; the far
+    # field must not carry the NaN into earlier rows.  The IDE solvers
+    # refuse it at t = 15
     def tau_fn(lag):
         return complex(math.exp(-lag)) if abs(lag) < 15.0 else complex("nan")
 
@@ -465,11 +467,21 @@ def test_nan_lags_past_the_first_leaf():
     params = ModelParams(alpha=0.2, omega=0.5)
     grid = TimeGrid(dt=0.1, n_steps=4 * LEAF)
     for method in ("trapezoid", "gregory4"):
-        with pytest.raises(SolverError, match="not finite"):
+        with pytest.raises(SolverError, match="from t = 15 "):
             solve_ide(kernel, params, grid, method)
-    c = solve_integral_form(compute_Z(kernel, params, grid), grid).values
-    first = int(np.argmin(np.isfinite(c)))
-    assert LEAF <= first <= 150 and not np.isfinite(c[first:]).any()
+    W = kernel.tau_values(grid.times) * np.exp(1j * params.omega * grid.times)
+    z = compute_Z(kernel, params, grid)
+    for got, want in (
+            (_solve_trapezoid(kernel, params, grid),
+             direct_trapezoid(W, params.alpha, grid.dt)),
+            (_solve_gregory4(kernel, params, grid),
+             direct_gregory4(kernel, params, grid)),
+            (solve_integral_form(z, grid).values,
+             direct_integral_form(z.values, grid.dt))):
+        first = int(np.argmin(np.isfinite(got)))
+        assert first == 150 and not np.isfinite(got[first:]).any()
+        np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+        assert np.max(np.abs(got[:first] - want[:first])) <= 1e-12
 
 
 def test_singular_leaf_system_is_a_solver_error():
