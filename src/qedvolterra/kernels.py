@@ -46,6 +46,11 @@ class SpectralDensity:
     ``peak`` is the location of the maximum, ``scale`` the overall momentum
     scale of the density.  ``analytic_extension`` evaluates rho at complex
     argument and is required by the resonance-pole search.
+
+    ``family = (g, theta)`` declares the density one member of a parametric
+    family: ``fn(p) == g(p, theta)`` bit for bit, and ``g`` also takes an
+    array of parameters broadcast against ``p``.  Batched Laplace-side
+    quadrature then evaluates every member of a family in one ``g`` call.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -55,6 +60,7 @@ class SpectralDensity:
     decay_order: Optional[float] = None
     decay_rate: Optional[float] = None
     analytic_extension: Optional[Callable[[complex], complex]] = None
+    family: Optional[tuple[Callable, float]] = None
 
     def __post_init__(self):
         if (self.decay_order is None) == (self.decay_rate is None):
@@ -68,9 +74,17 @@ class SpectralDensity:
         return val if np.ndim(val) else float(val)
 
 
-def hydrogen_vacuum_density(p, alpha: float):
-    """rho(p) = (alpha^2 / 3 pi^2) p / ((p/alpha)^2 + 9/4)^4 for hydrogen."""
-    if not alpha > 0.0:
+def hydrogen_vacuum_density(p, alpha):
+    """rho(p) = (alpha^2 / 3 pi^2) p / ((p/alpha)^2 + 9/4)^4 for hydrogen.
+
+    ``alpha`` may be an array broadcast against ``p``; each value equals the
+    one computed with that scalar alpha, bit for bit.
+    """
+    if np.ndim(alpha):
+        alpha = np.asarray(alpha, dtype=float)
+        if not (alpha > 0.0).all():
+            raise ValueError("alpha must be positive")
+    elif not alpha > 0.0:
         raise ValueError("alpha must be positive")
     p = np.asarray(p, dtype=float)
     if (p < 0.0).any():
@@ -93,6 +107,7 @@ def hydrogen_density(alpha: float) -> SpectralDensity:
         peak=alpha * math.sqrt(9.0 / 28.0),
         decay_order=7.0,
         analytic_extension=ext,
+        family=(hydrogen_vacuum_density, alpha),
     )
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .atom import ModelParams
 from .kernels import SpectralDensity
 from .quadrature import QuadConfig, QuadratureError, _integrate_many, \
-    _truncation_points
+    _truncation_walks
 from .volterra import AmplitudeSeries, SolverError, TimeGrid
 
 _POLE_TOL = 1e-12
@@ -63,13 +63,19 @@ def _cauchy_transform(rho, ss: list, cfg: QuadConfig = _CAUCHY_CFG) -> list:
     p* = -Im s (small |Re s|), the near-pole window is handled by
     subtracting rho(p*) and integrating the subtracted pole in closed form;
     a milder peak is split at p*.  Every piece of every transform is one
-    problem of a single lockstep :func:`_integrate_many`, the problems of
-    each distinct density contiguous, so each refinement step calls each
-    density once, on its own slice of the nodes.  The truncation rungs
-    (P_k, |rho(P_k)|) do not depend on s, so one ladder walk per density
-    gives each of its points a truncation point (the first rung below its
-    own threshold 0.1 abs_tol max(|s|, 1)), and one call per density gives
-    its near-pole values rho(p*).  Each transform keeps its own truncation
+    problem of a single lockstep :func:`_integrate_many`.
+
+    The densities are grouped by the parametric family they declare
+    (``SpectralDensity.family = (g, theta)``); a density that declares none
+    is a family of one.  The problems of each family are contiguous, so
+    each refinement step makes one call per family on its own slice of the
+    nodes: g(p, theta) with each node's theta, or fn(p) for a family of
+    one.  The truncation rungs (P_k, |rho(P_k)|) do not depend on s, so
+    each density walks one ladder for all its points (each takes the first
+    rung below its own threshold 0.1 abs_tol max(|s|, 1)); the members of
+    a family walk their ladders in lockstep, one call per block of rungs,
+    each with its own start, decay and rungs.  One call per family gives
+    the near-pole values rho(p*).  Each transform keeps its own truncation
     point and branch, and sums its pieces in the same order as a transform
     done on its own, so the values do not depend on what shares the batch.
     """
@@ -77,64 +83,92 @@ def _cauchy_transform(rho, ss: list, cfg: QuadConfig = _CAUCHY_CFG) -> list:
     for s in ss:
         if s == 0.0:
             raise ValueError("s = 0 lies on the branch cut")
-    # the points of each distinct density, in order of first appearance
+    # the points of each distinct density, and the densities of each
+    # family, in order of first appearance
     groups = {}
     for k, r in enumerate(rhos):
         groups.setdefault(id(r), (r, []))[1].append(k)
-    bounds, s_of, r_of = [], [], []
-    # per density: its first problem; per transform: its first piece, its
-    # piece count, its closed-form term
-    starts, plans = [], [None] * len(ss)
+    families = {}
     for r, ks in groups.values():
-        cutoffs = [P for P, _ in _truncation_points(
-            r.fn, [0.1 * cfg.abs_tol * max(abs(ss[k]), 1.0) for k in ks],
-            decay_order=r.decay_order, decay_rate=r.decay_rate,
-            peak=r.peak)]
-        near = [0.0 < -ss[k].imag < P and abs(ss[k].real) < 0.05 * r.scale
-                for k, P in zip(ks, cutoffs)]
-        pstars = [-ss[k].imag for k, is_near in zip(ks, near) if is_near]
-        rstars = iter(np.asarray(r.fn(np.array(pstars))).tolist()
-                      if pstars else ())
+        key = id(r) if r.family is None else id(r.family[0])
+        families.setdefault(key, []).append((r, ks))
+    bounds, s_of, r_of, theta_of = [], [], [], []
+    # per family: its first problem and its call on the nodes of its
+    # problems i; per transform: its first piece, its piece count, its
+    # closed-form term
+    starts, calls, plans = [], [], [None] * len(ss)
+    for members in families.values():
+        r0 = members[0][0]
+        if len(members) == 1:
+            # fn(p) is g(p, theta) with a scalar theta: no gather per step
+            def call(p, m, fn=r0.fn):
+                return fn(p)
+            calls.append(call)
+        else:
+            g = r0.family[0]
+            thetas = np.array([r.family[1] for r, _ in members])
+
+            def call(p, m, g=g, thetas=thetas):
+                return g(p, thetas[m])
+            # theta_of is complete before the first step
+            calls.append(lambda p, i, g=g: g(p, theta_of[i]))
+        cutoffs = _truncation_walks(call, [
+            ([0.1 * cfg.abs_tol * max(abs(ss[k]), 1.0) for k in ks],
+             r.decay_order, r.decay_rate, r.peak, None) for r, ks in members])
+        near = [[0.0 < -ss[k].imag < P and abs(ss[k].real) < 0.05 * r.scale
+                 for k, (P, _) in zip(ks, cut)]
+                for (r, ks), cut in zip(members, cutoffs)]
+        pstars = [(-ss[k].imag, m) for m, (_, ks) in enumerate(members)
+                  for k, is_near in zip(ks, near[m]) if is_near]
+        rstars = iter(np.asarray(call(np.array([p for p, _ in pstars]),
+                                      np.array([m for _, m in pstars])))
+                      .tolist() if pstars else ())
         starts.append(len(bounds))
-        for k, P, is_near in zip(ks, cutoffs, near):
-            s = ss[k]
-            pstar = -s.imag
-            first = len(bounds)
-            log_term = None
-            # pieces (a, b, r) integrate (rho(p) - r) / (s + ip) over [a, b]
-            if is_near:
-                delta = min(pstar, P - pstar, r.scale)
-                a, b = pstar - delta, pstar + delta
-                rstar = complex(next(rstars))
-                pieces = [(0.0, a, 0.0), (a, b, rstar), (b, P, 0.0)]
-                # int_a^b dp/(s+ip) along the vertical segment Re = Re(s);
-                # the principal log branch is crossed when Re(s) < 0
-                log_diff = cmath.log(s + 1j * b) - cmath.log(s + 1j * a)
-                if s.real < 0.0:
-                    log_diff -= 2j * math.pi
-                log_term = rstar * log_diff / 1j
-            elif 0.0 < pstar < P:
-                # mild peak: split to help the adaptive rule
-                pieces = [(0.0, pstar, 0.0), (pstar, P, 0.0)]
-            else:
-                pieces = [(0.0, P, 0.0)]
-            for a, b, rp in pieces:
-                bounds.append((a, b))
-                s_of.append(s)
-                r_of.append(rp)
-            plans[k] = (first, len(pieces), log_term)
+        for m, ((r, ks), cut) in enumerate(zip(members, cutoffs)):
+            for k, (P, _), is_near in zip(ks, cut, near[m]):
+                s = ss[k]
+                pstar = -s.imag
+                first = len(bounds)
+                log_term = None
+                # pieces (a, b, r) integrate (rho(p) - r) / (s + ip) over
+                # [a, b]
+                if is_near:
+                    delta = min(pstar, P - pstar, r.scale)
+                    a, b = pstar - delta, pstar + delta
+                    rstar = complex(next(rstars))
+                    pieces = [(0.0, a, 0.0), (a, b, rstar), (b, P, 0.0)]
+                    # int_a^b dp/(s+ip) along the vertical segment
+                    # Re = Re(s); the principal log branch is crossed when
+                    # Re(s) < 0
+                    log_diff = cmath.log(s + 1j * b) - cmath.log(s + 1j * a)
+                    if s.real < 0.0:
+                        log_diff -= 2j * math.pi
+                    log_term = rstar * log_diff / 1j
+                elif 0.0 < pstar < P:
+                    # mild peak: split to help the adaptive rule
+                    pieces = [(0.0, pstar, 0.0), (pstar, P, 0.0)]
+                else:
+                    pieces = [(0.0, P, 0.0)]
+                for a, b, rp in pieces:
+                    bounds.append((a, b))
+                    s_of.append(s)
+                    r_of.append(rp)
+                    theta_of.append(0.0 if r.family is None
+                                    else r.family[1])
+                plans[k] = (first, len(pieces), log_term)
     s_of = np.array(s_of, dtype=complex)
     r_of = np.array(r_of, dtype=complex)
-    fns = [r.fn for r, _ in groups.values()]
+    theta_of = np.array(theta_of)
     starts = np.array(starts[1:])
 
     def f(p, idx):
-        # idx is nondecreasing, so each density's nodes are one slice
-        edges = [0, *np.searchsorted(idx, starts).tolist(), len(p)]
+        # idx is nondecreasing, so each family's nodes are one slice
+        edges = [0, *(np.searchsorted(idx, starts).tolist() if starts.size
+                      else ()), len(p)]
         rho_p = np.empty(p.shape, dtype=complex)
-        for fn, lo, hi in zip(fns, edges, edges[1:]):
+        for call, lo, hi in zip(calls, edges, edges[1:]):
             if lo < hi:
-                rho_p[lo:hi] = fn(p[lo:hi])
+                rho_p[lo:hi] = call(p[lo:hi], idx[lo:hi])
         # subtracting r = 0 leaves the plain pieces' values unchanged; in
         # place, so that few node-sized arrays are alive at once
         rho_p -= r_of[idx]

@@ -29,11 +29,14 @@ _X22 = np.concatenate([_X15, _X7])
 _W15C, _W7C = _W15.astype(complex), _W7.astype(complex)
 
 # problems that advance together in one lockstep batch of _integrate_many.
-# With batches of 96, 128 and 256, a seed-1 `qedvolterra sweep` of 24 alpha
-# allocates at most 0.89, 1.00 and 1.44 MiB at once (tracemalloc), against
-# 0.39 MiB when each alpha ran alone; 128 keeps the sweep's peak RSS within
-# 1 MiB of that, at 0.26-0.27 s per sweep against 0.28-0.29 s for 96
-# (2-vCPU Xeon VM)
+# With one call per density family per step, a seed-1 `qedvolterra sweep`
+# of 24 alpha allocates at most 0.70, 0.80 and 1.24 MiB at once
+# (tracemalloc) with batches of 96, 128 and 256.  Warm, in one process, a
+# sweep takes 0.172-0.175, 0.159-0.166 and 0.155-0.176 s (medians of 8,
+# seeds 1-2); in a fresh process (perfbench `run_s`, seeds 1-2) 0.198/0.192,
+# 0.178/0.174 and 0.179/0.189 s, and 256 adds 0.55 MiB to the peak RSS.
+# 128 is the fastest cold and the leaner of the two fast ones (2-vCPU Xeon
+# VM)
 _LOCKSTEP_PROBLEMS = 128
 
 _AITKEN_LEVELS = 8
@@ -244,29 +247,59 @@ def _truncation_points(g, abs_tols, *, decay_order=None, decay_rate=None,
     alone.  Raises :class:`QuadratureError` if some tolerance is met by no
     rung.
     """
-    tols = np.asarray(abs_tols, dtype=float)
-    out = [None] * len(tols)
-    pending = np.arange(len(tols))
-    P = start if start is not None else max(8.0 * max(peak, 0.0), 1.0)
+    return _truncation_walks(lambda P, m: g(P), [
+        (abs_tols, decay_order, decay_rate, peak, start)])[0]
+
+
+def _truncation_walks(g, walks) -> list:
+    """:func:`_truncation_points` for several ladders, walked in lockstep.
+
+    ``walks[m]`` is (abs_tols, decay_order, decay_rate, peak, start) of
+    walk m.  Each block of rungs of every unfinished walk is one call
+    ``g(P, m)``, where the integer array ``m`` names the walk of each rung.
+    Each walk keeps its own start, decay and rungs, so its list of (P,
+    bound) equals the one :func:`_truncation_points` gives it alone.
+
+    A tolerance is still pending while it is below every bound so far, so
+    with a walk's tolerances sorted largest first, those a rung meets are
+    the first pending ones: each rung costs a few float comparisons.
+    """
+    tols = [np.asarray(w[0], dtype=float).tolist() for w in walks]
+    out = [[None] * len(t) for t in tols]
+    queue = [sorted(range(len(ts)), key=ts.__getitem__, reverse=True)
+             for ts in tols]
+    met = [0] * len(walks)
+    rung = [start if start is not None else max(8.0 * max(peak, 0.0), 1.0)
+            for _, _, _, peak, start in walks]
+    live = [m for m, ts in enumerate(tols) if ts]
     for _ in range(_LADDER_RUNGS // _LADDER_BLOCK):
-        if not pending.size:
+        live = [m for m in live if met[m] < len(tols[m])]
+        if not live:
             return out
         ladder = []
-        for _ in range(_LADDER_BLOCK):
-            ladder.append(P)
-            P *= 1.5
-        gabs = np.abs(np.asarray(g(np.array(ladder))))
-        for P_k, gP in zip(ladder,
-                           gabs.reshape(len(ladder), -1).max(axis=1).tolist()):
-            if decay_rate is not None:
-                bound = gP / decay_rate
-            else:
-                bound = gP * P_k / (decay_order - 1.0)
-            met = bound <= tols[pending]
-            for i in pending[met].tolist():
-                out[i] = (P_k, bound)
-            pending = pending[~met]
-    if pending.size:
+        for m in live:
+            P = rung[m]
+            for _ in range(_LADDER_BLOCK):
+                ladder.append(P)
+                P *= 1.5
+            rung[m] = P
+        gabs = np.abs(np.asarray(g(np.array(ladder),
+                                   np.repeat(live, _LADDER_BLOCK))))
+        gmax = gabs.reshape(len(ladder), -1).max(axis=1).tolist()
+        for j, m in enumerate(live):
+            _, decay_order, decay_rate, _, _ = walks[m]
+            ts, ks, i = tols[m], queue[m], met[m]
+            block = slice(j * _LADDER_BLOCK, (j + 1) * _LADDER_BLOCK)
+            for P_k, gP in zip(ladder[block], gmax[block]):
+                if decay_rate is not None:
+                    bound = gP / decay_rate
+                else:
+                    bound = gP * P_k / (decay_order - 1.0)
+                while i < len(ks) and bound <= ts[ks[i]]:
+                    out[m][ks[i]] = (P_k, bound)
+                    i += 1
+            met[m] = i
+    if any(n < len(ts) for n, ts in zip(met, tols)):
         raise QuadratureError("could not find a truncation point for the tail")
     return out
 

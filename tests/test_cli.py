@@ -588,10 +588,18 @@ def test_sweep_matches_one_interval_quadrature(tmp_path, monkeypatch):
         walked.extend(abs_tols)
         return [reference_truncation_point(g, tol, **kw) for tol in abs_tols]
 
+    def one_ladder_per_walk(g, walks):
+        return [one_ladder_per_tolerance(
+            lambda P, m=m: g(P, np.full(P.shape, m)), tols,
+            decay_order=order, decay_rate=rate, peak=peak, start=start)
+            for m, (tols, order, rate, peak, start) in enumerate(walks)]
+
     for module in (qedvolterra.quadrature, qedvolterra.laplace):
         monkeypatch.setattr(module, "_integrate_many", one_at_a_time)
-        monkeypatch.setattr(module, "_truncation_points",
-                            one_ladder_per_tolerance)
+    monkeypatch.setattr(qedvolterra.quadrature, "_truncation_points",
+                        one_ladder_per_tolerance)
+    monkeypatch.setattr(qedvolterra.laplace, "_truncation_walks",
+                        one_ladder_per_walk)
     monkeypatch.setattr(qedvolterra.quadrature, "_truncation_point",
                         reference_truncation_point)
     monkeypatch.setattr(qedvolterra.quadrature, "integrate_finite",

@@ -93,6 +93,53 @@ def test_nonnegative_momentum_accepted(p):
     assert np.all(np.asarray(want) >= 0.0)
 
 
+def _hydrogen_formula(p, alpha):
+    # the formula with one scalar alpha: the reference for the array form
+    p = np.asarray(p, dtype=float)
+    val = (alpha * alpha / (3.0 * math.pi**2)) * p / ((p / alpha)**2 + 2.25)**4
+    return val if val.ndim else float(val)
+
+
+_P_GRIDS = [np.linspace(0.0, 30.0, 1200), np.linspace(0.1, 40.0, 20),
+            np.array([0.0, 0.5, 2.0]), 0.0, -0.0, np.array(0.7)]
+
+
+@pytest.mark.parametrize("p", _P_GRIDS,
+                         ids=["table", "lags", "array", "zero", "-zero",
+                              "0-d"])
+def test_hydrogen_density_of_an_alpha_array(p):
+    # scalar alpha: the values of the formula as written, bit for bit; an
+    # alpha array broadcast against p: each value that of its own scalar
+    # alpha
+    alphas = [1.0, 0.1, 0.5, 0.7565217391304349]
+    for alpha in alphas:
+        got = hydrogen_vacuum_density(p, alpha)
+        want = _hydrogen_formula(p, alpha)
+        assert type(got) is type(want)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    column = np.array(alphas)[:, None]
+    grid = hydrogen_vacuum_density(p, column)
+    assert grid.shape == (len(alphas), np.size(p))
+    for row, alpha in zip(grid, alphas):
+        assert row.tobytes() == np.atleast_1d(
+            _hydrogen_formula(p, alpha)).tobytes()
+    # one alpha per node, each checked against a one-node array (a numpy
+    # scalar's ** is not the array's and may differ in the last bit)
+    flat = np.ravel(p)
+    per_node = np.resize(alphas, flat.shape)
+    want = np.concatenate([_hydrogen_formula(flat[k:k + 1], a)
+                           for k, a in enumerate(per_node.tolist())])
+    assert hydrogen_vacuum_density(flat, per_node).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.3, math.nan])
+def test_hydrogen_density_refuses_a_bad_alpha_element(bad):
+    p = np.array([0.5, 1.0, 2.0])
+    for alpha in (bad, np.array([0.5, bad, 1.0]), np.array([[bad]])):
+        with pytest.raises(ValueError, match="^alpha must be positive$"):
+            hydrogen_vacuum_density(p, alpha)
+
+
 def test_density_from_table_round_trip(tmp_path):
     alpha = 1.0
     p = np.linspace(0.0, 30.0, 1200)

@@ -1,16 +1,20 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import qedvolterra.laplace
 from qedvolterra import MissingExtensionError, ModelParams, QuadConfig, \
-    SpectralDensity, TimeGrid, analyze, bromwich_invert, find_pole, \
-    hydrogen_density, integrate_finite, make_kernel, markov_rate, s_hat, \
-    s_hat_second_sheet, solve_ide
+    SpectralDensity, TimeGrid, analyze, bromwich_invert, \
+    density_from_table, find_pole, hydrogen_density, \
+    hydrogen_vacuum_density, integrate_finite, make_kernel, markov_rate, \
+    s_hat, s_hat_second_sheet, solve_ide
 from qedvolterra.laplace import _BROMWICH_CFG, _CAUCHY_CFG, _MAX_NEWTON, \
     _POLE_TOL, _cauchy_transform
-from qedvolterra.quadrature import _truncation_point
+from qedvolterra.quadrature import _truncation_point, _truncation_points, \
+    _truncation_walks
 from qedvolterra.volterra import AmplitudeSeries
 
 # ------------------------------------------------- one-at-a-time oracles
@@ -262,6 +266,174 @@ def test_residual_is_the_accepting_rounds(alpha, synthetic_density):
                * s_hat_second_sheet(rho, an.pole - 1j * params.omega))
     assert np.array(an.residual).tobytes() == np.array(want).tobytes()
     assert type(an.residual) is type(want)
+
+
+def _bits(values):
+    return np.array(values, dtype=complex).tobytes()
+
+
+def _hydrogen_family(alphas):
+    """Hydrogen densities at ``alphas``, declared as one family whose g
+    records each call's nodes, parameters and values."""
+    calls = []
+
+    def g(p, alpha):
+        val = hydrogen_vacuum_density(p, alpha)
+        calls.append((np.array(p), np.broadcast_to(alpha, np.shape(p)).copy(),
+                      np.array(val)))
+        return val
+
+    return [replace(hydrogen_density(a), family=(g, a)) for a in alphas], \
+        calls
+
+
+def test_family_cauchy_transform_matches_per_density(synthetic_density):
+    # hydrogen at three alpha, one family, mixed with p e^{-p} and a table
+    # density (no family) in one batch, points interleaved: near-pole,
+    # split and plain branches on both sides of the cut.  Every value
+    # equals its density's own batch without a family, bit for bit, and
+    # the densities without a family see exactly the calls of their own
+    # batch
+    family, g_calls = _hydrogen_family([0.3, 0.5, 0.9])
+    p = np.linspace(0.0, 8.0, 200)
+    table = density_from_table(np.column_stack([p, p * np.exp(-p)]), 4.0)
+    per_density = [
+        (family[0], [0.2 - 0.1j, 1e-6 - 0.03375j, -1e-6 - 0.03375j, 0.5]),
+        (synthetic_density, [2.0 + 1.0j, -0.02 - 0.2j, 1e-3 - 5.0j]),
+        (family[1], [0.3 - 0.1j, -1e-6 - 0.09375j, 1e-6 - 0.3j]),
+        (table, [0.5 - 0.5j, 1e-4 - 1.2j, 3.0]),
+        (family[2], [0.2 - 0.3j, -1e-6 - 0.30375j, 1e-3 - 2.0j])]
+    alone, logged = [], []
+    for rho, points in per_density:
+        plain = replace(rho, family=None)
+        want = _cauchy_transform(plain, points)
+        assert _bits(want) == _bits(
+            [reference_cauchy_transform(plain, s) for s in points])
+        if rho.family is None:
+            alone_rho, alone_calls = _logged(rho)
+            _cauchy_transform(alone_rho, points)
+            rho, calls = _logged(rho)
+            logged.append((calls, alone_calls))
+        alone.append((rho, points, want))
+    rhos, points = [], []
+    for k in range(4):
+        for rho, pts, _ in alone:
+            if k < len(pts):
+                rhos.append(rho)
+                points.append(pts[k])
+    got = _cauchy_transform(rhos, points)
+    for rho, pts, want in alone:
+        assert _bits([v for r, v in zip(rhos, got) if r is rho]) \
+            == _bits(want)
+    for calls, alone_calls in logged:
+        assert calls == alone_calls
+    # the first family call is a ladder block of all three members
+    assert len(g_calls) > 10
+    assert set(g_calls[0][1].tolist()) == {0.3, 0.5, 0.9}
+
+
+def test_family_ladders_and_near_pole_values_match_per_density():
+    # each member walks its own ladder (start 8 * peak, decay p^-7) with
+    # its own tolerances; the lockstep walk makes one g call per block, as
+    # many as the longest walk alone, and each result equals the member's
+    # own _truncation_points
+    alphas = [0.2, 0.45, 1.0, 3.0]
+    family, calls = _hydrogen_family(alphas)
+    thetas = np.array(alphas)
+    tols = [[1e-16, 1e-20, 1e-13], [1e-16], [], [1e-25, 1e-16]]
+    walks = [(t, rho.decay_order, rho.decay_rate, rho.peak, None)
+             for rho, t in zip(family, tols)]
+    got = _truncation_walks(lambda P, m: family[0].family[0](P, thetas[m]),
+                            walks)
+    blocks = []
+    for rho, t, walk in zip(family, tols, got):
+        sizes = []
+
+        def fn(P, rho=rho):
+            sizes.append(np.size(P))
+            return rho.fn(P)
+
+        assert walk == _truncation_points(fn, t, decay_order=rho.decay_order,
+                                          peak=rho.peak)
+        blocks.append(len(sizes))
+    assert len(calls) == max(blocks) > 1
+    # the near-pole values rho(p*) of a family batch come from one call,
+    # each equal to its own density's value
+    points = [1e-6 - 0.01j, 0.4 - 0.2j, -1e-6 - 0.06j, 1e-5 - 0.4j,
+              -2e-5 - 0.1j, 1e-6 - 0.5j]
+    rhos = [family[k % 4] for k in range(len(points))]
+    del calls[:]
+    _cauchy_transform(rhos, points)
+    # in the batch's order: member by member, each member's points in order
+    near = sorted([(r, -s.imag) for r, s in zip(rhos, points)
+                   if abs(s.real) < 0.05 * r.scale],
+                  key=lambda n: family.index(n[0]))
+    assert len(near) == 5
+    pstars = [p for _, p in near]
+    hits = [c for c in calls if c[0].tolist() == pstars]
+    assert len(hits) == 1
+    _, th, vals = hits[0]
+    assert th.tolist() == [r.family[1] for r, _ in near]
+    assert vals.tobytes() == np.array(
+        [r.fn(np.array([p]))[0] for r, p in near]).tobytes()
+
+
+def test_family_analyze_matches_per_density_analyze(synthetic_density):
+    # hydrogen at three alpha, as one family and as densities without a
+    # family, with p e^{-p} in the batch: the same records bit for bit
+    rhos, params = [], []
+    for alpha in (0.2, 0.7565217391304349, 1.0):
+        rho, p = _hydrogen(alpha)
+        rhos.append(rho)
+        params.append(p)
+    rhos.insert(1, synthetic_density)
+    params.insert(1, ModelParams(alpha=0.01, omega=1.0))
+    got = analyze(rhos, params)
+    want = analyze([replace(r, family=None) for r in rhos], params)
+    for an, one in zip(got, want):
+        assert _bits([an.pole, an.gamma_pole, an.gamma_markov,
+                      an.lamb_shift, an.residual]) \
+            == _bits([one.pole, one.gamma_pole, one.gamma_markov,
+                      one.lamb_shift, one.residual])
+
+
+def test_family_is_called_once_per_lockstep_step(monkeypatch):
+    # a 24-alpha hydrogen sweep: every lockstep step of every batch of
+    # transforms calls the family's g exactly once and no density's fn, so
+    # a return to one call per density per step fails here
+    alphas = np.linspace(0.2, 1.0, 24).tolist()
+    family, calls = _hydrogen_family(alphas)
+    fn_calls = []
+
+    def counting_fn(rho):
+        def fn(p):
+            fn_calls.append(np.size(p))
+            return rho.fn(p)
+        return fn
+
+    rhos = [replace(r, fn=counting_fn(r)) for r in family]
+    params = [ModelParams(alpha=a, omega=0.375 * a * a) for a in alphas]
+    per_step = []
+    integrate_many = qedvolterra.laplace._integrate_many
+
+    def counted(f, bounds, cfg):
+        def step(p, idx):
+            before = len(calls), len(fn_calls)
+            out = f(p, idx)
+            per_step.append((len(calls) - before[0],
+                             len(fn_calls) - before[1]))
+            return out
+        return integrate_many(step, bounds, cfg)
+
+    monkeypatch.setattr(qedvolterra.laplace, "_integrate_many", counted)
+    got = analyze(rhos, params)
+    assert len(per_step) > 100
+    assert set(per_step) == {(1, 0)}
+    # ladders and near-pole values: a few calls per batch, not per alpha
+    assert len(calls) - len(per_step) < len(per_step) // 4
+    monkeypatch.undo()
+    want = analyze([replace(r, family=None) for r in family], params)
+    assert _bits([an.pole for an in got]) == _bits([an.pole for an in want])
 
 
 @pytest.mark.parametrize("case", ["hydrogen", "synthetic"])

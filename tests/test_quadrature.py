@@ -9,8 +9,9 @@ from qedvolterra import QuadConfig, QuadratureError, hydrogen_density, \
     integrate_finite, oscillatory_halfline
 from qedvolterra.kernels import hydrogen_vacuum_density
 import qedvolterra.quadrature
-from qedvolterra.quadrature import _integrate_many, _rule_estimates, \
-    _truncation_point, _truncation_points, _worst
+from qedvolterra.quadrature import _LADDER_BLOCK, _LADDER_RUNGS, \
+    _integrate_many, _rule_estimates, _truncation_point, _truncation_points, \
+    _truncation_walks, _worst
 
 TIGHT = QuadConfig(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -263,6 +264,74 @@ def test_batched_ladder_matches_per_tolerance_reference(kind):
         reference_truncation_point(g, -1.0, **kw)
     with pytest.raises(QuadratureError):
         _truncation_points(g, tols + [-1.0], **kw)
+
+
+_walk = st.one_of(
+    st.tuples(st.just("algebraic"), st.floats(0.05, 5.0)),
+    st.tuples(st.just("exponential"), st.floats(0.1, 4.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_walk, st.lists(st.integers(-40, -1), max_size=6)),
+                min_size=1, max_size=5))
+def test_random_lockstep_ladders_match_per_tolerance_reference(walks):
+    # several ladders with their own envelope, decay, start and unsorted,
+    # duplicated tolerances (one of them a rung's own bound), walked in
+    # lockstep: each equals one reference walk per tolerance, and the
+    # blocks of all walks share one g call each
+    gs, specs, want, walked = [], [], [], []
+    for (kind, x), exps in walks:
+        if kind == "algebraic":
+            g = (lambda p, a=x: hydrogen_vacuum_density(p, a))
+            kw = dict(decay_order=7.0, peak=x * math.sqrt(9.0 / 28.0))
+        else:
+            g = (lambda p, r=x: np.exp(-r * p))
+            kw = dict(decay_rate=x, start=0.5 * x)
+        tols = [10.0 ** e for e in exps]
+        if tols:
+            tols.append(reference_truncation_point(g, tols[0], **kw)[1])
+        gs.append(g)
+        specs.append((tols, kw.get("decay_order"), kw.get("decay_rate"),
+                      kw.get("peak", 0.0), kw.get("start")))
+        rungs = []
+        for tol in tols:
+            log = _CallLog(g)
+            want.append(reference_truncation_point(log, tol, **kw))
+            rungs.append(len(log.sizes))
+        walked.append(max(rungs, default=0))
+    calls = []
+
+    def g_all(P, m):
+        calls.append(np.bincount(m, minlength=len(gs)).tolist())
+        return np.concatenate([gs[k](P[m == k]) for k in np.unique(m)])
+
+    got = _truncation_walks(g_all, specs)
+    assert [x for walk in got for x in walk] == want
+    blocks = [-(-n // _LADDER_BLOCK) for n in walked]
+    assert len(calls) == max(blocks)
+    for j, sizes in enumerate(calls):
+        assert sizes == [_LADDER_BLOCK if j < b else 0 for b in blocks]
+
+
+def test_nan_tolerance_walks_every_rung_and_fails():
+    # a NaN tolerance is met by no rung: as alone, the walk takes every
+    # block and fails, and the other walks' rungs share its calls until
+    # they are done
+    rho = hydrogen_density(0.7)
+    kw = dict(decay_order=7.0, peak=rho.peak)
+    calls = []
+
+    def g(P, m):
+        calls.append(np.size(P))
+        return rho.fn(P)
+
+    spec = ([1e-12, math.nan, 1e-3], 7.0, None, rho.peak, None)
+    with pytest.raises(QuadratureError):
+        _truncation_walks(g, [([1e-16], 7.0, None, rho.peak, None), spec])
+    with pytest.raises(QuadratureError):
+        reference_truncation_point(rho.fn, math.nan, **kw)
+    assert len(calls) == _LADDER_RUNGS // _LADDER_BLOCK
+    assert calls[0] == 2 * _LADDER_BLOCK and calls[-1] == _LADDER_BLOCK
 
 
 # ------------------------------------------------------ lockstep batch
