@@ -447,9 +447,9 @@ def _kernel_lines(cfg: RunConfig, params, density,
                   grid: TimeGrid) -> list[str]:
     # point evaluations only; skip the solver's spline tabulation
     kernel = _build_kernel(cfg, params, density, None)
-    times = grid.times
-    if len(times) > 4096:
-        times = times[::len(times) // 4096 + 1]
+    # the samples of grid.times[::stride], without building the grid
+    n = grid.n_steps + 1
+    times = np.arange(0, n, n // 4096 + 1 if n > 4096 else 1) * grid.dt
     if kernel.stationary:
         lines = ["tau,re_S,im_S"]
         for tau in times:

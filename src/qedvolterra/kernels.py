@@ -65,6 +65,13 @@ class SpectralDensity:
     def __post_init__(self):
         if (self.decay_order is None) == (self.decay_rate is None):
             raise ValueError("declare exactly one of decay_order / decay_rate")
+        # the tail bounds divide by decay_rate and by decay_order - 1
+        if self.decay_order is not None \
+                and not 1.0 < self.decay_order < math.inf:
+            raise ValueError("decay_order must be finite and > 1")
+        if self.decay_rate is not None \
+                and not 0.0 < self.decay_rate < math.inf:
+            raise ValueError("decay_rate must be finite and > 0")
 
     def __call__(self, p):
         p = np.asarray(p, dtype=float)

@@ -301,10 +301,13 @@ def _find_poles(rhos, params, s_inits, cfg: QuadConfig) -> list:
             raise ValueError("alpha = 0 has no resonance pole")
     s_inits = list(s_inits)
     todo = [k for k, z in enumerate(s_inits) if z is None]
-    firsts = _first_sheet([rhos[k] for k in todo],
-                          [complex(1e-6 * rhos[k].scale
-                                   - 1j * params[k].omega) for k in todo],
-                          cfg)
+    points = [complex(1e-6 * rhos[k].scale - 1j * params[k].omega)
+              for k in todo]
+    if any(z.real <= 0.0 for z in points):
+        raise SolverError("pole search cannot start: its first-sheet point "
+                          "Re s = 1e-6 * scale underflows to 0 (density "
+                          "scale too small)")
+    firsts = _first_sheet([rhos[k] for k in todo], points, cfg)
     for k, v in zip(todo, firsts):
         s_inits[k] = -params[k].alpha * v
     scales = [max(abs(z), 1e-3 * rho.scale) for z, rho in zip(s_inits, rhos)]

@@ -12,14 +12,17 @@ kernels the equivalent second-kind integral form
 c(T) = 1 - integral_0^T Z(T-s) c(s) ds is also provided.
 
 All three solvers share one time stepper.  The history sums of the
-stationary part over earlier leaves of 64 steps are taken by blocked FFT in
+stationary part over earlier leaves are taken by blocked FFT in
 O(N log^2 N) (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
 (1985) 532-541).  What is left inside a leaf is linear in its unknown c
-values, so each leaf is one lower-triangular linear system instead of 64
-steps: for a stationary kernel every leaf shares one inverse, applied as a
-convolution, and a non-stationary leaf is one ``np.linalg.solve``.  The
-implicit diagonal weight is checked at every grid time.  The module needs
-numpy only; scipy is never imported here.
+values, so each leaf is one lower-triangular linear system instead of a
+loop of steps.  For a stationary kernel the whole scheme is one
+lower-triangular Toeplitz recurrence: its known terms are summed once for
+the whole grid, and each leaf of 256 steps is solved by one convolution
+with an inverse that all leaves share.  A non-stationary leaf of 64 steps
+is one ``np.linalg.solve``.  The implicit diagonal weight is checked at
+every grid time.  The module needs numpy only; scipy is never imported
+here.
 """
 
 from __future__ import annotations
@@ -127,48 +130,51 @@ def _check_step(alpha: float, dt: float, s_diag):
 
 class _HistorySum:
     """Far-field history sums F_k = sum_{j<lo} c_j W_{k-j} for the leaf
-    [lo, lo + _LEAF) holding k, read leaf by leaf in increasing order while
+    [lo, lo + leaf) holding k, read leaf by leaf in increasing order while
     the caller fills in ``c``; the leaf at lo needs only c_0 .. c_{lo-1}.
+    ``known``, if given, is the array the sums are added to.
 
     Any pair (j, k) in different leaves lies in a smallest aligned dyadic
     block, with j in its lower half [m - B, m) and k in its upper half
     [m, m + B).  That source half reaches all its targets through one
     circular FFT of size 2B as soon as c_{m-1} is known.  Each leaf
-    boundary m = q * _LEAF completes exactly one source half,
-    B = _LEAF * (q & -q), so a solve of N steps costs O(N log^2 N) instead
+    boundary m = q * leaf completes exactly one source half,
+    B = leaf * (q & -q), so a solve of N steps costs O(N log^2 N) instead
     of O(N^2).  The transform of W[:2B] depends on B only and is kept.
     """
 
-    # three 50k-step solves (2-vCPU Xeon VM) take 0.50, 0.33, 0.29 and 0.25 s
-    # with leaves of 32, 64, 128 and 256 steps, and peak at 47.0, 47.1, 47.6
-    # and 48.4 MiB against 45.6 MiB for one step per iteration: 64 buys most
-    # of the speed for 1.5 MiB
+    # the non-stationary leaf (the stationary one is _TOEPLITZ_LEAF): a
+    # 4000-step tabulated squeezed Gregory-4 solve (2-vCPU Xeon VM, median
+    # of 7) took 1.03 to 1.07 s at 32, 64, 128 and 256 steps alike
     _LEAF = 64
 
-    def __init__(self, W: np.ndarray, c: np.ndarray):
+    def __init__(self, W: np.ndarray, c: np.ndarray, leaf: int = _LEAF,
+                 known: Optional[np.ndarray] = None):
         self._W = W
         self._c = c
-        self._far = np.zeros(len(W), dtype=complex)
+        self._leaf = leaf
+        self._far = np.zeros(len(W), dtype=complex) if known is None \
+            else known
         self._done = 0      # source blocks ending at or before here are in
         self._W_fft = {}    # block size B -> fft(W[:2B], n=2B)
 
     def leaf(self, lo: int) -> np.ndarray:
-        """F_k for k in the leaf [lo, lo + _LEAF)."""
+        """F_k for k in the leaf [lo, lo + leaf)."""
         while self._done < lo:
-            self._done += self._LEAF
+            self._done += self._leaf
             self._add_block(self._done)
-        return self._far[lo:lo + self._LEAF]
+        return self._far[lo:lo + self._leaf]
 
     def __call__(self, k: int) -> complex:
         """H_k = sum_{j<k} c_j W_{k-j}: F_k plus the pairs inside k's leaf,
         summed directly; needs c_0 .. c_{k-1}."""
-        lo = k - k % self._LEAF
+        lo = k - k % self._leaf
         return self.leaf(lo)[k - lo] \
             + np.dot(self._c[lo:k], self._W[k - lo:0:-1])
 
     def _add_block(self, m: int):
-        q = m // self._LEAF
-        b = self._LEAF * (q & -q)
+        q = m // self._leaf
+        b = self._leaf * (q & -q)
         w = self._W_fft.get(b)
         if w is None:
             w = self._W_fft[b] = np.fft.fft(self._W[:2 * b], n=2 * b)
@@ -193,18 +199,11 @@ _TRAPEZOID_ENDS = np.array([0.5])
 _TRAPEZOID_BETA = np.array([0.5, 0.5])
 _GREGORY_BETA = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
 
-
-def _leaf_matrix(Bu, beta):
-    """A of c_k - c_{k-1} - sum_q beta_q (Bu c)_{k-q} = rhs_k on one leaf,
-    or of c_k - (Bu c)_k = rhs_k for beta None, Bu being B over the leaf's
-    unknown columns.  Row k reads rows k-Q .. k of Bu only."""
-    m = len(Bu)
-    if beta is None:
-        return np.eye(m) - Bu
-    A = np.eye(m, dtype=complex) - np.eye(m, k=-1)
-    for q, b in enumerate(beta):
-        A[q:] -= b * Bu[:m - q]
-    return A
+# three 50k-step stationary solves (trapezoid, Gregory-4, integral form;
+# 2-vCPU Xeon VM, median of 11) take 0.204, 0.161, 0.148, 0.159 and
+# 0.167 s with leaves of 64 to 1024 steps: past 256 the O(leaf^2) inverse
+# and convolutions cost more than the fewer FFT blocks save
+_TOEPLITZ_LEAF = 256
 
 
 def _toeplitz_inverse(a):
@@ -220,53 +219,93 @@ def _toeplitz_inverse(a):
     return x
 
 
-def _solve_leaves(c, start, phi, W, extra, scale, ends, beta, check=None):
+def _solve_toeplitz(c, start, phi, W, scale, ends, beta):
+    """Fill c[start:] for the scheme above with a stationary kernel,
+    K_k[j] = W[k - j]; W's lags 1 .. len(ends) - 1 are weighted in place.
+
+    Over the unknowns x = c[start:], phi is the convolution v * x,
+    v = -scale * w * W with the lag-end weights w, plus the terms of the
+    known c_0 .. c_{start-1}, summed once for the whole grid into the far
+    field's array.  Each leaf's system is a leading block of one Toeplitz
+    matrix, so all share one inverse column: one convolution solves a leaf
+    from its far field, c_{s-1} and the phi tail before it, and one more
+    gives its own tail.
+    """
+    finite = np.isfinite(W)
+    if not finite.all():
+        # a step loop's c_k reads lags 0..k only, so c is NaN from the
+        # first non-finite lag m on and c[:m] is the solve on W[:m]; the
+        # FFT far field would carry lag m into rows before m
+        m = int(np.argmin(finite))
+        c[max(m, start):] = np.nan
+        if m <= start:
+            return
+        c, W = c[:m], W[:m]
+    x = c[start:]
+    n = len(x)
+    e = len(ends)
+    W[1:e] *= ends[1:]
+    # x is free until it is solved: it holds each start column's term
+    known = np.zeros(n, dtype=complex)
+    for j in range(start):
+        np.multiply(W[start - j:start - j + n],
+                    c[j] * ends[j] if j < e else c[j], out=x)
+        known += x
+    hist = _HistorySum(W[:n], x, _TOEPLITZ_LEAF, known)
+    v = -scale * W[:min(_TOEPLITZ_LEAF, n)]
+    v[0] *= ends[0]
+    if beta is None:
+        a = -v
+    else:
+        a = -np.convolve(v, beta)[:len(v)]
+        a[1:2] -= 1.0
+    a[0] += 1.0
+    # an entry that overflows makes every row from its own on non-finite in
+    # each leaf, as a step loop's overflowing c would
+    inverse = _toeplitz_inverse(a)
+    q = len(phi)
+    # the last q rows of v * x over a full leaf, as one 'valid' convolution
+    tail = np.concatenate((np.zeros(q - 1), v)) if q else None
+    for lo in range(0, n, _TOEPLITZ_LEAF):
+        p = -scale * hist.leaf(lo)
+        m = len(p)
+        if beta is None:
+            rhs = p + c[0]
+        else:
+            # rhs_i = sum_q beta_q phi_{i-q}, phi of earlier leaves carried
+            rhs = np.convolve(np.concatenate((phi, p)), beta)[q:q + m]
+            rhs[0] += c[start + lo - 1]
+        x[lo:lo + m] = np.convolve(inverse[:m], rhs)[:m]
+        if q and lo + m < n:
+            phi = p[m - q:] + np.convolve(tail, x[lo:lo + m], "valid")
+
+
+def _solve_leaves(c, start, phi, W, extra, scale, ends, beta, check):
     """Fill c[start:] given c[:start] and phi_{start-Q} .. phi_{start-1}
     (``phi``, Q = len(beta) - 1) for the scheme above, K_k[j] being
     W[k - j] + extra(k)[j] (W or extra may be None).
 
-    Each leaf [lo, hi) of :class:`_HistorySum` is one lower-triangular
-    linear system A c[s:hi] = rhs in its unknowns, s = max(lo, start).  The
-    right-hand side carries everything known: the FFT far field of W and
-    the rows' own sums over j < lo (weight 1), the end-weight corrections
-    at j < len(ends) and at the lags that reach back before lo, the known
-    columns of the first leaf, c_{s-1} and the boundary phi values.  A
-    stationary kernel's leaves share one inverse; a non-stationary leaf
-    goes into one ``np.linalg.solve``.
+    A stationary kernel (extra None) goes to :func:`_solve_toeplitz`.
+    Otherwise each leaf [lo, hi) of :class:`_HistorySum` is one
+    lower-triangular linear system A c[s:hi] = rhs in its unknowns,
+    s = max(lo, start), solved by ``np.linalg.solve``.  The right-hand side
+    carries everything known: the FFT far field of W and the rows' own sums
+    over j < lo (weight 1), the end-weight corrections at j < len(ends) and
+    at the lags that reach back before lo, the known columns of the first
+    leaf, c_{s-1} and the boundary phi values.
     ``check`` sees each row's diagonal K_k[k] before its leaf is solved.
     """
+    if extra is None:
+        check(W[:1])
+        _solve_toeplitz(c, start, phi, W, scale, ends, beta)
+        return
     n = len(c) - 1
     leaf = _HistorySum._LEAF
-    hist = _HistorySum(W, c) if W is not None else None
-    inverse = None
-    if extra is None:
-        if check is not None:
-            check(W[:1])
-        finite = np.isfinite(W)
-        if not finite.all():
-            # a step loop's c_k reads lags 0..k only, so c is NaN from the
-            # first non-finite lag m on and c[:m] is the solve on W[:m]; the
-            # FFT far field would carry lag m into rows before m
-            m = int(np.argmin(finite))
-            if m > start:
-                _solve_leaves(c[:m], start, phi, W[:m], None, scale, ends,
-                              beta)
-            c[max(m, start):] = np.nan
-            return
-        # every stationary leaf's A is a leading block of this Toeplitz
-        # one, and so is its inverse, applied as a convolution
-        m = min(leaf, n + 1)
-        B = _leaf_coefficients(c, 0, 0, m, W, None, scale, ends, None, None)
-        inverse = _toeplitz_inverse(_leaf_matrix(B, beta)[:, 0])
-        finite = np.isfinite(inverse)
-        n_finite = m if finite.all() else int(np.argmin(finite))
-    full = None     # B of the full stationary leaves after the first
+    hist = _HistorySum(W, c, leaf) if W is not None else None
     phi = np.asarray(phi, dtype=complex)
     for lo in range(0, n + 1, leaf):
         hi = min(lo + leaf, n + 1)
         s = max(lo, start)
-        if s >= hi:
-            continue
         m = hi - s
         known = np.zeros(m, dtype=complex)
         if W is not None:
@@ -274,41 +313,24 @@ def _solve_leaves(c, start, phi, W, extra, scale, ends, beta, check=None):
             # the end corrections at j < len(ends) <= start
             for j, e in enumerate(ends):
                 known += (e - 1.0) * c[j] * W[s - j:hi - j]
-        shared = extra is None and lo > 0 and m == leaf
-        if shared and full is not None:
-            B = full
-        else:
-            B = _leaf_coefficients(c, lo, s, hi, W, extra, scale, ends, known,
-                                   check)
-            if shared:
-                full = B
+        B = _leaf_coefficients(c, lo, s, hi, W, extra, scale, ends, known,
+                               check)
         c0 = hi - B.shape[1]
         p = -scale * known + B[:, :s - c0] @ c[c0:s]
-        if beta is None:
-            rhs = p + c[0]
-        else:
-            # row k reads phi_{k-Q} .. phi_k only, so a NaN stays in its row
-            ext = np.concatenate((phi, p))
-            q = len(phi)
-            rhs = sum(b * ext[q - i:q - i + m] for i, b in enumerate(beta))
-            rhs[0] += c[s - 1]
-        ok = np.isfinite(rhs)
-        if inverse is None:
-            A = _leaf_matrix(B[:, -m:], beta)
-            ok &= np.isfinite(A).all(axis=1)
-        else:
-            ok[n_finite:] = False
+        # row k reads phi_{k-Q} .. phi_k only, so a NaN stays in its row
+        ext = np.concatenate((phi, p))
+        q = len(phi)
+        rhs = sum(b * ext[q - i:q - i + m] for i, b in enumerate(beta))
+        rhs[0] += c[s - 1]
+        A = _leaf_matrix(B[:, -m:], beta)
         # c is NaN from the first row with a non-finite coefficient on, as a
         # step-by-step loop would make it
+        ok = np.isfinite(rhs) & np.isfinite(A).all(axis=1)
         k = m if ok.all() else int(np.argmin(ok))
-        if inverse is not None:
-            c[s:s + k] = np.convolve(inverse[:k], rhs[:k])[:k] if k else []
-        else:
-            try:
-                c[s:s + k] = np.linalg.solve(A[:k, :k], rhs[:k])
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"leaf system not solvable: {exc}") \
-                    from None
+        try:
+            c[s:s + k] = np.linalg.solve(A[:k, :k], rhs[:k])
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"leaf system not solvable: {exc}") from None
         if k < m:
             c[s + k:hi] = np.nan
             continue
@@ -317,14 +339,24 @@ def _solve_leaves(c, start, phi, W, extra, scale, ends, beta, check=None):
         phi = np.concatenate((phi[t:], p[m - t:] + B[m - t:, -m:] @ c[s:hi]))
 
 
+def _leaf_matrix(Bu, beta):
+    """A of c_k - c_{k-1} - sum_q beta_q (Bu c)_{k-q} = rhs_k on one leaf,
+    Bu being B over the leaf's unknown columns.  Row k reads rows
+    k-Q .. k of Bu only."""
+    m = len(Bu)
+    A = np.eye(m, dtype=complex) - np.eye(m, k=-1)
+    for q, b in enumerate(beta):
+        A[q:] -= b * Bu[:m - q]
+    return A
+
+
 def _leaf_coefficients(c, lo, s, hi, W, extra, scale, ends, known, check):
     """B of the leaf [lo, hi): phi_k = -scale * known_k + sum_j B[k, j] c_j
     for k in [s, hi) over the leaf's columns j in [max(lo - P, 0), hi),
     P = len(ends) - 1.  B[k, j] carries c_j's quadrature weight in phi_k
-    less the 1 the far field already gives each j < lo.  A non-stationary
-    kernel's rows are read one at a time; their sums over j < lo and their
-    end corrections go into ``known``, and ``check`` sees their
-    diagonals."""
+    less the 1 the far field already gives each j < lo.  The kernel's rows
+    are read one at a time; their sums over j < lo and their end
+    corrections go into ``known``, and ``check`` sees their diagonals."""
     cols = np.arange(max(lo - len(ends) + 1, 0), hi)
     lag = np.arange(s, hi)[:, None] - cols
     w = (lag >= 0).astype(float)
@@ -333,16 +365,14 @@ def _leaf_coefficients(c, lo, s, hi, W, extra, scale, ends, known, check):
     w[:, cols < lo] -= 1.0
     K = W[np.maximum(lag, 0)] if W is not None \
         else np.zeros(w.shape, dtype=complex)
-    if extra is not None:
-        c0 = cols[0]
-        e = len(ends)
-        start_corr = (ends - 1.0) * c[:e]
-        for i, k in enumerate(range(s, hi)):
-            row = extra(k)
-            known[i] += np.dot(c[:lo], row[:lo]) + np.dot(start_corr, row[:e])
-            K[i, :k + 1 - c0] += row[c0:]
-        if check is not None:
-            check(K[np.arange(hi - s), np.arange(s, hi) - c0])
+    c0 = cols[0]
+    e = len(ends)
+    start_corr = (ends - 1.0) * c[:e]
+    for i, k in enumerate(range(s, hi)):
+        row = extra(k)
+        known[i] += np.dot(c[:lo], row[:lo]) + np.dot(start_corr, row[:e])
+        K[i, :k + 1 - c0] += row[c0:]
+    check(K[np.arange(hi - s), np.arange(s, hi) - c0])
     return -scale * w * K
 
 
@@ -445,7 +475,7 @@ def solve_integral_form(z: ZKernel, grid: TimeGrid) -> AmplitudeSeries:
     c = np.empty(grid.n_steps + 1, dtype=complex)
     c[0] = 1.0
     # c_k = c_0 + phi_k, phi_k = -dt * (trapezoid sum of c_j Z_{k-j})
-    _solve_leaves(c, 1, [], z.values, None, grid.dt, _TRAPEZOID_ENDS, None)
+    _solve_toeplitz(c, 1, [], z.values, grid.dt, _TRAPEZOID_ENDS, None)
     return AmplitudeSeries(grid=grid, values=c, method="integral_trapezoid",
                            kernel_label="Z")
 

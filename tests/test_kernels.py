@@ -71,6 +71,22 @@ def test_density_validation():
         hydrogen_vacuum_density(1.0, -0.3)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, 1.0, math.nan, math.inf])
+def test_density_refuses_a_bad_tail(value):
+    # the tail bounds divide by decay_rate and by decay_order - 1: a bad
+    # one raised ZeroDivisionError, or truncated s_hat silently
+    def fn(q):
+        return q * np.exp(-q)
+
+    with pytest.raises(ValueError, match="decay_order must be finite"):
+        SpectralDensity(fn=fn, decay_order=value)
+    if value == 1.0:
+        assert SpectralDensity(fn=fn, decay_rate=value).decay_rate == 1.0
+    else:
+        with pytest.raises(ValueError, match="decay_rate must be finite"):
+            SpectralDensity(fn=fn, decay_rate=value)
+
+
 @pytest.mark.parametrize("p", [np.array([0.5, -1.0, 2.0]), -1.0,
                                np.array(-1.0), -0.0 - 1e-300],
                          ids=["array", "scalar", "0-d", "tiny-negative"])

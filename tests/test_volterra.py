@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from qedvolterra import KernelEvaluator, ModelParams, SolverError, \
     SqueezeParams, TimeGrid, compute_Z, estimate_order, hydrogen_chi, \
     hydrogen_density, make_kernel, solve_ide, solve_integral_form, \
     squeezed_delta_concentrated
-from qedvolterra.volterra import ZKernel, _HistorySum, _gregory_weights, \
-    _solve_gregory4, _solve_trapezoid
+from qedvolterra.volterra import _TOEPLITZ_LEAF, ZKernel, _HistorySum, \
+    _gregory_weights, _solve_gregory4, _solve_trapezoid
 
 
 def const_kernel(value=1.0):
@@ -342,6 +343,7 @@ def test_fft_history_solvers_match_direct_loops():
 
 
 LEAF = _HistorySum._LEAF
+TLEAF = _TOEPLITZ_LEAF
 
 
 def uncached_far(W, c):
@@ -381,10 +383,13 @@ def damped_kernel():
 
 @pytest.mark.parametrize("n_steps", sorted(
     {1, 7, 8, 9, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 3}
+    | {TLEAF, TLEAF + 7, 2 * TLEAF + 7}
     | {2**p + d for p in range(1, 13) for d in (-1, 1)}))
 def test_leaf_solvers_match_direct_loops(n_steps):
     # every leaf shape: the first leaf with its known start, full leaves,
-    # and a last leaf of any length
+    # and a last leaf of any length.  The stationary leaves start at c_1
+    # (trapezoid, integral form) or c_8 (gregory4), so TLEAF - 1 .. TLEAF + 1
+    # and TLEAF + 7, 2 * TLEAF + 7 end around a leaf boundary of each
     params = ModelParams(alpha=0.37, omega=0.61)
     grid = TimeGrid(dt=0.01, n_steps=n_steps)
     kernel = damped_kernel()
@@ -491,6 +496,76 @@ def test_singular_leaf_system_is_a_solver_error():
     values[0] = -2.0 / grid.dt
     with pytest.raises(SolverError, match="singular"):
         solve_integral_form(ZKernel(grid=grid, values=values), grid)
+
+
+# ------------------------------------------- stationary Toeplitz path
+
+
+def test_nan_lag_inside_a_later_toeplitz_leaf():
+    # NaN lags from k = 601 on, in the third leaf of every solver: c is NaN
+    # from exactly that row, and the rows before it are the step loops'
+    def tau_fn(lag):
+        return complex(math.exp(-lag)) if abs(lag) < 60.05 \
+            else complex("nan")
+
+    kernel = KernelEvaluator(None, stationary=True, label="nan-tail",
+                             tau_fn=tau_fn)
+    params = ModelParams(alpha=0.2, omega=0.5)
+    grid = TimeGrid(dt=0.1, n_steps=3 * TLEAF + 20)
+    W = kernel.tau_values(grid.times) * np.exp(1j * params.omega * grid.times)
+    z = compute_Z(kernel, params, grid)
+    for got, want in (
+            (_solve_trapezoid(kernel, params, grid),
+             direct_trapezoid(W, params.alpha, grid.dt)),
+            (_solve_gregory4(kernel, params, grid),
+             direct_gregory4(kernel, params, grid)),
+            (solve_integral_form(z, grid).values,
+             direct_integral_form(z.values, grid.dt))):
+        first = int(np.argmin(np.isfinite(got)))
+        assert first == 601 and np.isnan(got[first:]).all()
+        np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+        assert np.max(np.abs(got[:first] - want[:first])) <= 1e-12
+
+
+def test_leaf_inverse_overflowing_part_way():
+    # Z_1 = -1000/dt, all other Z zero: the leaf inverse is 1000^i, inf at
+    # i = 103 and NaN after, and c_k = 1 + 1000 c_{k-1} overflows at
+    # k = 103.  c is inf there and NaN from the inverse's overflow on, in
+    # this leaf and every later one, and matches the loop before it
+    grid = TimeGrid(dt=0.1, n_steps=2 * TLEAF + 40)
+    values = np.zeros(grid.n_steps + 1, dtype=complex)
+    values[1] = -1000.0 / grid.dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = solve_integral_form(ZKernel(grid=grid, values=values),
+                                  grid).values
+        want = direct_integral_form(values, grid.dt)
+    np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+    assert np.isfinite(got[:103]).all() and not np.isfinite(got[103])
+    assert np.isnan(got[104:]).all()
+    assert np.max(np.abs(got[:103] - want[:103])
+                  / np.abs(want[:103])) <= 1e-12
+
+
+# tracemalloc's peak over a 50k-step solve, kernel read included, measured
+# with the per-leaf B matrices and 64-step leaves this path replaced
+_PEAK_BEFORE_TOEPLITZ = {"trapezoid": 5_622_496, "gregory4": 5_625_096}
+
+
+@pytest.mark.parametrize("method", ["trapezoid", "gregory4"])
+def test_stationary_solve_traced_peak(method):
+    # the known terms are summed in place and no grid-sized array is added
+    params = ModelParams(alpha=0.1, omega=0.5)
+    kernel = exp_kernel()
+    grid = TimeGrid(dt=1e-3, n_steps=50000)
+    solve_ide(kernel, params, TimeGrid(dt=1e-3, n_steps=300), method)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solve_ide(kernel, params, grid, method)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= _PEAK_BEFORE_TOEPLITZ[method]
 
 
 # ----------------------------------------------- non-stationary kernels
