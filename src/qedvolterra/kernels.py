@@ -77,6 +77,10 @@ class SpectralDensity:
         p = np.asarray(p, dtype=float)
         if (p < 0.0).any():
             raise ValueError("momentum magnitude must be >= 0")
+        if not p.ndim:
+            # as a one-element array: numpy's scalar ** can differ from the
+            # array's in the last bit, and the quadratures read arrays
+            return float(np.ravel(self.fn(p[None]))[0])
         val = self.fn(p)
         return val if np.ndim(val) else float(val)
 
@@ -96,7 +100,10 @@ def hydrogen_vacuum_density(p, alpha):
     p = np.asarray(p, dtype=float)
     if (p < 0.0).any():
         raise ValueError("momentum magnitude must be >= 0")
-    val = (alpha * alpha / (3.0 * math.pi**2)) * p / ((p / alpha)**2 + 2.25)**4
+    # at a tiny alpha (p/alpha)^2 overflows to inf, and rho = 0 is its limit
+    with np.errstate(over="ignore"):
+        val = (alpha * alpha / (3.0 * math.pi**2)) * p \
+            / ((p / alpha)**2 + 2.25)**4
     return val if val.ndim else float(val)
 
 
@@ -310,7 +317,13 @@ class KernelEvaluator:
     Stationary kernels have no correction and expose ``tau(lag)`` /
     ``tau_values(lags)``.  ``fn(t, s)``, when given, is the whole kernel at
     one point and serves ``eval``.  All kernels expose ``row(t, s_array)``.
-    Evaluators hold no mutable state and are safe for concurrent use.
+
+    The solvers read S0 on the lag grid k * dt through a memo, one read-only
+    ``(dt, values)`` pair for the longest such grid read so far: a grid with
+    the same dt and no more steps is served its prefix, bit for bit, and any
+    other grid is read anew (through ``tau_values`` for a stationary kernel)
+    and replaces the memo only if it is longer.  The memo is the evaluator's only mutable state; it is
+    replaced as a whole, so evaluators are safe for concurrent use.
     """
 
     def __init__(self, fn, stationary: bool, label: str,
@@ -320,6 +333,7 @@ class KernelEvaluator:
         self.label = label
         self._tau_fn = tau_fn
         self._row_fn = row_fn
+        self._lags = None
 
     def eval(self, t: float, s: float) -> complex:
         if self.stationary:
@@ -358,24 +372,40 @@ class KernelEvaluator:
                                      for i in range(0, len(lags), 4096))
         return np.fromiter(map(self._tau_fn, floats), complex, len(lags))
 
+    def _grid_s0(self, times: np.ndarray) -> np.ndarray:
+        """S0 on the uniform grid ``times`` = arange(n + 1) * dt, n >= 1,
+        through the memo; the array returned is read-only."""
+        dt = float(times[1])
+        memo = self._lags
+        if memo is not None and memo[0] == dt and len(memo[1]) >= len(times):
+            return memo[1][:len(times)]
+        values = self.tau_values(times) if self.stationary \
+            else self._s0(times)
+        values.flags.writeable = False
+        if memo is None or len(values) > len(memo[1]):
+            self._lags = (dt, values)
+        return values
+
     def _history_split(self, times: np.ndarray, omega: float):
         """(W, extra) with K_k[j] = W[k - j] + extra(k)[j] for the history
         rows K_k[j] = e^{i omega (t_k - t_j)} S(t_k, t_j), j = 0..k, on the
         uniform grid ``times``.
 
-        W[m] = e^{i omega t_m} S0(t_m) is the stationary part, read once on
-        the lag grid; it is None for a kernel with no S0.  ``extra(k)`` is
+        W[m] = e^{i omega t_m} S0(t_m) is the stationary part, read on the
+        lag grid through the memo; it is None for a kernel with no S0.
+        ``times`` must be arange(n + 1) * dt, n >= 1.  ``extra(k)`` is
         the rest of row k over all j at once: the correction R, or the whole
         row for a kernel with no S0; it is None for a stationary kernel.
         Each row is meant to be requested once, so none is kept.
         """
         phase = np.exp(1j * omega * times)
         if self.stationary:
-            return self.tau_values(times) * phase, None
+            phase *= self._grid_s0(times)
+            return phase, None
         if self._tau_fn is None:
             return None, lambda k: self.row(times[k], times[:k + 1]) \
                 * phase[k::-1]
-        return self._s0(times) * phase, lambda k: np.asarray(
+        return phase * self._grid_s0(times), lambda k: np.asarray(
             self._row_fn(times[k], times[:k + 1]), dtype=complex) \
             * phase[k::-1]
 

@@ -14,15 +14,18 @@ c(T) = 1 - integral_0^T Z(T-s) c(s) ds is also provided.
 All three solvers share one time stepper.  The history sums of the
 stationary part over earlier leaves are taken by blocked FFT in
 O(N log^2 N) (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
-(1985) 532-541).  What is left inside a leaf is linear in its unknown c
-values, so each leaf is one lower-triangular linear system instead of a
-loop of steps.  For a stationary kernel the whole scheme is one
-lower-triangular Toeplitz recurrence: its known terms are summed once for
-the whole grid, and each leaf of 256 steps is solved by one convolution
-with an inverse that all leaves share.  A non-stationary leaf of 64 steps
-is one ``np.linalg.solve``.  The implicit diagonal weight is checked at
-every grid time.  The module needs numpy only; scipy is never imported
-here.
+(1985) 532-541), each block's transform no longer than its targets need.
+These far-field sums are held in the unsolved tail of c itself until each
+leaf is solved, so they cost no array of their own.  The stationary lags
+come from the kernel's memo, read once for all solves on one dt.  What is
+left inside a leaf is linear in its unknown c values, so each leaf is one
+lower-triangular linear system instead of a loop of steps.  For a
+stationary kernel the whole scheme is one lower-triangular Toeplitz
+recurrence: its known terms are summed once for the whole grid, and each
+leaf of 256 steps is solved by one convolution with an inverse that all
+leaves share.  A non-stationary leaf of 64 steps is one
+``np.linalg.solve``.  The implicit diagonal weight is checked at every
+grid time.  The module needs numpy only; scipy is never imported here.
 """
 
 from __future__ import annotations
@@ -132,15 +135,21 @@ class _HistorySum:
     """Far-field history sums F_k = sum_{j<lo} c_j W_{k-j} for the leaf
     [lo, lo + leaf) holding k, read leaf by leaf in increasing order while
     the caller fills in ``c``; the leaf at lo needs only c_0 .. c_{lo-1}.
-    ``known``, if given, is the array the sums are added to.
+
+    The sums are added into ``c`` itself: its unsolved entries hold their
+    far field, starting from whatever the caller put there (zeros, or known
+    terms of its own).  The caller reads a leaf's far field, then writes
+    the leaf's solution over it.
 
     Any pair (j, k) in different leaves lies in a smallest aligned dyadic
     block, with j in its lower half [m - B, m) and k in its upper half
-    [m, m + B).  That source half reaches all its targets through one
-    circular FFT of size 2B as soon as c_{m-1} is known.  Each leaf
+    [m, m + B).  That source half reaches all its targets, still unsolved,
+    through one circular FFT as soon as c_{m-1} is known.  Each leaf
     boundary m = q * leaf completes exactly one source half,
     B = leaf * (q & -q), so a solve of N steps costs O(N log^2 N) instead
-    of O(N^2).  The transform of W[:2B] depends on B only and is kept.
+    of O(N^2).  The transform of W[:2B] is kept for the later blocks of
+    size B.  The grid's end may cut the last block of a size short; its
+    transforms are then only as long as its targets need.
     """
 
     # the non-stationary leaf (the stationary one is _TOEPLITZ_LEAF): a
@@ -148,22 +157,19 @@ class _HistorySum:
     # of 7) took 1.03 to 1.07 s at 32, 64, 128 and 256 steps alike
     _LEAF = 64
 
-    def __init__(self, W: np.ndarray, c: np.ndarray, leaf: int = _LEAF,
-                 known: Optional[np.ndarray] = None):
+    def __init__(self, W: np.ndarray, c: np.ndarray, leaf: int = _LEAF):
         self._W = W
         self._c = c
         self._leaf = leaf
-        self._far = np.zeros(len(W), dtype=complex) if known is None \
-            else known
         self._done = 0      # source blocks ending at or before here are in
-        self._W_fft = {}    # block size B -> fft(W[:2B], n=2B)
+        self._W_fft = {}    # transform length L -> fft(W[:L], n=L)
 
     def leaf(self, lo: int) -> np.ndarray:
-        """F_k for k in the leaf [lo, lo + leaf)."""
+        """F_k for k in the leaf [lo, lo + leaf), a view of ``c``."""
         while self._done < lo:
             self._done += self._leaf
             self._add_block(self._done)
-        return self._far[lo:lo + self._leaf]
+        return self._c[lo:lo + self._leaf]
 
     def __call__(self, k: int) -> complex:
         """H_k = sum_{j<k} c_j W_{k-j}: F_k plus the pairs inside k's leaf,
@@ -175,16 +181,22 @@ class _HistorySum:
     def _add_block(self, m: int):
         q = m // self._leaf
         b = self._leaf * (q & -q)
-        w = self._W_fft.get(b)
+        top = min(b, len(self._W) - m)
+        # circular length L >= b + top, a multiple of b/8: target m + v
+        # reads lags b + v - u <= L - 1 for source m - b + u, and the
+        # wrapped products land below b
+        L = -(-(b + top) // (b // 8)) * (b // 8)
+        w = self._W_fft.get(L)
         if w is None:
-            w = self._W_fft[b] = np.fft.fft(self._W[:2 * b], n=2 * b)
-        # circular length 2b: target m + v reads lags b + v - u <= 2b - 1
-        # for source m - b + u, and the wrapped products land below b
-        a = np.fft.fft(self._c[m - b:m], n=2 * b)
+            w = np.fft.fft(self._W[:L], n=L)
+            # a cut-short block is the last of its size: its transform is
+            # used once
+            if L == 2 * b:
+                self._W_fft[L] = w
+        a = np.fft.fft(self._c[m - b:m], n=L)
         a *= w
         np.fft.ifft(a, out=a)
-        top = min(b, len(self._W) - m)
-        self._far[m:m + top] += a[b:b + top]
+        self._c[m:m + top] += a[b:b + top]
 
 
 # The three solvers share one scheme.  With the history rows
@@ -225,11 +237,11 @@ def _solve_toeplitz(c, start, phi, W, scale, ends, beta):
 
     Over the unknowns x = c[start:], phi is the convolution v * x,
     v = -scale * w * W with the lag-end weights w, plus the terms of the
-    known c_0 .. c_{start-1}, summed once for the whole grid into the far
-    field's array.  Each leaf's system is a leading block of one Toeplitz
-    matrix, so all share one inverse column: one convolution solves a leaf
-    from its far field, c_{s-1} and the phi tail before it, and one more
-    gives its own tail.
+    known c_0 .. c_{start-1}, summed once for the whole grid into x, where
+    the far field is then added.  Each leaf's system is a leading block of
+    one Toeplitz matrix, so all share one inverse column: one convolution
+    solves a leaf from its far field, c_{s-1} and the phi tail before it,
+    and one more gives its own tail.
     """
     finite = np.isfinite(W)
     if not finite.all():
@@ -245,13 +257,11 @@ def _solve_toeplitz(c, start, phi, W, scale, ends, beta):
     n = len(x)
     e = len(ends)
     W[1:e] *= ends[1:]
-    # x is free until it is solved: it holds each start column's term
-    known = np.zeros(n, dtype=complex)
+    # x holds its far field until it is solved, starting from these terms
+    x[:] = 0.0
     for j in range(start):
-        np.multiply(W[start - j:start - j + n],
-                    c[j] * ends[j] if j < e else c[j], out=x)
-        known += x
-    hist = _HistorySum(W[:n], x, _TOEPLITZ_LEAF, known)
+        x += W[start - j:start - j + n] * (c[j] * ends[j] if j < e else c[j])
+    hist = _HistorySum(W[:n], x, _TOEPLITZ_LEAF)
     v = -scale * W[:min(_TOEPLITZ_LEAF, n)]
     v[0] *= ends[0]
     if beta is None:
@@ -301,6 +311,8 @@ def _solve_leaves(c, start, phi, W, extra, scale, ends, beta, check):
         return
     n = len(c) - 1
     leaf = _HistorySum._LEAF
+    # c[start:] holds its far field until it is solved
+    c[start:] = 0.0
     hist = _HistorySum(W, c, leaf) if W is not None else None
     phi = np.asarray(phi, dtype=complex)
     for lo in range(0, n + 1, leaf):
@@ -373,7 +385,7 @@ def _leaf_coefficients(c, lo, s, hi, W, extra, scale, ends, known, check):
         known[i] += np.dot(c[:lo], row[:lo]) + np.dot(start_corr, row[:e])
         K[i, :k + 1 - c0] += row[c0:]
     check(K[np.arange(hi - s), np.arange(s, hi) - c0])
-    return -scale * w * K
+    return np.multiply(-scale * w, K, out=K)
 
 
 def _solve_trapezoid(kernel, params, grid) -> np.ndarray:
@@ -455,7 +467,7 @@ def compute_Z(kernel: KernelEvaluator, params: ModelParams,
     if not kernel.stationary:
         raise ValueError("Z kernel requires a stationary kernel")
     times = grid.times
-    integrand = params.alpha * kernel.tau_values(times) \
+    integrand = params.alpha * kernel._grid_s0(times) \
         * np.exp(1j * params.omega * times)
     # the sums of scipy's cumulative_trapezoid(dx=dt, initial=0), in order
     z = np.zeros_like(integrand)

@@ -641,6 +641,17 @@ def test_pole_search_failure_exit_code(tmp_path, capsys, alpha, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_at_a_tiny_alpha_warns_nothing(tmp_path, capsys):
+    # (p / alpha)^2 overflows in the hydrogen density, whose limit is 0
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("transition = custom\nomega = 0\n"
+                   "sweep_values = 1.7310555150289214e-291\n")
+    assert main(["sweep", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "reached Re s = 0" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(tmp_path):
     # an absurd dt trips the solver's diagonal-weight refusal -> exit 3
     p = np.linspace(0.0, 2.0, 50)

@@ -148,6 +148,17 @@ def test_hydrogen_density_of_an_alpha_array(p):
     assert hydrogen_vacuum_density(flat, per_node).tobytes() == want.tobytes()
 
 
+def test_density_at_a_scalar_reads_the_array_path():
+    # markov_rate reads rho(omega) at a scalar, the quadratures at arrays
+    rho = hydrogen_density(1.0)
+    for x in np.linspace(0.0, 30.0, 1200).tolist():
+        got = rho(x)
+        assert type(got) is float
+        assert got == rho(np.array([x]))[0]
+    flat = SpectralDensity(fn=lambda p: 0.25, decay_rate=1.0)
+    assert flat(2.0) == 0.25 and flat(np.array([1.0, 2.0])) == 0.25
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.3, math.nan])
 def test_hydrogen_density_refuses_a_bad_alpha_element(bad):
     p = np.array([0.5, 1.0, 2.0])

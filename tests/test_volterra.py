@@ -244,14 +244,18 @@ def test_history_sum_matches_direct_dot():
     for n in sorted(sizes):
         c_true = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
         W = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-        # causality: c_k, c_{k+1}, ... are still NaN when H_k is read
-        c = np.full(n + 1, np.nan, dtype=complex)
+        # the unsolved c_k, c_{k+1}, ... hold their far field, added to
+        # what the caller put there; a read of one as a source is caught
+        # because it holds neither c_true nor zero
+        held = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        c = held.copy()
         hist = _HistorySum(W, c)
         for k in range(1, n + 1):
             c[k - 1] = c_true[k - 1]
-            h = hist(k)
+            h = hist(k) - held[k]
             assert np.isfinite(h), (n, k)
-            scale = np.dot(np.abs(c_true[:k]), np.abs(W[k:0:-1]))
+            scale = np.dot(np.abs(c_true[:k]), np.abs(W[k:0:-1])) \
+                + abs(held[k])
             assert abs(h - direct_history(c_true, W, k)) <= 1e-13 * scale, \
                 (n, k)
 
@@ -346,6 +350,11 @@ LEAF = _HistorySum._LEAF
 TLEAF = _TOEPLITZ_LEAF
 
 
+def transform_length(b, top):
+    """The smallest L >= b + top that is a multiple of b/8."""
+    return b // 8 * math.ceil((b + top) / (b // 8))
+
+
 def uncached_far(W, c):
     """The far-field sums of every leaf, each block's transform of W taken
     afresh."""
@@ -354,25 +363,63 @@ def uncached_far(W, c):
     for m in range(LEAF, n + 1, LEAF):
         q = m // LEAF
         b = LEAF * (q & -q)
-        a = np.fft.fft(c[m - b:m], n=2 * b)
-        a *= np.fft.fft(W[:2 * b], n=2 * b)
-        np.fft.ifft(a, out=a)
         top = min(b, n + 1 - m)
+        L = transform_length(b, top)
+        a = np.fft.fft(c[m - b:m], n=L)
+        a *= np.fft.fft(W[:L], n=L)
+        np.fft.ifft(a, out=a)
         far[m:m + top] += a[b:b + top]
     return far
 
 
-@pytest.mark.parametrize("n", [LEAF - 1, 4 * LEAF, 5 * LEAF + 3, 4097])
+def simulated_far(W, c_true, leaf=LEAF):
+    """The far field of each leaf as a solve sees it: read the leaf's
+    sums, then write its c over them."""
+    n = len(W) - 1
+    c = np.zeros(n + 1, dtype=complex)
+    far = np.empty(n + 1, dtype=complex)
+    hist = _HistorySum(W, c, leaf)
+    for lo in range(0, n + 1, leaf):
+        far[lo:lo + leaf] = hist.leaf(lo)
+        c[lo:lo + leaf] = c_true[lo:lo + leaf]
+    return far, hist
+
+
+# 3 * 2^10 + 5 ends 6 steps into the upper half of the 1024-step block at
+# 3072, and 1030 steps into that of the 2048-step block at 2048
+@pytest.mark.parametrize("n", [LEAF - 1, 4 * LEAF, 5 * LEAF + 3, 4097,
+                               3 * 2**10 + 5])
 def test_history_sum_caches_block_transforms_bitwise(n):
     rng = np.random.default_rng(n)
     c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
     W = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-    hist = _HistorySum(W, c)
-    far = np.concatenate([hist.leaf(lo) for lo in range(0, n + 1, LEAF)])
+    far, hist = simulated_far(W, c)
     assert far.tobytes() == uncached_far(W, c).tobytes()
-    # one transform of W per block size
-    blocks = {LEAF * (q & -q) for q in range(1, n // LEAF + 1)}
-    assert set(hist._W_fft) == blocks
+    # one transform of W kept per length 2B; a shorter one serves the last
+    # block of its size only, and is not kept
+    lengths = set()
+    for m in range(LEAF, n + 1, LEAF):
+        b = LEAF * ((m // LEAF) & -(m // LEAF))
+        L = transform_length(b, min(b, n + 1 - m))
+        if L == 2 * b:
+            lengths.add(L)
+    assert set(hist._W_fft) == lengths
+
+
+@pytest.mark.parametrize("leaf, n", [(LEAF, 3 * 2**10 + 5),
+                                     (TLEAF, 3 * 2**12 + 5)])
+def test_truncated_block_far_field_matches_direct_sums(leaf, n):
+    # the grid ends just inside the target half of its last blocks, whose
+    # transforms are cut short
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    W = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    far = simulated_far(W, c, leaf)[0]
+    for k in range(n + 1):
+        lo = k - k % leaf
+        want = np.dot(c[:lo], W[k:k - lo:-1]) if lo else 0.0
+        scale = np.dot(np.abs(c[:lo]), np.abs(W[k:k - lo:-1]))
+        assert abs(far[k] - want) <= 1e-12 * scale, k
 
 
 def damped_kernel():
@@ -566,6 +613,129 @@ def test_stationary_solve_traced_peak(method):
     finally:
         tracemalloc.stop()
     assert peak <= _PEAK_BEFORE_TOEPLITZ[method]
+
+
+def closed_form_non_stationary_kernel():
+    return KernelEvaluator(
+        None, stationary=False, label="exp+R",
+        tau_fn=lambda lag: cmath.exp(-abs(lag)),
+        row_fn=lambda t, s: 0.05 * np.exp(-0.2j * (t + s)))
+
+
+# tracemalloc's peak over this 4000-step solve, kernel rows included,
+# measured with the far field in an array of its own and no lag memo (the
+# lower of 931 368 and 931 696 bytes, with this test file run or the test
+# alone)
+_PEAK_BEFORE_LAG_MEMO = 931_368
+
+
+def test_non_stationary_solve_traced_peak():
+    # the far field is held in c's unsolved tail, which pays for the memo
+    params = ModelParams(alpha=0.1, omega=0.5)
+    kernel = closed_form_non_stationary_kernel()
+    solve_ide(kernel, params, TimeGrid(dt=1e-2, n_steps=300), "gregory4")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solve_ide(kernel, params, TimeGrid(dt=1e-2, n_steps=4000),
+                  "gregory4")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= _PEAK_BEFORE_LAG_MEMO
+
+
+# ------------------------------------------------------- lag memo
+
+
+def counted_kernel(fail_past=math.inf):
+    """exp_kernel whose tau_fn counts its calls in ``kernel.calls`` and
+    raises past the lag ``fail_past``."""
+    def tau_fn(lag):
+        kernel.calls += 1
+        if abs(lag) > fail_past:
+            raise ValueError("lag out of range")
+        return cmath.exp(-abs(lag))
+
+    kernel = KernelEvaluator(None, stationary=True, label="counted",
+                             tau_fn=tau_fn)
+    kernel.calls = 0
+    return kernel
+
+
+def test_solves_on_one_grid_read_each_lag_once():
+    params = ModelParams(alpha=0.37, omega=0.61)
+    grid = TimeGrid(dt=0.01, n_steps=1000)
+    kernel = counted_kernel()
+    trap = solve_ide(kernel, params, grid, "trapezoid").values
+    assert kernel.calls == 1001
+    greg = solve_ide(kernel, params, grid, "gregory4").values
+    # only the Richardson start-up grids at dt/2 and dt/4 are read anew
+    assert kernel.calls == 1001 + 15 + 29
+    z = compute_Z(kernel, params, grid).values
+    assert kernel.calls == 1045
+    # bit for bit what a kernel read afresh for each solve gives
+    assert trap.tobytes() == solve_ide(counted_kernel(), params, grid,
+                                       "trapezoid").values.tobytes()
+    assert greg.tobytes() == solve_ide(counted_kernel(), params, grid,
+                                       "gregory4").values.tobytes()
+    assert z.tobytes() == compute_Z(counted_kernel(), params,
+                                    grid).values.tobytes()
+
+
+def test_shorter_grid_is_served_a_prefix_bitwise():
+    kernel = counted_kernel()
+    kernel._history_split(TimeGrid(dt=0.01, n_steps=1000).times, 0.61)
+    short = TimeGrid(dt=0.01, n_steps=373).times
+    W = kernel._history_split(short, 0.61)[0]
+    assert kernel.calls == 1001
+    fresh = counted_kernel()._history_split(short, 0.61)[0]
+    assert W.tobytes() == fresh.tobytes()
+
+
+def test_memo_kept_for_shorter_or_other_grids():
+    kernel = counted_kernel()
+    times = TimeGrid(dt=0.01, n_steps=1000).times
+    kernel._grid_s0(times)
+    # a shorter grid is served, a shorter one with another dt read
+    kernel._grid_s0(TimeGrid(dt=0.01, n_steps=10).times)
+    kernel._grid_s0(TimeGrid(dt=0.005, n_steps=999).times)
+    assert kernel.calls == 1001 + 1000
+    kernel._grid_s0(times)
+    assert kernel.calls == 2001
+    # a longer grid is read anew and replaces it, whatever its dt
+    assert len(kernel._grid_s0(TimeGrid(dt=0.01, n_steps=1001).times)) \
+        == 1002
+    kernel._grid_s0(TimeGrid(dt=0.005, n_steps=1002).times)
+    kernel._grid_s0(times)
+    assert kernel.calls == 2001 + 1002 + 1003 + 1001
+
+
+def test_memo_is_read_only():
+    kernel = counted_kernel()
+    values = kernel._grid_s0(TimeGrid(dt=0.01, n_steps=100).times)
+    for view in (values, kernel._grid_s0(TimeGrid(dt=0.01,
+                                                  n_steps=50).times)):
+        with pytest.raises(ValueError):
+            view[0] = 0.0
+    # W is a fresh array: the solvers weight its end lags in place
+    W = kernel._history_split(TimeGrid(dt=0.01, n_steps=100).times, 0.61)[0]
+    W[1] = 0.0
+    assert values[1] != 0.0
+
+
+def test_raising_tau_fn_leaves_no_memo():
+    params = ModelParams(alpha=0.37, omega=0.61)
+    kernel = counted_kernel(fail_past=5.0)
+    with pytest.raises(ValueError, match="lag out of range"):
+        solve_ide(kernel, params, TimeGrid(dt=0.01, n_steps=1000))
+    assert kernel._lags is None
+    # nor replaces the memo it had
+    solve_ide(kernel, params, TimeGrid(dt=0.01, n_steps=400))
+    memo = kernel._lags
+    with pytest.raises(ValueError, match="lag out of range"):
+        solve_ide(kernel, params, TimeGrid(dt=0.01, n_steps=1000))
+    assert kernel._lags is memo
 
 
 # ----------------------------------------------- non-stationary kernels
