@@ -17,7 +17,9 @@ contour provides an independent time-domain reconstruction of c(t).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,7 +57,8 @@ class LaplaceAnalysis:
     residual: float
 
 
-def _cauchy_transform(rho, ss: list, cfg: QuadConfig = _CAUCHY_CFG) -> list:
+def _cauchy_transform(rho, ss: list, cfg: QuadConfig = _CAUCHY_CFG,
+                      derivative: bool = False) -> list:
     """integral_0^inf rho(p)/(s + i p) dp for each s in ``ss``, off the cut.
 
     ``rho`` is one density for every point, or a sequence of densities, one
@@ -78,6 +81,13 @@ def _cauchy_transform(rho, ss: list, cfg: QuadConfig = _CAUCHY_CFG) -> list:
     the near-pole values rho(p*).  Each transform keeps its own truncation
     point and branch, and sums its pieces in the same order as a transform
     done on its own, so the values do not depend on what shares the batch.
+
+    With ``derivative``, each entry is the pair (S_hat(s), dS_hat/ds).  Each
+    piece's integrand -(rho(p) - r)/(s + ip)^2 is the second component of
+    the same quadrature as the value, on the same nodes and intervals, and
+    the near-pole term contributes (r / i)(1/(s + ib) - 1/(s + ia)); the
+    window and r stay those of the value.  The values are bit for bit those
+    made without the derivative.
     """
     rhos = [rho] * len(ss) if isinstance(rho, SpectralDensity) else list(rho)
     for s in ss:
@@ -143,7 +153,9 @@ def _cauchy_transform(rho, ss: list, cfg: QuadConfig = _CAUCHY_CFG) -> list:
                     log_diff = cmath.log(s + 1j * b) - cmath.log(s + 1j * a)
                     if s.real < 0.0:
                         log_diff -= 2j * math.pi
-                    log_term = rstar * log_diff / 1j
+                    # rstar times that integral, and its s-derivative
+                    log_term = (rstar * log_diff / 1j, rstar / 1j * (
+                        1.0 / (s + 1j * b) - 1.0 / (s + 1j * a)))
                 elif 0.0 < pstar < P:
                     # mild peak: split to help the adaptive rule
                     pieces = [(0.0, pstar, 0.0), (pstar, P, 0.0)]
@@ -175,18 +187,24 @@ def _cauchy_transform(rho, ss: list, cfg: QuadConfig = _CAUCHY_CFG) -> list:
         den = 1j * p
         den += s_of[idx]
         rho_p /= den
-        return rho_p
+        if not derivative:
+            return rho_p
+        # d/ds of (rho - r)/(s + ip)
+        return rho_p, rho_p / -den
 
-    vals = [v for v, _ in _integrate_many(f, bounds, cfg)]
+    results = _integrate_many(f, bounds, cfg)
+    width = 2 if derivative else 1
     out = []
     for first, n, log_term in plans:
-        terms = vals[first:first + n]
+        # each piece's value and, with the derivative, its second integral,
+        # which an empty piece (f never called there) lacks
+        terms = [(v, *dv, 0.0 + 0.0j)[:width]
+                 for v, _, *dv in results[first:first + n]]
         if log_term is not None:
-            terms.insert(2, log_term)
-        val = terms[0]
-        for term in terms[1:]:
-            val += term
-        out.append(val)
+            terms.insert(2, log_term[:width])
+        # summed left to right, in piece order
+        sums = [functools.reduce(operator.add, part) for part in zip(*terms)]
+        out.append(tuple(sums) if derivative else sums[0])
     return out
 
 
@@ -200,9 +218,15 @@ def _first_sheet(rho, ss: list, cfg: QuadConfig) -> list:
     return _cauchy_transform(rho, ss, cfg)
 
 
-def _second_sheet(rho, ss: list, cfg: QuadConfig) -> list:
+def _second_sheet(rho, ss: list, cfg: QuadConfig, steps=None) -> list:
     """s_hat_second_sheet at each of the complex points ``ss``, as one
-    batch; ``rho`` is one density or one per point."""
+    batch; ``rho`` is one density or one per point.
+
+    Given ``steps``, one real h per point, each entry is the pair (value,
+    derivative): the transform's derivative comes from its own quadrature,
+    and the Plemelj term's from a central difference of the closed-form
+    extension at s +- h.
+    """
     rhos = [rho] * len(ss) if isinstance(rho, SpectralDensity) else list(rho)
     for s, r in zip(ss, rhos):
         if s.real > 0.0:
@@ -213,9 +237,20 @@ def _second_sheet(rho, ss: list, cfg: QuadConfig) -> list:
             raise MissingExtensionError(
                 f"density {r.label!r} has no analytic extension; "
                 "second-sheet evaluation refused")
-    return [v if s.real > 0.0
-            else v + 2.0 * math.pi * r.analytic_extension(1j * s)
-            for s, r, v in zip(ss, rhos, _cauchy_transform(rhos, ss, cfg))]
+    sheet = _cauchy_transform(rhos, ss, cfg, derivative=steps is not None)
+    if steps is None:
+        return [v if s.real > 0.0
+                else v + 2.0 * math.pi * r.analytic_extension(1j * s)
+                for s, r, v in zip(ss, rhos, sheet)]
+    out = []
+    for s, r, h, (v, dv) in zip(ss, rhos, steps, sheet):
+        if s.real < 0.0:
+            ext = r.analytic_extension
+            v = v + 2.0 * math.pi * ext(1j * s)
+            dv = dv + 2.0 * math.pi * (ext(1j * (s + h))
+                                       - ext(1j * (s - h))) / (2.0 * h)
+        out.append((v, dv))
+    return out
 
 
 def s_hat(rho: SpectralDensity, s: complex,
@@ -240,15 +275,17 @@ def markov_rate(rho: SpectralDensity, params: ModelParams) -> float:
 
 
 def _newton(fun, seeds, scales, tol=_POLE_TOL):
-    """Newton iteration with central differences from every seed, in lockstep.
+    """Newton iteration from every seed, in lockstep.
 
-    ``fun(ids, points)`` maps the points of the seeds ``ids`` to their F
-    values.  Each round makes one batch of F at the unfinished seeds, then
-    one batch of F(s +- h) at those not yet converged; seed i steps with
-    its own scale ``scales[i]``.  Each seed gets its own ``_MAX_NEWTON``
-    rounds and stops on the same tests as when iterated on its own, so the
-    results do not depend on the other seeds.  Returns, in seed order,
-    (root, |F(root)|) from the round that accepted the root, or None for a
+    ``fun(ids, points)`` maps the points of the seeds ``ids`` to their
+    (F, F') pairs, so each round is one batch at the unfinished seeds; seed
+    i steps with its own scale ``scales[i]``.  A seed whose |F| < ``tol``
+    is accepted, and its root is that round's point less F/F' (the point
+    itself where F' = 0): the last Newton step costs no further batch.
+    Each seed gets its own ``_MAX_NEWTON`` rounds and stops on the same
+    tests as when iterated on its own, so the results do not depend on the
+    other seeds.  Returns, in seed order, (root, |F|), where |F| is the
+    residual of the accepting round, before that last step, or None for a
     seed that did not converge.
     """
     s = [complex(s0) for s0 in seeds]
@@ -257,26 +294,19 @@ def _newton(fun, seeds, scales, tol=_POLE_TOL):
     for _ in range(_MAX_NEWTON):
         if not active:
             break
-        pending = []
-        for i, f in zip(active, fun(active, [s[i] for i in active])):
+        stepped = []
+        for i, (f, df) in zip(active, fun(active, [s[i] for i in active])):
             if abs(f) < tol:
-                found[i] = (s[i], abs(f))
-            else:
-                pending.append((i, f, 1e-7 * max(abs(s[i]), scales[i])))
-        if not pending:
-            break
-        shifted = fun([i for i, _, _ in pending for _ in (0, 1)],
-                      [z for i, _, h in pending for z in (s[i] + h, s[i] - h)])
-        active = []
-        for k, (i, f, h) in enumerate(pending):
-            df = (shifted[2 * k] - shifted[2 * k + 1]) / (2.0 * h)
+                found[i] = (s[i] - f / df if df != 0.0 else s[i], abs(f))
+                continue
             if df == 0.0:
                 continue
             step = f / df
             if abs(step) > 10.0 * scales[i]:
                 continue
             s[i] -= step
-            active.append(i)
+            stepped.append(i)
+        active = stepped
     return found
 
 
@@ -285,8 +315,9 @@ _SEED_OFFSETS = (0.0, 0.3, -0.3, 0.3j, -0.3j, 0.3 + 0.3j, 0.3 - 0.3j, 1.0j)
 
 
 def _find_poles(rhos, params, s_inits, cfg: QuadConfig) -> list:
-    """(s0, |F(s0)|) for each problem (rhos[k], params[k]), from one
-    lockstep Newton search over every problem's seeds.
+    """(s0, residual) for each problem (rhos[k], params[k]), from one
+    lockstep Newton search over every problem's seeds; the residual is |F|
+    of the accepting round, before its last step to s0.
 
     Problems whose ``s_inits[k]`` is None take it from one batch of
     first-sheet transforms.  Each problem keeps its own seeds, scale and
@@ -323,24 +354,28 @@ def _find_poles(rhos, params, s_inits, cfg: QuadConfig) -> list:
         if any(z.real == 0.0 for z in points):
             raise SolverError("pole search reached Re s = 0, where the "
                               "continuation is ambiguous")
-        sheet = _second_sheet([rhos[owner[i]] for i in ids], points, cfg)
-        return [z + params[owner[i]].alpha * v
-                for i, z, v in zip(ids, zs, sheet)]
+        sheet = _second_sheet([rhos[owner[i]] for i in ids], points, cfg,
+                              [1e-7 * max(abs(z), scales[owner[i]])
+                               for i, z in zip(ids, zs)])
+        return [(z + params[owner[i]].alpha * v,
+                 1.0 + params[owner[i]].alpha * dv)
+                for i, z, (v, dv) in zip(ids, zs, sheet)]
 
     found = _newton(F, seeds, [scales[k] for k in owner])
     n = len(_SEED_OFFSETS)
     out = []
-    for k, (rho, p, scale) in enumerate(zip(rhos, params, scales)):
+    for k, (rho, p) in enumerate(zip(rhos, params)):
         roots = [r for r in found[k * n:(k + 1) * n]
                  if r is not None and abs(r[0].imag) <= rho.scale + p.omega]
         if not roots:
             raise SolverError("pole search did not converge from any seed")
         # the dominant (largest Re) root, the first seed's on a tie
         s0, resid = min(roots, key=lambda r: -r[0].real)
-        if s0.real > 1e-9 * scale:
+        if not s0.real < -cfg.rel_tol * abs(s0):
             raise SolverError(
-                f"pole with Re s0 = {s0.real:g} > 0 found; unitarity violated "
-                "(kernel or density is inconsistent)")
+                f"pole s0 = {s0:g} resolves no decay: Re s0 is not below "
+                f"-{cfg.rel_tol:g} |s0|, the transforms' relative tolerance "
+                "(a Re s0 > 0 would violate unitarity)")
         out.append((s0, resid))
     return out
 
@@ -351,11 +386,14 @@ def find_pole(rho: SpectralDensity, params: ModelParams,
     """Dominant resonance pole s0 of 1 / (s + alpha s_hat(s - i omega)).
 
     Newton iteration on F(s) = s + alpha * S_hat_II(s - i omega) from 8
-    seeds, run in lockstep so that each round's transforms share one
-    quadrature; the root with the greatest real part is returned.  A pole
-    with Re s0 > 0 violates unitarity and signals a broken kernel.  Raises
-    :class:`SolverError` when no seed converges, when an iterate lands on
-    Re(s - i omega) = 0, or for such a pole.
+    seeds, run in lockstep so that each round is one quadrature that gives
+    F and F' together; an accepted seed's root takes one last Newton step
+    from the values it was accepted on.  The root with the greatest real
+    part is returned.  The pole must be a decay the transforms resolve,
+    Re s0 < -cfg.rel_tol |s0|; a pole with Re s0 > 0 would violate
+    unitarity and signal a broken kernel.  Raises :class:`SolverError`
+    when no seed converges, when an iterate lands on Re(s - i omega) = 0,
+    or for a pole that resolves no decay.
     """
     return _find_poles([rho], [params], [s_init], cfg)[0][0]
 
@@ -366,7 +404,9 @@ def analyze(rho, params, cfg: QuadConfig = _CAUCHY_CFG):
     Given sequences of densities and params instead, one per problem, it
     returns one record per problem, in order, from one lockstep pole search
     for all of them; each record equals the one of its problem alone.  The
-    residual |F(s0)| is the one of the Newton round that accepted s0.
+    residual is |F| of the Newton round that accepted the root, at the
+    point before that round's last step to s0, so |F(s0)| is no larger up
+    to the transforms' accuracy.
     """
     single = isinstance(rho, SpectralDensity)
     rhos, ps = ([rho], [params]) if single else (list(rho), list(params))

@@ -79,7 +79,10 @@ def _rule_estimates(f, a, b, idx):
 
     ``f(p, idx)`` is called once, on the 15 + 7 nodes of every interval;
     ``idx`` names the problem that owns each node.  Returns two arrays,
-    complex values and float errors, one entry per interval.
+    complex values and float errors, one entry per interval.  ``f`` may
+    return a pair (y, y2), a second component on the same nodes; the values
+    are then an (intervals, 2) array, column 1 the 15-point sums of y2, and
+    the errors are those of y alone.
 
     Each row's weighted sum is ``np.vecdot`` with complex weights, which
     sums every row in the same order as a per-row ``np.dot``, so the sums
@@ -90,9 +93,14 @@ def _rule_estimates(f, a, b, idx):
     """
     halves = 0.5 * (b - a)
     nodes = (0.5 * (a + b))[:, None] + halves[:, None] * _X22
-    y = np.asarray(f(nodes.ravel(), idx), dtype=complex).reshape(nodes.shape)
+    y = f(nodes.ravel(), idx)
+    y, *y2 = y if isinstance(y, tuple) else (y,)
+    y = np.asarray(y, dtype=complex).reshape(nodes.shape)
     v15 = halves * np.vecdot(_W15C, y[:, :15])
     d = v15 - halves * np.vecdot(_W7C, y[:, 15:])
+    if y2:
+        y2 = np.asarray(y2[0], dtype=complex).reshape(nodes.shape)
+        v15 = np.stack((v15, halves * np.vecdot(_W15C, y2[:, :15])), 1)
     return v15, np.hypot(d.real, d.imag)
 
 
@@ -110,6 +118,12 @@ def _integrate_many(f, bounds, cfg: QuadConfig = DEFAULT_QUAD) -> list:
     (value, error estimate) per problem, as ``np.complex128`` /
     ``np.float64``; raises :class:`QuadratureError` for the first problem
     whose budget runs out before its tolerance is met.
+
+    ``f`` may return a pair (y, y2) of arrays on the nodes.  The second
+    component is integrated on the same intervals, and its integral follows
+    as a third entry, (value, error, integral of y2); the intervals, the
+    stopping test and the error estimate are those of y alone.  An empty
+    interval (a == b), on which ``f`` is never called, gives (0, 0).
     """
     results = [(0.0 + 0.0j, 0.0)] * len(bounds)
     live = [i for i, (a, b) in enumerate(bounds) if a != b]
@@ -123,19 +137,23 @@ def _lockstep(f, bounds, ids, cfg, results):
 
     Every live problem has exactly ``n_sub`` intervals, so they are the
     rows of four arrays: ends ``a``, ``b``, 15-point ``value`` and ``error``.
-    A split keeps the left half in the worst interval's column and appends
-    the right half as column ``n_sub``; a finished problem's row is dropped.
-    The running totals and the stopping test are arrays too, with the same
-    IEEE operations per problem as on scalars: ``np.hypot`` is a complex
-    ``abs`` and ``np.fmax(abs_tol, x)`` is ``max(abs_tol, x)``, NaN included.
+    ``value`` and the running totals carry one trailing column per
+    component of ``f``, and every component is updated with the same
+    operations as the first.  A split keeps the left half in the worst
+    interval's column and appends the right half as column ``n_sub``; a
+    finished problem's row is dropped.  The running totals and the stopping
+    test are arrays too, with the same IEEE operations per problem as on
+    scalars: ``np.hypot`` is a complex ``abs`` and ``np.fmax(abs_tol, x)``
+    is ``max(abs_tol, x)``, NaN included.
     """
     ids = np.array(ids)
+    n = len(ids)
     ends = np.array([bounds[i] for i in ids.tolist()], dtype=float)
     val, err = _rule_estimates(f, ends[:, 0], ends[:, 1],
                                ids.repeat(_X22.size))
-    n = len(ids)
+    val = val.reshape(n, -1)
     a, b, error = (np.empty((n, 16)) for _ in range(3))
-    value = np.empty((n, 16), dtype=complex)
+    value = np.empty((n, 16, val.shape[1]), dtype=complex)
     a[:, 0], b[:, 0], value[:, 0], error[:, 0] = ends[:, 0], ends[:, 1], \
         val, err
     total_val, total_err = val, err
@@ -143,8 +161,8 @@ def _lockstep(f, bounds, ids, cfg, results):
     idx = None
     n_sub = 1
     while True:
-        tol = np.fmax(abs_tol, rel_tol * np.hypot(total_val.real,
-                                                  total_val.imag))
+        tol = np.fmax(abs_tol, rel_tol * np.hypot(total_val[:, 0].real,
+                                                  total_val[:, 0].imag))
         done = total_err <= tol
         n_done = np.count_nonzero(done)
         if n_sub >= cfg.max_subdivisions and n_done < len(ids):
@@ -152,11 +170,11 @@ def _lockstep(f, bounds, ids, cfg, results):
             raise QuadratureError(
                 f"no convergence after {cfg.max_subdivisions} subdivisions "
                 f"(err={total_err[k]:.3e}, tol={tol[k]:.3e})",
-                best_estimate=total_val[k], err_est=total_err[k])
+                best_estimate=total_val[k, 0], err_est=total_err[k])
         if n_done:
             for i, v, e in zip(ids[done].tolist(), total_val[done],
                                total_err[done]):
-                results[i] = (v, e)
+                results[i] = (v[0], e, *v[1:])
             if n_done == len(ids):
                 return
             keep = ~done
@@ -179,6 +197,7 @@ def _lockstep(f, bounds, ids, cfg, results):
         vals, errs = _rule_estimates(
             f, np.concatenate((ia[:, None], mid[:, None]), 1).ravel(),
             np.concatenate((mid[:, None], ib[:, None]), 1).ravel(), idx)
+        vals = vals.reshape(len(errs), -1)
         v1, v2, e1, e2 = vals[0::2], vals[1::2], errs[0::2], errs[1::2]
         total_val = total_val + ((v1 + v2) - ival)
         total_err = total_err + ((e1 + e2) - ierr)
@@ -210,8 +229,9 @@ def integrate_finite(f, a: float, b: float,
     The one-problem case of :func:`_integrate_many`.  ``f`` must accept
     numpy arrays and is called once per refinement step: once for [a, b],
     then once for each split, on the nodes of both halves together.
-    Returns (value, error estimate); raises :class:`QuadratureError` when
-    the subdivision budget is exhausted before the tolerance is met.
+    Returns (value, error estimate), plus the integral of a second
+    component when ``f`` returns a pair; raises :class:`QuadratureError`
+    when the subdivision budget is exhausted before the tolerance is met.
     """
     return _integrate_many(lambda p, idx: f(p), [(a, b)], cfg)[0]
 

@@ -584,12 +584,13 @@ def test_nonpositive_tmax_without_dt_is_config_error(tmp_path, tmax):
 def test_sweep_matches_one_interval_quadrature(tmp_path, monkeypatch):
     # the lockstep quadrature must leave the sweep CSV byte-identical to the
     # one-interval-at-a-time reference in test_quadrature.py, run one
-    # transform piece at a time
+    # transform piece at a time; the Newton rounds' pieces pass their
+    # derivative, the integrand's second component, through the reference
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("sweep_values = 0.3, 0.55, 0.8\n")
     fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(fast)]) == 0
-    ran = []
+    ran, pairs = [], []
 
     def one_at_a_time(f, bounds, quad_cfg):
         out = []
@@ -597,6 +598,7 @@ def test_sweep_matches_one_interval_quadrature(tmp_path, monkeypatch):
             ran.append(i)
             out.append(reference_integrate_finite(
                 lambda p, i=i: f(p, np.full(p.shape, i)), a, b, quad_cfg))
+            pairs.append(len(out[-1]) == 3)
         return out
 
     walked = []
@@ -611,6 +613,14 @@ def test_sweep_matches_one_interval_quadrature(tmp_path, monkeypatch):
             decay_order=order, decay_rate=rate, peak=peak, start=start)
             for m, (tols, order, rate, peak, start) in enumerate(walks)]
 
+    points = []
+    transform = qedvolterra.laplace._cauchy_transform
+
+    def counted(rho, ss, *args, **kwargs):
+        points.extend(ss)
+        return transform(rho, ss, *args, **kwargs)
+
+    monkeypatch.setattr(qedvolterra.laplace, "_cauchy_transform", counted)
     for module in (qedvolterra.quadrature, qedvolterra.laplace):
         monkeypatch.setattr(module, "_integrate_many", one_at_a_time)
     monkeypatch.setattr(qedvolterra.quadrature, "_truncation_points",
@@ -624,16 +634,21 @@ def test_sweep_matches_one_interval_quadrature(tmp_path, monkeypatch):
     assert main(["sweep", "--config", str(cfg), "--out", str(slow)]) == 0
     assert fast.read_bytes() == slow.read_bytes()
     # the slow sweep's transform pieces and ladders went through the
-    # references
+    # references, one ladder tolerance per transform: each alpha's
+    # first-sheet point and at least one Newton round of its 8 seeds
     assert len(ran) > 100
-    assert len(walked) > 100
+    assert len(walked) == len(points) > 3 * (1 + 8)
+    assert pairs.count(True) > 100 and not all(pairs)
 
 
 @pytest.mark.parametrize("alpha, message", [
-    ("50", "did not converge"), ("1", "reached Re s = 0")])
+    ("50", "did not converge"), ("1", "did not converge from any seed"),
+    ("0.5", "resolves no decay"), ("2", "did not converge from any seed"),
+    ("3", "did not converge from any seed")])
 def test_pole_search_failure_exit_code(tmp_path, capsys, alpha, message):
     # omega = 0 puts the branch point at s = 0: the pole search fails as a
-    # numerical failure, exit 3
+    # numerical failure, exit 3, whether no seed converges or a root does
+    # not resolve a decay
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(f"transition = custom\nomega = 0\nsweep_values = {alpha}\n")
     assert main(["sweep", "--config", str(cfg),

@@ -4,15 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qedvolterra.laplace
 from qedvolterra import MissingExtensionError, ModelParams, QuadConfig, \
+    QuadratureError, SolverError, \
     SpectralDensity, TimeGrid, analyze, bromwich_invert, \
     density_from_table, find_pole, hydrogen_density, \
     hydrogen_vacuum_density, integrate_finite, make_kernel, markov_rate, \
     s_hat, s_hat_second_sheet, solve_ide
 from qedvolterra.laplace import _BROMWICH_CFG, _CAUCHY_CFG, _MAX_NEWTON, \
-    _POLE_TOL, _cauchy_transform
+    _POLE_TOL, _cauchy_transform, _newton, _second_sheet
 from qedvolterra.quadrature import _truncation_point, _truncation_points, \
     _truncation_walks
 from qedvolterra.volterra import AmplitudeSeries
@@ -24,64 +26,132 @@ from qedvolterra.volterra import AmplitudeSeries
 # routines must reproduce them bit for bit.
 
 
-def reference_cauchy_transform(rho, s, cfg=_CAUCHY_CFG):
+def reference_cauchy_transform(rho, s, cfg=_CAUCHY_CFG, derivative=False):
+    """The transform at s, or with ``derivative`` the pair (value, d/ds):
+    each piece's integrand carries its s-derivative -(rho - r)/(s + ip)^2
+    as a second component, and the near-pole term its closed form."""
     P, _ = _truncation_point(
         rho.fn, 0.1 * cfg.abs_tol * max(abs(s), 1.0),
         decay_order=rho.decay_order, decay_rate=rho.decay_rate, peak=rho.peak)
 
-    def f(p):
-        return np.asarray(rho.fn(p), dtype=complex) / (s + 1j * p)
+    def subtracted(r):
+        def f(p):
+            val = (np.asarray(rho.fn(p), dtype=complex) - r) / (s + 1j * p)
+            return (val, val / -(s + 1j * p)) if derivative else val
+        return f
 
+    def piece(f, a, b):
+        out = integrate_finite(f, a, b, cfg)
+        if not derivative:
+            return out[0]
+        # an empty piece has no second component
+        return np.array([out[0], out[2] if len(out) > 2 else 0.0 + 0.0j])
+
+    f = subtracted(0.0)
     pstar = -s.imag
     if 0.0 < pstar < P and abs(s.real) < 0.05 * rho.scale:
         delta = min(pstar, P - pstar, rho.scale)
         a, b = pstar - delta, pstar + delta
         rstar = complex(rho.fn(np.array([pstar]))[0])
-
-        def f_sub(p):
-            return (np.asarray(rho.fn(p), dtype=complex) - rstar) / (s + 1j * p)
-
-        val = integrate_finite(f, 0.0, a, cfg)[0]
-        val += integrate_finite(f_sub, a, b, cfg)[0]
+        val = piece(f, 0.0, a)
+        val += piece(subtracted(rstar), a, b)
         log_diff = cmath.log(s + 1j * b) - cmath.log(s + 1j * a)
         if s.real < 0.0:
             log_diff -= 2j * math.pi
-        val += rstar * log_diff / 1j
-        val += integrate_finite(f, b, P, cfg)[0]
+        log_term = rstar * log_diff / 1j
+        if derivative:
+            log_term = np.array([log_term, rstar / 1j * (
+                1.0 / (s + 1j * b) - 1.0 / (s + 1j * a))])
+        val += log_term
+        val += piece(f, b, P)
     elif 0.0 < pstar < P:
-        val = integrate_finite(f, 0.0, pstar, cfg)[0]
-        val += integrate_finite(f, pstar, P, cfg)[0]
+        val = piece(f, 0.0, pstar)
+        val += piece(f, pstar, P)
     else:
-        val = integrate_finite(f, 0.0, P, cfg)[0]
-    return val
+        val = piece(f, 0.0, P)
+    return tuple(val) if derivative else val
 
 
-def reference_second_sheet(rho, s, cfg=_CAUCHY_CFG):
+def reference_second_sheet(rho, s, cfg=_CAUCHY_CFG, h=None):
+    """The continuation at s, or given h the pair (value, d/ds), whose
+    Plemelj part is a central difference at s +- h."""
     s = complex(s)
-    val = reference_cauchy_transform(rho, s, cfg)
+    if h is None:
+        val = reference_cauchy_transform(rho, s, cfg)
+        if s.real > 0.0:
+            return val
+        return val + 2.0 * math.pi * rho.analytic_extension(1j * s)
+    val, dval = reference_cauchy_transform(rho, s, cfg, derivative=True)
     if s.real > 0.0:
-        return val
-    return val + 2.0 * math.pi * rho.analytic_extension(1j * s)
+        return val, dval
+    ext = rho.analytic_extension
+    return (val + 2.0 * math.pi * ext(1j * s),
+            dval + 2.0 * math.pi * (ext(1j * (s + h)) - ext(1j * (s - h)))
+            / (2.0 * h))
 
 
-def reference_find_pole(rho, params, cfg=_CAUCHY_CFG):
+def _reference_seeds(rho, params, cfg):
+    s_init = -params.alpha * reference_cauchy_transform(
+        rho, complex(1e-6 * rho.scale - 1j * params.omega), cfg)
+    scale = max(abs(s_init), 1e-3 * rho.scale)
+    offsets = [0.0, 0.3 * scale, -0.3 * scale, 0.3j * scale, -0.3j * scale,
+               (0.3 + 0.3j) * scale, (0.3 - 0.3j) * scale, 1.0j * scale]
+    return [complex(s_init + off) for off in offsets], scale
+
+
+def _dominant(roots, rho, params, scale):
+    roots = [r for r in roots if abs(r[0].imag) <= rho.scale + params.omega]
+    uniq = []
+    for r in sorted(roots, key=lambda z: -z[0].real):
+        if all(abs(r[0] - u[0]) > 1e-6 * scale for u in uniq):
+            uniq.append(r)
+    return uniq[0]
+
+
+def reference_find_pole(rho, params, cfg=_CAUCHY_CFG, residual=False):
+    """One seed at a time, F' from the quadrature that gives F: the pole,
+    the accepting round's point less F/F', or (pole, |F| of that round)."""
     alpha, omega = params.alpha, params.omega
+    seeds, scale = _reference_seeds(rho, params, cfg)
+
+    def F(s):
+        v, dv = reference_second_sheet(rho, s - 1j * omega, cfg,
+                                       1e-7 * max(abs(s), scale))
+        return s + alpha * v, 1.0 + alpha * dv
+
+    roots = []
+    for s in seeds:
+        for _ in range(_MAX_NEWTON):
+            f, df = F(s)
+            if abs(f) < _POLE_TOL:
+                roots.append((s - f / df if df != 0.0 else s, abs(f)))
+                break
+            if df == 0.0:
+                break
+            step = f / df
+            if abs(step) > 10.0 * scale:
+                break
+            s -= step
+    pole = _dominant(roots, rho, params, scale)
+    return pole if residual else pole[0]
+
+
+def reference_find_pole_central(rho, params, cfg=_CAUCHY_CFG):
+    """The search before F' came from the quadrature: F' is a central
+    difference of F at s +- h, and the accepting round's point is the
+    root.  A tolerance oracle for the pole."""
+    alpha, omega = params.alpha, params.omega
+    seeds, scale = _reference_seeds(rho, params, cfg)
 
     def F(s):
         return s + alpha * reference_second_sheet(rho, s - 1j * omega, cfg)
 
-    s_init = -alpha * reference_cauchy_transform(
-        rho, complex(1e-6 * rho.scale - 1j * omega), cfg)
-    scale = max(abs(s_init), 1e-3 * rho.scale)
-    offsets = [0.0, 0.3 * scale, -0.3 * scale, 0.3j * scale, -0.3j * scale,
-               (0.3 + 0.3j) * scale, (0.3 - 0.3j) * scale, 1.0j * scale]
     roots = []
-    for off in offsets:
-        s = complex(s_init + off)
+    for s in seeds:
         for _ in range(_MAX_NEWTON):
             f = F(s)
             if abs(f) < _POLE_TOL:
-                roots.append(s)
+                roots.append((s, abs(f)))
                 break
             h = 1e-7 * max(abs(s), scale)
             df = (F(s + h) - F(s - h)) / (2.0 * h)
@@ -91,12 +161,7 @@ def reference_find_pole(rho, params, cfg=_CAUCHY_CFG):
             if abs(step) > 10.0 * scale:
                 break
             s -= step
-    roots = [r for r in roots if abs(r.imag) <= rho.scale + omega]
-    uniq = []
-    for r in sorted(roots, key=lambda z: -z.real):
-        if all(abs(r - u) > 1e-6 * scale for u in uniq):
-            uniq.append(r)
-    return uniq[0]
+    return _dominant(roots, rho, params, scale)[0]
 
 
 def reference_bromwich(rho, params, t_grid, cfg=_BROMWICH_CFG, tol=1e-4):
@@ -255,17 +320,21 @@ def test_batched_analyze_matches_per_problem_analyze(synthetic_density):
 
 @pytest.mark.parametrize("alpha", [0.2, 0.7565217391304349, 1.0, None])
 def test_residual_is_the_accepting_rounds(alpha, synthetic_density):
-    # the residual |F(s0)| of the Newton round that accepted s0 is the one
-    # an extra transform at s0 gives, bit for bit
+    # the residual is |F| of the Newton round that accepted the root, before
+    # its last step, bit for bit the reference's; an extra transform at the
+    # pole, after that step, gives no larger |F|
     if alpha is None:
         rho, params = synthetic_density, ModelParams(alpha=0.01, omega=1.0)
     else:
         rho, params = _hydrogen(alpha)
     an = analyze(rho, params)
-    want = abs(an.pole + params.alpha
-               * s_hat_second_sheet(rho, an.pole - 1j * params.omega))
+    pole, want = reference_find_pole(rho, params, residual=True)
+    assert _bits([an.pole]) == _bits([pole])
     assert np.array(an.residual).tobytes() == np.array(want).tobytes()
     assert type(an.residual) is type(want)
+    after = abs(an.pole + params.alpha
+                * s_hat_second_sheet(rho, an.pole - 1j * params.omega))
+    assert after <= an.residual
 
 
 def _bits(values):
@@ -545,6 +614,93 @@ def test_pole_weak_coupling_scaling(synthetic_density):
                                                        params)))
     slope = np.polyfit(np.log(alphas), np.log(devs), 1)[0]
     assert slope >= 1.8
+
+
+def test_hydrogen_pole_rate_tends_to_markov_like_alpha_squared():
+    # the last Newton step resolves gamma_pole relative to itself: the
+    # deviation from the Markov rate falls monotonically as alpha does,
+    # through the physical alpha down to 2e-3
+    alphas = [0.25, 0.1, 0.05, 0.02, 0.01, 1.0 / 137.036, 5e-3, 3e-3, 2e-3]
+    devs = []
+    for alpha in alphas:
+        an = analyze(*_hydrogen(alpha))
+        devs.append(abs(an.gamma_pole / an.gamma_markov - 1.0))
+    assert all(d1 > d2 for d1, d2 in zip(devs, devs[1:])), devs
+    assert devs[-1] < 1e-7
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-320.0, 1.0).map(lambda e: 10.0 ** e))
+@example(1.0 / 137.036)
+@example(1e-10)
+@example(1e-320)
+def test_hydrogen_pole_is_a_decay_or_an_error(alpha):
+    # a pole the transforms cannot resolve as a decay is refused: analyze
+    # returns gamma_pole > 0 or raises, at any alpha
+    try:
+        an = analyze(*_hydrogen(alpha))
+    except (SolverError, QuadratureError):
+        return
+    assert an.gamma_pole > 0.0
+
+
+def test_search_agrees_with_the_central_difference_search():
+    # the central-difference search is a tolerance oracle: at the sweep's
+    # alpha both find the same rate to 1e-10 relative
+    alphas = np.linspace(0.2, 1.0, 24)[[0, 5, 10, 14, 19, 23]].tolist()
+    problems = [_hydrogen(a) for a in alphas]
+    got = analyze([r for r, _ in problems], [p for _, p in problems])
+    for (rho, params), an in zip(problems, got):
+        old = -2.0 * reference_find_pole_central(rho, params).real
+        assert abs(an.gamma_pole / old - 1.0) <= 1e-10
+
+
+def test_pole_search_makes_one_transform_batch_per_round(monkeypatch):
+    # a 24-alpha analyze: one batch for the first-sheet points, then one
+    # per Newton round at the unfinished seeds, with no batch at s +- h
+    calls = []
+    transform = qedvolterra.laplace._cauchy_transform
+
+    def counted(rho, ss, cfg=_CAUCHY_CFG, derivative=False):
+        calls.append((len(ss), derivative))
+        return transform(rho, ss, cfg, derivative)
+
+    monkeypatch.setattr(qedvolterra.laplace, "_cauchy_transform", counted)
+    problems = [_hydrogen(a) for a in np.linspace(0.2, 1.0, 24).tolist()]
+    analyze([r for r, _ in problems], [p for _, p in problems])
+    assert len(calls) == 4
+    assert calls[:2] == [(24, False), (24 * 8, True)]
+    assert all(derivative and n <= 24 * 8 for n, derivative in calls[1:])
+
+
+@pytest.mark.parametrize("alpha, bound", [(0.2, 1e-12),
+                                          (1.0 / 137.036, 1e-8)])
+def test_pole_derivative_matches_a_central_difference(alpha, bound):
+    # alpha dS_II/ds at the pole, from the quadrature of S_II, against a
+    # central difference of S_II at h = 1e-3 of the search scale; at the
+    # physical alpha the derivative is that of the quadrature rule
+    rho, params = _hydrogen(alpha)
+    an = analyze(rho, params)
+    z = complex(an.pole - 1j * params.omega)
+    s_init = -alpha * s_hat(rho, 1e-6 * rho.scale - 1j * params.omega)
+    h = 1e-3 * max(abs(s_init), 1e-3 * rho.scale)
+    (_, dv), = _second_sheet(rho, [z], _CAUCHY_CFG, [h])
+    up, down = _second_sheet(rho, [z + h, z - h], _CAUCHY_CFG)
+    assert alpha * abs(dv - (up - down) / (2.0 * h)) <= bound
+
+
+def test_newton_returns_the_accepting_rounds_step():
+    # the root is the accepting round's point less F/F', or the point
+    # itself where F' = 0; the residual is that round's |F|.  A seed whose
+    # F' = 0 before acceptance is dropped
+    def fun(ids, zs):
+        return [{0: (z - 0.25, 1.0), 1: (1e-13, 0.0), 2: (0.5, 0.0)}[i]
+                for i, z in zip(ids, zs)]
+
+    assert _newton(fun, [1.0, 2.0, 3.0], [1.0] * 3) \
+        == [(0.25 + 0j, 0.0), (2.0 + 0j, 1e-13), None]
+    half = _newton(lambda ids, zs: [(1e-13, 2.0) for _ in ids], [1.0], [1.0])
+    assert half == [(1.0 - 5e-14 + 0j, 1e-13)]
 
 
 def test_pole_alpha_zero_rejected(synthetic_density):

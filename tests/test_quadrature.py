@@ -18,20 +18,27 @@ TIGHT = QuadConfig(rel_tol=1e-12, abs_tol=1e-14)
 # ------------------------------------------------ one-interval reference
 # The adaptive rule as it was before the integrand calls were batched: one
 # interval per estimate and two integrand calls per interval.  The batched
-# rule must reproduce it bit for bit.
+# rule must reproduce it bit for bit.  An integrand may return a pair (y,
+# y2); y2 is integrated by the 15-point rule on the same intervals, and its
+# running total is updated like the value's.
 
 _X7, _W7 = np.polynomial.legendre.leggauss(7)
 _X15, _W15 = np.polynomial.legendre.leggauss(15)
 
 
+def _components(y):
+    return [np.asarray(c, dtype=complex)
+            for c in (y if isinstance(y, tuple) else (y,))]
+
+
 def _reference_pair_estimate(f, a, b):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    y15 = np.asarray(f(mid + half * _X15), dtype=complex)
-    v15 = half * np.dot(_W15, y15)
-    y7 = np.asarray(f(mid + half * _X7), dtype=complex)
+    y15 = _components(f(mid + half * _X15))
+    v15 = [half * np.dot(_W15, y) for y in y15]
+    y7 = _components(f(mid + half * _X7))[0]
     v7 = half * np.dot(_W7, y7)
-    return v15, abs(v15 - v7)
+    return v15, abs(v15[0] - v7)
 
 
 def reference_integrate_finite(f, a, b, cfg=QuadConfig()):
@@ -42,25 +49,26 @@ def reference_integrate_finite(f, a, b, cfg=QuadConfig()):
     total_val, total_err = val, err
     n_sub = 1
     while n_sub < cfg.max_subdivisions:
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total_val[0]))
         if total_err <= tol:
-            return total_val, total_err
+            return (total_val[0], total_err, *total_val[1:])
         _, ia, ib, ival, ierr = heapq.heappop(heap)
         mid = 0.5 * (ia + ib)
         v1, e1 = _reference_pair_estimate(f, ia, mid)
         v2, e2 = _reference_pair_estimate(f, mid, ib)
-        total_val += (v1 + v2) - ival
+        total_val = [t + ((x1 + x2) - x)
+                     for t, x1, x2, x in zip(total_val, v1, v2, ival)]
         total_err += (e1 + e2) - ierr
         heapq.heappush(heap, (-e1, ia, mid, v1, e1))
         heapq.heappush(heap, (-e2, mid, ib, v2, e2))
         n_sub += 1
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
+    tol = max(cfg.abs_tol, cfg.rel_tol * abs(total_val[0]))
     if total_err <= tol:
-        return total_val, total_err
+        return (total_val[0], total_err, *total_val[1:])
     raise QuadratureError(
         f"no convergence after {cfg.max_subdivisions} subdivisions "
         f"(err={total_err:.3e}, tol={tol:.3e})",
-        best_estimate=total_val, err_est=total_err)
+        best_estimate=total_val[0], err_est=total_err)
 
 
 def reference_truncation_point(g, abs_tol, *, decay_order=None,
@@ -381,6 +389,53 @@ def test_lockstep_batch_matches_one_interval_reference():
     for step, per_problem in enumerate(calls[1:], start=1):
         want = [44 if n >= step else 0 for n in splits]
         np.testing.assert_array_equal(per_problem, want)
+
+
+def _peak_pair(x0, w):
+    """A Lorentzian peak at x0 and, as second component, its x0-derivative,
+    whose integral over [a, b] is peak(a) - peak(b)."""
+    def f(x):
+        u = x - x0
+        return w / (u * u + w * w), 2.0 * w * u / (u * u + w * w) ** 2
+    return f
+
+
+def test_second_component_rides_the_value_intervals():
+    # an integrand that returns a pair (y, y2): y's values, errors and
+    # integrand calls are those of y alone, bit for bit, and y2's integral
+    # is the one-interval reference's, carried on y's intervals
+    cases = [(_peak_pair(0.3, 1e-3), -1.0, 1.0),
+             (_peak_pair(-0.5, 0.2), -1.0, 2.0),
+             (_peak_pair(0.0, 1.0), 0.5, 0.5),
+             (_peak_pair(1.0, 1e-2), 0.0, 3.0)]
+    cfg = QuadConfig(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=4000)
+    sizes = {1: [], 2: []}
+
+    def batch(p, idx, parts):
+        sizes[parts].append(p.size)
+        out = [np.empty(p.shape, dtype=complex) for _ in range(2)]
+        for i, (fi, _, _) in enumerate(cases):
+            sel = idx == i
+            if sel.any():
+                for o, y in zip(out, fi(p[sel])):
+                    o[sel] = y
+        return tuple(out) if parts == 2 else out[0]
+
+    bounds = [(a, b) for _, a, b in cases]
+    got = _integrate_many(lambda p, idx: batch(p, idx, 2), bounds, cfg)
+    alone = _integrate_many(lambda p, idx: batch(p, idx, 1), bounds, cfg)
+    assert sizes[1] == sizes[2]
+    assert got[2] == alone[2] == (0.0 + 0.0j, 0.0)
+    for k in (0, 1, 3):
+        assert len(got[k]) == 3
+        assert _bits(got[k][:2]) == _bits(alone[k])
+        fi, a, b = cases[k]
+        want = reference_integrate_finite(fi, a, b, cfg)
+        assert _bits(got[k]) == _bits(want)
+        assert [type(x) for x in got[k]] == [np.complex128, np.float64,
+                                             np.complex128]
+        exact = fi(np.array([a]))[0][0] - fi(np.array([b]))[0][0]
+        assert abs(got[k][2] - exact) <= 1e-9 * abs(exact)
 
 
 def test_lockstep_budget_exhaustion_matches_single_call():
