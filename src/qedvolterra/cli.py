@@ -349,8 +349,7 @@ def _build_kernel(cfg: RunConfig, params, density, grid: Optional[TimeGrid]):
         tabulate = (grid.t_max, max(grid.dt, 0.02 / density.scale))
     squeeze = cfg.squeeze_params()
     chi = _load_chi(cfg) if squeeze is not None else None
-    state = cfg.state if cfg.state != "custom" else "custom"
-    return make_kernel(state, density=density, squeeze=squeeze, chi=chi,
+    return make_kernel(cfg.state, density=density, squeeze=squeeze, chi=chi,
                        cfg=quad_cfg, tabulate=tabulate)
 
 
@@ -452,16 +451,15 @@ def _kernel_lines(cfg: RunConfig, params, density,
     times = np.arange(0, n, n // 4096 + 1 if n > 4096 else 1) * grid.dt
     if kernel.stationary:
         lines = ["tau,re_S,im_S"]
-        for tau in times:
-            v = kernel.tau(float(tau))
+        for tau, v in zip(times, kernel.tau_values(times)):
             lines.append(",".join((_fmt(tau), _fmt(v.real), _fmt(v.imag))))
     else:
         lines = ["t,s,re_S,im_S"]
         sample = times[::max(len(times) // 64, 1)]
         for t in sample:
-            for s in sample[sample <= t]:
-                v = kernel.eval(float(t), float(s))
-                lines.append(",".join((_fmt(t), _fmt(s),
+            s = sample[sample <= t]
+            for s_j, v in zip(s, kernel.row(float(t), s)):
+                lines.append(",".join((_fmt(t), _fmt(s_j),
                                        _fmt(v.real), _fmt(v.imag))))
     return lines
 

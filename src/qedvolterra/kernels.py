@@ -65,10 +65,11 @@ class SpectralDensity:
     def __post_init__(self):
         if (self.decay_order is None) == (self.decay_rate is None):
             raise ValueError("declare exactly one of decay_order / decay_rate")
-        # the tail bounds divide by decay_rate and by decay_order - 1
+        # the tail bounds divide by decay_rate and by decay_order - 1, and
+        # oscillatory_halfline needs an algebraic tail of order >= 2
         if self.decay_order is not None \
-                and not 1.0 < self.decay_order < math.inf:
-            raise ValueError("decay_order must be finite and > 1")
+                and not 2.0 <= self.decay_order < math.inf:
+            raise ValueError("decay_order must be finite and >= 2")
         if self.decay_rate is not None \
                 and not 0.0 < self.decay_rate < math.inf:
             raise ValueError("decay_rate must be finite and > 0")
@@ -314,16 +315,17 @@ class KernelEvaluator:
 
     ``tau_fn(lag)`` gives the stationary part S0 and ``row_fn(t, s_array)``
     the correction R over an array of s; either may be absent (zero).
-    Stationary kernels have no correction and expose ``tau(lag)`` /
-    ``tau_values(lags)``.  ``fn(t, s)``, when given, is the whole kernel at
-    one point and serves ``eval``.  All kernels expose ``row(t, s_array)``.
+    Stationary kernels have no correction and expose ``tau_values(lags)``.
+    ``fn(t, s)``, when given, is the whole kernel at one point and serves
+    ``eval``.  All kernels expose ``row(t, s_array)``.
 
     The solvers read S0 on the lag grid k * dt through a memo, one read-only
     ``(dt, values)`` pair for the longest such grid read so far: a grid with
     the same dt and no more steps is served its prefix, bit for bit, and any
     other grid is read anew (through ``tau_values`` for a stationary kernel)
-    and replaces the memo only if it is longer.  The memo is the evaluator's only mutable state; it is
-    replaced as a whole, so evaluators are safe for concurrent use.
+    and replaces the memo only if it is longer.  The memo is the evaluator's
+    only mutable state; it is replaced as a whole, so evaluators are safe
+    for concurrent use.
     """
 
     def __init__(self, fn, stationary: bool, label: str,
@@ -337,17 +339,10 @@ class KernelEvaluator:
 
     def eval(self, t: float, s: float) -> complex:
         if self.stationary:
-            return self.tau(t - s)
+            return complex(self._tau_fn(t - s))
         if self._fn is not None:
             return complex(self._fn(t, s))
         return complex(self.row(t, np.array([s]))[0])
-
-    __call__ = eval
-
-    def tau(self, lag: float) -> complex:
-        if not self.stationary:
-            raise ValueError("tau() requires a stationary kernel")
-        return complex(self._tau_fn(lag))
 
     def tau_values(self, lags: np.ndarray) -> np.ndarray:
         if not self.stationary:

@@ -21,7 +21,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,6 +32,10 @@ from .volterra import AmplitudeSeries, SolverError, TimeGrid
 
 _POLE_TOL = 1e-12
 _MAX_NEWTON = 50
+
+# the Bromwich contour abscissa times t_max, and its truncation tolerance
+_BROMWICH_SIGMA_TMAX = 3.0
+_BROMWICH_TOL = 1e-4
 
 # tight tolerances; pole residuals must resolve below 1e-12
 _CAUCHY_CFG = QuadConfig(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=4000)
@@ -274,12 +277,12 @@ def markov_rate(rho: SpectralDensity, params: ModelParams) -> float:
     return 2.0 * math.pi * params.alpha * float(rho(params.omega))
 
 
-def _newton(fun, seeds, scales, tol=_POLE_TOL):
+def _newton(fun, seeds, scales):
     """Newton iteration from every seed, in lockstep.
 
     ``fun(ids, points)`` maps the points of the seeds ``ids`` to their
     (F, F') pairs, so each round is one batch at the unfinished seeds; seed
-    i steps with its own scale ``scales[i]``.  A seed whose |F| < ``tol``
+    i steps with its own scale ``scales[i]``.  A seed whose |F| < _POLE_TOL
     is accepted, and its root is that round's point less F/F' (the point
     itself where F' = 0): the last Newton step costs no further batch.
     Each seed gets its own ``_MAX_NEWTON`` rounds and stops on the same
@@ -296,7 +299,7 @@ def _newton(fun, seeds, scales, tol=_POLE_TOL):
             break
         stepped = []
         for i, (f, df) in zip(active, fun(active, [s[i] for i in active])):
-            if abs(f) < tol:
+            if abs(f) < _POLE_TOL:
                 found[i] = (s[i] - f / df if df != 0.0 else s[i], abs(f))
                 continue
             if df == 0.0:
@@ -310,18 +313,19 @@ def _newton(fun, seeds, scales, tol=_POLE_TOL):
     return found
 
 
-# Newton seeds around s_init, in units of the search scale
+# Newton seeds around the first-sheet estimate, in units of the search scale
 _SEED_OFFSETS = (0.0, 0.3, -0.3, 0.3j, -0.3j, 0.3 + 0.3j, 0.3 - 0.3j, 1.0j)
 
 
-def _find_poles(rhos, params, s_inits, cfg: QuadConfig) -> list:
+def _find_poles(rhos, params, cfg: QuadConfig) -> list:
     """(s0, residual) for each problem (rhos[k], params[k]), from one
     lockstep Newton search over every problem's seeds; the residual is |F|
     of the accepting round, before its last step to s0.
 
-    Problems whose ``s_inits[k]`` is None take it from one batch of
-    first-sheet transforms.  Each problem keeps its own seeds, scale and
-    root selection, so its pole does not depend on the other problems.
+    Every problem's seeds surround -alpha S_hat(1e-6 scale - i omega), and
+    those first-sheet transforms are one batch.  Each problem keeps its own
+    seeds, scale and root selection, so its pole does not depend on the
+    other problems.
     """
     for rho, p in zip(rhos, params):
         if rho.analytic_extension is None:
@@ -330,20 +334,17 @@ def _find_poles(rhos, params, s_inits, cfg: QuadConfig) -> list:
                 "pole finding refused")
         if p.alpha == 0.0:
             raise ValueError("alpha = 0 has no resonance pole")
-    s_inits = list(s_inits)
-    todo = [k for k, z in enumerate(s_inits) if z is None]
-    points = [complex(1e-6 * rhos[k].scale - 1j * params[k].omega)
-              for k in todo]
+    points = [complex(1e-6 * rho.scale - 1j * p.omega)
+              for rho, p in zip(rhos, params)]
     if any(z.real <= 0.0 for z in points):
         raise SolverError("pole search cannot start: its first-sheet point "
                           "Re s = 1e-6 * scale underflows to 0 (density "
                           "scale too small)")
-    firsts = _first_sheet([rhos[k] for k in todo], points, cfg)
-    for k, v in zip(todo, firsts):
-        s_inits[k] = -params[k].alpha * v
-    scales = [max(abs(z), 1e-3 * rho.scale) for z, rho in zip(s_inits, rhos)]
+    centres = [-p.alpha * v
+               for p, v in zip(params, _first_sheet(rhos, points, cfg))]
+    scales = [max(abs(z), 1e-3 * rho.scale) for z, rho in zip(centres, rhos)]
     owner = [k for k in range(len(rhos)) for _ in _SEED_OFFSETS]
-    seeds = [z + off * scale for z, scale in zip(s_inits, scales)
+    seeds = [z + off * scale for z, scale in zip(centres, scales)
              for off in _SEED_OFFSETS]
 
     def F(ids, zs):
@@ -381,7 +382,6 @@ def _find_poles(rhos, params, s_inits, cfg: QuadConfig) -> list:
 
 
 def find_pole(rho: SpectralDensity, params: ModelParams,
-              s_init: Optional[complex] = None,
               cfg: QuadConfig = _CAUCHY_CFG) -> complex:
     """Dominant resonance pole s0 of 1 / (s + alpha s_hat(s - i omega)).
 
@@ -395,7 +395,7 @@ def find_pole(rho: SpectralDensity, params: ModelParams,
     when no seed converges, when an iterate lands on Re(s - i omega) = 0,
     or for a pole that resolves no decay.
     """
-    return _find_poles([rho], [params], [s_init], cfg)[0][0]
+    return _find_poles([rho], [params], cfg)[0][0]
 
 
 def analyze(rho, params, cfg: QuadConfig = _CAUCHY_CFG):
@@ -417,24 +417,25 @@ def analyze(rho, params, cfg: QuadConfig = _CAUCHY_CFG):
                            gamma_markov=markov_rate(r, p),
                            lamb_shift=pole.imag, residual=resid)
            for r, p, (pole, resid) in zip(
-               rhos, ps, _find_poles(rhos, ps, [None] * len(rhos), cfg))]
+               rhos, ps, _find_poles(rhos, ps, cfg))]
     return out[0] if single else out
 
 
 def bromwich_invert(rho: SpectralDensity, params: ModelParams,
-                    t_grid: TimeGrid, cfg: QuadConfig = _BROMWICH_CFG,
-                    sigma0: Optional[float] = None,
-                    tol: float = 1e-4) -> AmplitudeSeries:
+                    t_grid: TimeGrid, cfg: QuadConfig = _BROMWICH_CFG
+                    ) -> AmplitudeSeries:
     """Numerical Bromwich inversion of c_hat(s) = 1/(s + alpha S_hat(s-iw)).
 
     The 1/s part (initial value) is inverted analytically; the remainder
     decays like 1/|s|^3 along the contour and is summed by the trapezoid
-    rule with spacing pi / (2 t_max).  The contour abscissa defaults to
-    3 / t_max, which keeps the e^{sigma0 t} amplification at e^3 while the
-    aliasing error stays below e^{-4 sigma0 t_max} = e^{-12}.  The contour
-    is walked in blocks of 512 points per side; each block and the two
-    edge points of its truncation test are one batch of Cauchy transforms,
-    and their terms are added to c in contour order.
+    rule with spacing pi / (2 t_max).  The contour abscissa is fixed at
+    sigma = _BROMWICH_SIGMA_TMAX / t_max = 3 / t_max, which keeps the
+    e^{sigma t} amplification at e^3 while the aliasing error stays below
+    e^{-4 sigma t_max} = e^{-12}.  The contour is walked in blocks of 512
+    points per side; each block and the two edge points of its truncation
+    test are one batch of Cauchy transforms, and their terms are added to c
+    in contour order.  The walk stops once the estimated truncation error
+    falls below 0.1 _BROMWICH_TOL = 1e-5.
     """
     alpha, omega = params.alpha, params.omega
     times = t_grid.times
@@ -445,7 +446,7 @@ def bromwich_invert(rho: SpectralDensity, params: ModelParams,
         return AmplitudeSeries(grid=t_grid, values=c, method="bromwich",
                                kernel_label=rho.label, alpha=alpha,
                                omega=omega, truncation_error=trunc)
-    sigma = sigma0 if sigma0 is not None else 3.0 / t_max
+    sigma = _BROMWICH_SIGMA_TMAX / t_max
     h = math.pi / (2.0 * t_max)
 
     def chat_minus(points):
@@ -476,7 +477,7 @@ def bromwich_invert(rho: SpectralDensity, params: ModelParams,
         # 1/y^3 tail: sum_{y>Y} |g| ~ gm * Y / (2 h)
         tail = amp[-1] * gm * y_edge / (2.0 * h) * 2.0
         trunc[:] = tail
-        if tail < 0.1 * tol:
+        if tail < 0.1 * _BROMWICH_TOL:
             break
     else:
         raise QuadratureError("Bromwich contour truncation did not converge",

@@ -59,16 +59,12 @@ class QuadConfig:
     rel_tol: float = 1e-11
     abs_tol: float = 1e-13
     max_subdivisions: int = 2000
-    tail_strategy: str = "between_zeros_acceleration"
 
     def __post_init__(self):
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 8:
             raise ValueError("max_subdivisions must be >= 8")
-        if self.tail_strategy not in ("between_zeros_acceleration",
-                                      "truncate_with_bound"):
-            raise ValueError(f"unknown tail_strategy {self.tail_strategy!r}")
 
 
 DEFAULT_QUAD = QuadConfig()
@@ -255,30 +251,19 @@ def _iterated_aitken(s: np.ndarray, levels: int = _AITKEN_LEVELS) -> complex:
     return complex(s[-1])
 
 
-def _truncation_points(g, abs_tols, *, decay_order=None, decay_rate=None,
-                       peak=0.0, start=None) -> list:
-    """(P, bound) for each tolerance in ``abs_tols``, from one ladder walk.
-
-    P walks the ladder start * 1.5^k, k < 200, and each tolerance takes the
-    first rung whose analytic tail bound of |g| meets it.  The rungs and
-    their bounds do not depend on the tolerance, so one walk serves them
-    all: g is evaluated on blocks of rungs, one call each, until every
-    tolerance is met, and each result equals a walk made for that tolerance
-    alone.  Raises :class:`QuadratureError` if some tolerance is met by no
-    rung.
-    """
-    return _truncation_walks(lambda P, m: g(P), [
-        (abs_tols, decay_order, decay_rate, peak, start)])[0]
-
-
 def _truncation_walks(g, walks) -> list:
-    """:func:`_truncation_points` for several ladders, walked in lockstep.
+    """Truncation points P of several ladders, walked in lockstep.
 
     ``walks[m]`` is (abs_tols, decay_order, decay_rate, peak, start) of
-    walk m.  Each block of rungs of every unfinished walk is one call
-    ``g(P, m)``, where the integer array ``m`` names the walk of each rung.
-    Each walk keeps its own start, decay and rungs, so its list of (P,
-    bound) equals the one :func:`_truncation_points` gives it alone.
+    walk m; a None start is max(8 peak, 1).  Walk m returns one (P, bound)
+    per tolerance in its ``abs_tols``: P walks the ladder start * 1.5^k,
+    k < 200, and each tolerance takes the first rung whose analytic tail
+    bound of |g| meets it.  The rungs do not depend on the tolerance, so
+    one walk serves them all, and each result equals a walk made for that
+    tolerance alone.  Each block of rungs of every unfinished walk is one
+    call ``g(P, m)``, where the integer array ``m`` names the walk of each
+    rung; each walk keeps its own start, decay and rungs.  Raises
+    :class:`QuadratureError` if some tolerance is met by no rung.
 
     A tolerance is still pending while it is below every bound so far, so
     with a walk's tolerances sorted largest first, those a rung meets are
@@ -324,18 +309,6 @@ def _truncation_walks(g, walks) -> list:
     return out
 
 
-def _truncation_point(g, abs_tol, *, decay_order=None, decay_rate=None,
-                      peak=0.0, start=None):
-    """Point P past which the analytic tail bound of |g| drops below abs_tol.
-
-    The one-tolerance case of :func:`_truncation_points`: returns (P, bound)
-    for the first rung of the ladder start * 1.5^k whose bound is met.
-    """
-    return _truncation_points(g, [abs_tol], decay_order=decay_order,
-                              decay_rate=decay_rate, peak=peak,
-                              start=start)[0]
-
-
 def _panel_values(f, edges: np.ndarray) -> np.ndarray:
     """Non-adaptive 15-point Gauss value of f on each [edges[k], edges[k+1]]."""
     a = edges[:-1]
@@ -363,16 +336,15 @@ def oscillatory_halfline(g, tau: float, cfg: QuadConfig = DEFAULT_QUAD, *,
         raise ValueError("algebraic decay order must be >= 2")
 
     abs_tol = cfg.abs_tol
-    P, tail_bound = _truncation_point(
-        g, 0.1 * abs_tol, decay_order=decay_order, decay_rate=decay_rate,
-        peak=peak)
+    P, _ = _truncation_walks(lambda p, m: g(p), [
+        ([0.1 * abs_tol], decay_order, decay_rate, peak, None)])[0][0]
 
     def integrand(p):
         return np.asarray(g(p), dtype=complex) * np.exp(-1j * tau * p)
 
     plain = (abs(tau) * max(peak, 0.0) < 2.0
              and abs(tau) * P < 40.0 * math.pi)
-    if tau == 0.0 or plain or cfg.tail_strategy == "truncate_with_bound":
+    if tau == 0.0 or plain:
         val, err = integrate_finite(integrand, 0.0, P, cfg)
         return val
 

@@ -171,13 +171,6 @@ class _HistorySum:
             self._add_block(self._done)
         return self._c[lo:lo + self._leaf]
 
-    def __call__(self, k: int) -> complex:
-        """H_k = sum_{j<k} c_j W_{k-j}: F_k plus the pairs inside k's leaf,
-        summed directly; needs c_0 .. c_{k-1}."""
-        lo = k - k % self._leaf
-        return self.leaf(lo)[k - lo] \
-            + np.dot(self._c[lo:k], self._W[k - lo:0:-1])
-
     def _add_block(self, m: int):
         q = m // self._leaf
         b = self._leaf * (q & -q)

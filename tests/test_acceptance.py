@@ -160,7 +160,7 @@ def test_criterion_08_short_time_law():
     t = grid.times[1:]
     y = 1.0 - series.values.real[1:]
     coeff = float(np.dot(y, t**2) / np.dot(t**2, t**2))
-    expected = 0.5 * alpha * kernel.tau(0.0).real
+    expected = 0.5 * alpha * kernel.tau_values(np.array([0.0]))[0].real
     rel = abs(coeff / expected - 1.0)
     record_criterion(8, "short-time quadratic law", rel <= 0.01,
                      f"coefficient rel err {rel:.2e}")
@@ -215,7 +215,8 @@ def test_criterion_10_squeezed_reductions():
         for t, s in pairs)
     shift = max(abs(kernel.eval(t + 3.0, s + 3.0) - kernel.eval(t, s))
                 for t, s in pairs[:5])
-    nonstationary_ok = shift > 1e-6 * abs(vac_k.tau(0.0))
+    s0 = vac_k.tau_values(np.array([0.0]))[0]
+    nonstationary_ok = shift > 1e-6 * abs(s0)
     _register("squeezed r=0.5", solve_ide(kernel, params, grid, "trapezoid"))
 
     ok = dev_r0 <= 1e-12 and dev_perp <= 1e-12 and envelope_ok \

@@ -438,6 +438,37 @@ def test_kernel_mode(tmp_path):
     assert len(lines) == 52
 
 
+@pytest.mark.parametrize("state", ["vacuum", "squeezed_concentrated"])
+def test_kernel_dump_matches_one_read_per_sample(tmp_path, state):
+    # the dump reads a stationary kernel in one tau_values call and a
+    # squeezed one in one row per t; its bytes must equal a dump that
+    # reads every sample on its own through eval
+    cfg = RunConfig(mode="kernel", state=state, alpha=0.5, dt=0.5, tmax=10.0,
+                    r=0.5, q=(1.0, 0.0, 0.0), amplitude=1e-3,
+                    out=str(tmp_path / "kernel.csv"))
+    assert qedvolterra.cli.run(cfg) == 0
+    params, density = qedvolterra.cli._model(cfg)
+    grid = qedvolterra.cli._default_grid(cfg, params, density)
+    kernel = qedvolterra.cli._build_kernel(cfg, params, density, None)
+    # a grid this small is dumped whole, and 21 samples are one per row
+    times = grid.times
+    assert len(times) == 21
+    if state == "vacuum":
+        lines = ["tau,re_S,im_S"]
+        for tau in times.tolist():
+            v = kernel.eval(tau, 0.0)
+            lines.append(",".join((_fmt(tau), _fmt(v.real), _fmt(v.imag))))
+    else:
+        lines = ["t,s,re_S,im_S"]
+        for t in times.tolist():
+            for s in times[times <= t].tolist():
+                v = kernel.eval(t, s)
+                lines.append(",".join((_fmt(t), _fmt(s),
+                                       _fmt(v.real), _fmt(v.imag))))
+        assert len(lines) == 1 + 21 * 22 // 2
+    assert Path(cfg.out).read_text() == "\n".join(lines) + "\n"
+
+
 def test_custom_density_via_table(tmp_path):
     p = np.linspace(0.0, 30.0, 400)
     table = tmp_path / "rho.txt"
@@ -603,15 +634,14 @@ def test_sweep_matches_one_interval_quadrature(tmp_path, monkeypatch):
 
     walked = []
 
-    def one_ladder_per_tolerance(g, abs_tols, **kw):
-        walked.extend(abs_tols)
-        return [reference_truncation_point(g, tol, **kw) for tol in abs_tols]
-
-    def one_ladder_per_walk(g, walks):
-        return [one_ladder_per_tolerance(
-            lambda P, m=m: g(P, np.full(P.shape, m)), tols,
-            decay_order=order, decay_rate=rate, peak=peak, start=start)
-            for m, (tols, order, rate, peak, start) in enumerate(walks)]
+    def one_ladder_per_tolerance(g, walks):
+        out = []
+        for m, (tols, order, rate, peak, start) in enumerate(walks):
+            walked.extend(tols)
+            out.append([reference_truncation_point(
+                lambda P: g(P, np.full(P.shape, m)), tol, decay_order=order,
+                decay_rate=rate, peak=peak, start=start) for tol in tols])
+        return out
 
     points = []
     transform = qedvolterra.laplace._cauchy_transform
@@ -623,12 +653,8 @@ def test_sweep_matches_one_interval_quadrature(tmp_path, monkeypatch):
     monkeypatch.setattr(qedvolterra.laplace, "_cauchy_transform", counted)
     for module in (qedvolterra.quadrature, qedvolterra.laplace):
         monkeypatch.setattr(module, "_integrate_many", one_at_a_time)
-    monkeypatch.setattr(qedvolterra.quadrature, "_truncation_points",
-                        one_ladder_per_tolerance)
     monkeypatch.setattr(qedvolterra.laplace, "_truncation_walks",
-                        one_ladder_per_walk)
-    monkeypatch.setattr(qedvolterra.quadrature, "_truncation_point",
-                        reference_truncation_point)
+                        one_ladder_per_tolerance)
     monkeypatch.setattr(qedvolterra.quadrature, "integrate_finite",
                         reference_integrate_finite)
     assert main(["sweep", "--config", str(cfg), "--out", str(slow)]) == 0

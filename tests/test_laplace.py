@@ -15,8 +15,7 @@ from qedvolterra import MissingExtensionError, ModelParams, QuadConfig, \
     s_hat, s_hat_second_sheet, solve_ide
 from qedvolterra.laplace import _BROMWICH_CFG, _CAUCHY_CFG, _MAX_NEWTON, \
     _POLE_TOL, _cauchy_transform, _newton, _second_sheet
-from qedvolterra.quadrature import _truncation_point, _truncation_points, \
-    _truncation_walks
+from qedvolterra.quadrature import _truncation_walks
 from qedvolterra.volterra import AmplitudeSeries
 
 # ------------------------------------------------- one-at-a-time oracles
@@ -30,9 +29,9 @@ def reference_cauchy_transform(rho, s, cfg=_CAUCHY_CFG, derivative=False):
     """The transform at s, or with ``derivative`` the pair (value, d/ds):
     each piece's integrand carries its s-derivative -(rho - r)/(s + ip)^2
     as a second component, and the near-pole term its closed form."""
-    P, _ = _truncation_point(
-        rho.fn, 0.1 * cfg.abs_tol * max(abs(s), 1.0),
-        decay_order=rho.decay_order, decay_rate=rho.decay_rate, peak=rho.peak)
+    [[(P, _)]] = _truncation_walks(lambda p, m: rho.fn(p), [
+        ([0.1 * cfg.abs_tol * max(abs(s), 1.0)], rho.decay_order,
+         rho.decay_rate, rho.peak, None)])
 
     def subtracted(r):
         def f(p):
@@ -405,7 +404,7 @@ def test_family_ladders_and_near_pole_values_match_per_density():
     # each member walks its own ladder (start 8 * peak, decay p^-7) with
     # its own tolerances; the lockstep walk makes one g call per block, as
     # many as the longest walk alone, and each result equals the member's
-    # own _truncation_points
+    # own walk alone
     alphas = [0.2, 0.45, 1.0, 3.0]
     family, calls = _hydrogen_family(alphas)
     thetas = np.array(alphas)
@@ -418,12 +417,12 @@ def test_family_ladders_and_near_pole_values_match_per_density():
     for rho, t, walk in zip(family, tols, got):
         sizes = []
 
-        def fn(P, rho=rho):
+        def fn(P, m, rho=rho):
             sizes.append(np.size(P))
             return rho.fn(P)
 
-        assert walk == _truncation_points(fn, t, decay_order=rho.decay_order,
-                                          peak=rho.peak)
+        assert [walk] == _truncation_walks(
+            fn, [(t, rho.decay_order, None, rho.peak, None)])
         blocks.append(len(sizes))
     assert len(calls) == max(blocks) > 1
     # the near-pole values rho(p*) of a family batch come from one call,

@@ -1,0 +1,63 @@
+"""What the benchmark harness under perfbench/ uses of the package.
+
+The harness is not part of the package, but its tracer wraps package
+functions by name and its workloads build kernels in fixed call forms.  A
+rename or a dropped parameter in the package breaks a benchmark run; these
+tests catch it in the test suite instead.  They import the harness files
+and change nothing in them.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import qedvolterra as qv
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_resolves():
+    tracer = _load("tracer")
+    entries = tracer.SPANNED + tracer.COUNTED
+    assert entries
+    for _, module, attr in entries:
+        importlib.import_module(module)
+        assert callable(tracer._resolve(module, attr)), (module, attr)
+
+
+def test_workload_kernel_call_forms_build_and_solve():
+    # solver_long's stationary form (no fn, a scalar tau_fn) and
+    # squeezed_cli's reference form (a point fn and a row_fn), both on the
+    # same exponential kernel exp(-|t - s|)
+    workloads = _load("workloads")
+    inp = workloads.solver_long_inputs(1, lambda name, n: None)
+    stationary = inp["kernel"]
+
+    def row(t, s):
+        return np.exp(-np.abs(t - np.asarray(s, dtype=float))) + 0j
+
+    general = qv.KernelEvaluator(
+        lambda t, s: complex(row(t, np.array([s]))[0]), stationary=False,
+        label="reference", row_fn=row)
+    grid = qv.TimeGrid(dt=0.1, n_steps=10)
+    a = qv.solve_ide(stationary, inp["params"], grid, "gregory4").values
+    b = qv.solve_ide(general, inp["params"], grid, "gregory4").values
+    assert a.shape == b.shape == (11,) and np.all(np.isfinite(a))
+    assert np.max(np.abs(a - b)) <= 1e-12
+    for kernel in (stationary, general):
+        assert abs(kernel.eval(0.7, 0.2) - np.exp(-0.5)) <= 1e-15
+        np.testing.assert_allclose(kernel.row(0.7, np.array([0.2, 0.7])),
+                                   np.exp(-np.array([0.5, 0.0])), atol=1e-15)

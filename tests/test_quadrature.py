@@ -10,8 +10,7 @@ from qedvolterra import QuadConfig, QuadratureError, hydrogen_density, \
 from qedvolterra.kernels import hydrogen_vacuum_density
 import qedvolterra.quadrature
 from qedvolterra.quadrature import _LADDER_BLOCK, _LADDER_RUNGS, \
-    _integrate_many, _rule_estimates, _truncation_point, _truncation_points, \
-    _truncation_walks, _worst
+    _integrate_many, _rule_estimates, _truncation_walks, _worst
 
 TIGHT = QuadConfig(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -86,6 +85,13 @@ def reference_truncation_point(g, abs_tol, *, decay_order=None,
     raise QuadratureError("could not find a truncation point for the tail")
 
 
+def _walk_spec(tols, kw):
+    """The _truncation_walks entry of a walk for ``tols`` whose decay and
+    start are the reference's keywords ``kw``."""
+    return (tols, kw.get("decay_order"), kw.get("decay_rate"),
+            kw.get("peak", 0.0), kw.get("start"))
+
+
 class _CallLog:
     """Wraps an integrand and records the number of points of each call."""
 
@@ -105,8 +111,9 @@ def _near_pole_f_sub():
     rho = hydrogen_density(alpha)
     s = complex(1e-6, -0.375 * alpha * alpha)
     pstar = -s.imag
-    P, _ = _truncation_point(rho.fn, 0.1 * 1e-15 * max(abs(s), 1.0),
-                             decay_order=rho.decay_order, peak=rho.peak)
+    [[(P, _)]] = _truncation_walks(lambda p, m: rho.fn(p), [
+        ([0.1 * 1e-15 * max(abs(s), 1.0)], rho.decay_order, None, rho.peak,
+         None)])
     delta = min(pstar, P - pstar, rho.scale)
     rstar = complex(rho.fn(np.array([pstar]))[0])
 
@@ -167,7 +174,8 @@ def test_batched_ladder_matches_one_rung_reference(abs_tol):
                dict(decay_rate=0.5, start=0.3)):
         g = rho.fn if "decay_order" in kw else (lambda p: np.exp(-0.5 * p))
         new_log, ref_log = _CallLog(g), _CallLog(g)
-        got = _truncation_point(new_log, abs_tol, **kw)
+        [[got]] = _truncation_walks(lambda P, m: new_log(P),
+                                    [_walk_spec([abs_tol], kw)])
         want = reference_truncation_point(ref_log, abs_tol, **kw)
         assert got == want
         # the rungs the reference walked, eight to a call
@@ -256,7 +264,7 @@ def test_batched_ladder_matches_per_tolerance_reference(kind):
     # a tolerance equal to a rung's bound is met at that rung
     tols.append(reference_truncation_point(g, 1e-12, **kw)[1])
     log = _CallLog(g)
-    got = _truncation_points(log, tols, **kw)
+    [got] = _truncation_walks(lambda P, m: log(P), [_walk_spec(tols, kw)])
     want, walked = [], []
     for tol in tols:
         ref_log = _CallLog(g)
@@ -266,12 +274,13 @@ def test_batched_ladder_matches_per_tolerance_reference(kind):
     # the strictest tolerance's rungs, eight to a call, walked once
     assert log.sizes == [8] * -(-max(walked) // 8)
     assert max(walked) > 8
-    assert _truncation_points(log, [], **kw) == []
+    assert _truncation_walks(lambda P, m: log(P), [_walk_spec([], kw)]) \
+        == [[]]
     # a tolerance no rung meets fails the whole batch, as it fails alone
     with pytest.raises(QuadratureError):
         reference_truncation_point(g, -1.0, **kw)
     with pytest.raises(QuadratureError):
-        _truncation_points(g, tols + [-1.0], **kw)
+        _truncation_walks(lambda P, m: g(P), [_walk_spec(tols + [-1.0], kw)])
 
 
 _walk = st.one_of(
@@ -299,8 +308,7 @@ def test_random_lockstep_ladders_match_per_tolerance_reference(walks):
         if tols:
             tols.append(reference_truncation_point(g, tols[0], **kw)[1])
         gs.append(g)
-        specs.append((tols, kw.get("decay_order"), kw.get("decay_rate"),
-                      kw.get("peak", 0.0), kw.get("start")))
+        specs.append(_walk_spec(tols, kw))
         rungs = []
         for tol in tols:
             log = _CallLog(g)
@@ -623,7 +631,8 @@ def test_nan_on_one_seven_point_node():
 
 def test_ladder_without_decay_raises():
     with pytest.raises(QuadratureError):
-        _truncation_point(lambda p: np.ones_like(p), 1e-12, decay_order=3.0)
+        _truncation_walks(lambda p, m: np.ones_like(p),
+                          [([1e-12], 3.0, None, 0.0, None)])
 
 
 def test_finite_polynomial_exact():
@@ -661,8 +670,6 @@ def test_quad_config_validation():
         QuadConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadConfig(max_subdivisions=2)
-    with pytest.raises(ValueError):
-        QuadConfig(tail_strategy="hope")
 
 
 def test_oscillatory_exponential_envelope_closed_form():
@@ -730,9 +737,18 @@ def test_oscillatory_linearity(a, b):
     assert combo == pytest.approx(parts, abs=1e-10)
 
 
-def test_truncate_with_bound_strategy():
-    cfg = QuadConfig(rel_tol=1e-10, abs_tol=1e-12,
-                     tail_strategy="truncate_with_bound",
-                     max_subdivisions=5000)
+def test_truncate_with_bound_strategy(monkeypatch):
+    # tau * P is small enough that the tail is truncated at P and [0, P]
+    # integrated directly, without the between-zeros acceleration
+    calls = []
+    finite = qedvolterra.quadrature.integrate_finite
+
+    def spy(f, a, b, cfg):
+        calls.append((a, b))
+        return finite(f, a, b, cfg)
+
+    monkeypatch.setattr(qedvolterra.quadrature, "integrate_finite", spy)
+    cfg = QuadConfig(rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=5000)
     val = oscillatory_halfline(lambda p: np.exp(-p), 1.5, cfg, decay_rate=1.0)
     assert val == pytest.approx(1.0 / (1.0 + 1.5j), abs=1e-9)
+    assert len(calls) == 1 and calls[0][0] == 0.0

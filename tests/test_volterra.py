@@ -252,7 +252,10 @@ def test_history_sum_matches_direct_dot():
         hist = _HistorySum(W, c)
         for k in range(1, n + 1):
             c[k - 1] = c_true[k - 1]
-            h = hist(k) - held[k]
+            # H_k: the far field F_k plus the pairs inside k's leaf
+            lo = k - k % _HistorySum._LEAF
+            h = hist.leaf(lo)[k - lo] + np.dot(c[lo:k], W[k - lo:0:-1]) \
+                - held[k]
             assert np.isfinite(h), (n, k)
             scale = np.dot(np.abs(c_true[:k]), np.abs(W[k:0:-1])) \
                 + abs(held[k])
@@ -784,7 +787,7 @@ def test_squeezed_split_matches_full_row_kernel(method):
             return s0[lag] + squeezed_delta_concentrated(t, s, sq, chi)
 
         oracle = KernelEvaluator(
-            lambda t, s: base.tau(t - s)
+            lambda t, s: base.eval(t, s)
             + squeezed_delta_concentrated(t, s, sq, chi),
             stationary=False, label="full row", row_fn=full_row)
         a = solve_ide(kernel, params, grid, method).values
