@@ -313,11 +313,12 @@ def squeezed_delta_concentrated(t, s, params: SqueezeParams,
 class KernelEvaluator:
     """Complex kernel S(t, s) = S0(t - s) + R(t, s) with a stationary flag.
 
-    ``tau_fn(lag)`` gives the stationary part S0 and ``row_fn(t, s_array)``
-    the correction R over an array of s; either may be absent (zero).
-    Stationary kernels have no correction and expose ``tau_values(lags)``.
-    ``fn(t, s)``, when given, is the whole kernel at one point and serves
-    ``eval``.  All kernels expose ``row(t, s_array)``.
+    ``tau_fn(lag)`` gives the stationary part S0; a kernel built without it
+    reads S0 as zeros.  The correction R comes from ``row_fn(t, s_array)``
+    over an array of s or, without it, from ``fn(t, s)`` at each point.  A
+    stationary kernel has S0 and no R, and exposes ``tau_values(lags)``; a
+    non-stationary one needs R.  All kernels expose ``eval(t, s)`` and
+    ``row(t, s_array)``.
 
     The solvers read S0 on the lag grid k * dt through a memo, one read-only
     ``(dt, values)`` pair for the longest such grid read so far: a grid with
@@ -330,6 +331,13 @@ class KernelEvaluator:
 
     def __init__(self, fn, stationary: bool, label: str,
                  tau_fn=None, row_fn=None):
+        if stationary and tau_fn is None:
+            raise ValueError("a stationary kernel requires tau_fn")
+        if stationary and (fn is not None or row_fn is not None):
+            raise ValueError("a stationary kernel has no correction: "
+                             "give neither fn nor row_fn")
+        if not stationary and fn is None and row_fn is None:
+            raise ValueError("a non-stationary kernel requires row_fn or fn")
         self._fn = fn
         self.stationary = stationary
         self.label = label
@@ -340,8 +348,6 @@ class KernelEvaluator:
     def eval(self, t: float, s: float) -> complex:
         if self.stationary:
             return complex(self._tau_fn(t - s))
-        if self._fn is not None:
-            return complex(self._fn(t, s))
         return complex(self.row(t, np.array([s]))[0])
 
     def tau_values(self, lags: np.ndarray) -> np.ndarray:
@@ -353,16 +359,21 @@ class KernelEvaluator:
         s = np.asarray(s, dtype=float)
         if self.stationary:
             return self.tau_values(t - s)
+        return self._s0(t - s) + self._r(t, s)
+
+    def _r(self, t: float, s: np.ndarray) -> np.ndarray:
+        """R(t, s) over the array s."""
         if self._row_fn is None:
             return np.array([self._fn(t, float(x)) for x in s],
                             dtype=complex)
-        r = np.asarray(self._row_fn(t, s), dtype=complex)
-        return r if self._tau_fn is None else self._s0(t - s) + r
+        return np.asarray(self._row_fn(t, s), dtype=complex)
 
     def _s0(self, lags) -> np.ndarray:
+        lags = np.asarray(lags, dtype=float)
+        if self._tau_fn is None:
+            return np.zeros(len(lags), dtype=complex)
         # tau_fn sees Python floats, read a block at a time: a list of all
         # 50 001 lags would add about 2 MiB to a long solve's peak memory
-        lags = np.asarray(lags, dtype=float)
         floats = chain.from_iterable(lags[i:i + 4096].tolist()
                                      for i in range(0, len(lags), 4096))
         return np.fromiter(map(self._tau_fn, floats), complex, len(lags))
@@ -387,22 +398,18 @@ class KernelEvaluator:
         uniform grid ``times``.
 
         W[m] = e^{i omega t_m} S0(t_m) is the stationary part, read on the
-        lag grid through the memo; it is None for a kernel with no S0.
-        ``times`` must be arange(n + 1) * dt, n >= 1.  ``extra(k)`` is
-        the rest of row k over all j at once: the correction R, or the whole
-        row for a kernel with no S0; it is None for a stationary kernel.
-        Each row is meant to be requested once, so none is kept.
+        lag grid through the memo (zeros for a kernel built without
+        ``tau_fn``).  ``times`` must be arange(n + 1) * dt, n >= 1.
+        ``extra(k)`` is the correction R of row k over all j at once; it is
+        None exactly when the kernel is stationary.  Each row is meant to be
+        requested once, so none is kept.
         """
         phase = np.exp(1j * omega * times)
         if self.stationary:
             phase *= self._grid_s0(times)
             return phase, None
-        if self._tau_fn is None:
-            return None, lambda k: self.row(times[k], times[:k + 1]) \
-                * phase[k::-1]
-        return phase * self._grid_s0(times), lambda k: np.asarray(
-            self._row_fn(times[k], times[:k + 1]), dtype=complex) \
-            * phase[k::-1]
+        return phase * self._grid_s0(times), \
+            lambda k: self._r(times[k], times[:k + 1]) * phase[k::-1]
 
 
 def _tabulated_tau(rho: SpectralDensity, cfg: QuadConfig, tau_max: float,

@@ -96,35 +96,29 @@ def _cauchy_transform(rho, ss: list, cfg: QuadConfig = _CAUCHY_CFG,
     for s in ss:
         if s == 0.0:
             raise ValueError("s = 0 lies on the branch cut")
-    # the points of each distinct density, and the densities of each
-    # family, in order of first appearance
-    groups = {}
-    for k, r in enumerate(rhos):
-        groups.setdefault(id(r), (r, []))[1].append(k)
+    # the densities of each family and the points of each density, in
+    # order of first appearance
     families = {}
-    for r, ks in groups.values():
+    for k, r in enumerate(rhos):
         key = id(r) if r.family is None else id(r.family[0])
-        families.setdefault(key, []).append((r, ks))
-    bounds, s_of, r_of, theta_of = [], [], [], []
-    # per family: its first problem and its call on the nodes of its
-    # problems i; per transform: its first piece, its piece count, its
-    # closed-form term
+        families.setdefault(key, {}).setdefault(id(r), (r, []))[1].append(k)
+    bounds, s_of, r_of, member_of = [], [], [], []
+    # per family: its first problem and its call on nodes of its members
+    # m; per transform: its first piece, its piece count, its closed-form
+    # term
     starts, calls, plans = [], [], [None] * len(ss)
     for members in families.values():
+        members = list(members.values())
         r0 = members[0][0]
         if len(members) == 1:
-            # fn(p) is g(p, theta) with a scalar theta: no gather per step
+            # fn(p) is g(p, theta) with a scalar theta
             def call(p, m, fn=r0.fn):
                 return fn(p)
-            calls.append(call)
         else:
-            g = r0.family[0]
-            thetas = np.array([r.family[1] for r, _ in members])
-
-            def call(p, m, g=g, thetas=thetas):
+            def call(p, m, g=r0.family[0],
+                     thetas=np.array([r.family[1] for r, _ in members])):
                 return g(p, thetas[m])
-            # theta_of is complete before the first step
-            calls.append(lambda p, i, g=g: g(p, theta_of[i]))
+        calls.append(call)
         cutoffs = _truncation_walks(call, [
             ([0.1 * cfg.abs_tol * max(abs(ss[k]), 1.0) for k in ks],
              r.decay_order, r.decay_rate, r.peak, None) for r, ks in members])
@@ -168,12 +162,11 @@ def _cauchy_transform(rho, ss: list, cfg: QuadConfig = _CAUCHY_CFG,
                     bounds.append((a, b))
                     s_of.append(s)
                     r_of.append(rp)
-                    theta_of.append(0.0 if r.family is None
-                                    else r.family[1])
+                    member_of.append(m)
                 plans[k] = (first, len(pieces), log_term)
     s_of = np.array(s_of, dtype=complex)
     r_of = np.array(r_of, dtype=complex)
-    theta_of = np.array(theta_of)
+    member_of = np.array(member_of)
     starts = np.array(starts[1:])
 
     def f(p, idx):
@@ -183,7 +176,7 @@ def _cauchy_transform(rho, ss: list, cfg: QuadConfig = _CAUCHY_CFG,
         rho_p = np.empty(p.shape, dtype=complex)
         for call, lo, hi in zip(calls, edges, edges[1:]):
             if lo < hi:
-                rho_p[lo:hi] = call(p[lo:hi], idx[lo:hi])
+                rho_p[lo:hi] = call(p[lo:hi], member_of[idx[lo:hi]])
         # subtracting r = 0 leaves the plain pieces' values unchanged; in
         # place, so that few node-sized arrays are alive at once
         rho_p -= r_of[idx]
@@ -211,17 +204,17 @@ def _cauchy_transform(rho, ss: list, cfg: QuadConfig = _CAUCHY_CFG,
     return out
 
 
-def _first_sheet(rho, ss: list, cfg: QuadConfig) -> list:
+def _first_sheet(rho, ss: list) -> list:
     """s_hat at each of the complex points ``ss``, as one batch; ``rho`` is
     one density or one per point."""
     for s in ss:
         if s.real <= 0.0:
             raise ValueError("s_hat requires Re s > 0; "
                              "use s_hat_second_sheet for the continuation")
-    return _cauchy_transform(rho, ss, cfg)
+    return _cauchy_transform(rho, ss)
 
 
-def _second_sheet(rho, ss: list, cfg: QuadConfig, steps=None) -> list:
+def _second_sheet(rho, ss: list, steps=None) -> list:
     """s_hat_second_sheet at each of the complex points ``ss``, as one
     batch; ``rho`` is one density or one per point.
 
@@ -240,7 +233,7 @@ def _second_sheet(rho, ss: list, cfg: QuadConfig, steps=None) -> list:
             raise MissingExtensionError(
                 f"density {r.label!r} has no analytic extension; "
                 "second-sheet evaluation refused")
-    sheet = _cauchy_transform(rhos, ss, cfg, derivative=steps is not None)
+    sheet = _cauchy_transform(rhos, ss, derivative=steps is not None)
     if steps is None:
         return [v if s.real > 0.0
                 else v + 2.0 * math.pi * r.analytic_extension(1j * s)
@@ -256,20 +249,18 @@ def _second_sheet(rho, ss: list, cfg: QuadConfig, steps=None) -> list:
     return out
 
 
-def s_hat(rho: SpectralDensity, s: complex,
-          cfg: QuadConfig = _CAUCHY_CFG) -> complex:
+def s_hat(rho: SpectralDensity, s: complex) -> complex:
     """Laplace transform of the stationary kernel, valid for Re s > 0."""
-    return _first_sheet(rho, [complex(s)], cfg)[0]
+    return _first_sheet(rho, [complex(s)])[0]
 
 
-def s_hat_second_sheet(rho: SpectralDensity, s: complex,
-                       cfg: QuadConfig = _CAUCHY_CFG) -> complex:
+def s_hat_second_sheet(rho: SpectralDensity, s: complex) -> complex:
     """Analytic continuation of s_hat across the cut on -i[0, inf).
 
     Equals s_hat for Re s > 0; for Re s < 0 it adds the Plemelj jump
     2 pi rho(i s), which requires the density's analytic extension.
     """
-    return _second_sheet(rho, [complex(s)], cfg)[0]
+    return _second_sheet(rho, [complex(s)])[0]
 
 
 def markov_rate(rho: SpectralDensity, params: ModelParams) -> float:
@@ -317,7 +308,7 @@ def _newton(fun, seeds, scales):
 _SEED_OFFSETS = (0.0, 0.3, -0.3, 0.3j, -0.3j, 0.3 + 0.3j, 0.3 - 0.3j, 1.0j)
 
 
-def _find_poles(rhos, params, cfg: QuadConfig) -> list:
+def _find_poles(rhos, params) -> list:
     """(s0, residual) for each problem (rhos[k], params[k]), from one
     lockstep Newton search over every problem's seeds; the residual is |F|
     of the accepting round, before its last step to s0.
@@ -341,7 +332,7 @@ def _find_poles(rhos, params, cfg: QuadConfig) -> list:
                           "Re s = 1e-6 * scale underflows to 0 (density "
                           "scale too small)")
     centres = [-p.alpha * v
-               for p, v in zip(params, _first_sheet(rhos, points, cfg))]
+               for p, v in zip(params, _first_sheet(rhos, points))]
     scales = [max(abs(z), 1e-3 * rho.scale) for z, rho in zip(centres, rhos)]
     owner = [k for k in range(len(rhos)) for _ in _SEED_OFFSETS]
     seeds = [z + off * scale for z, scale in zip(centres, scales)
@@ -355,7 +346,7 @@ def _find_poles(rhos, params, cfg: QuadConfig) -> list:
         if any(z.real == 0.0 for z in points):
             raise SolverError("pole search reached Re s = 0, where the "
                               "continuation is ambiguous")
-        sheet = _second_sheet([rhos[owner[i]] for i in ids], points, cfg,
+        sheet = _second_sheet([rhos[owner[i]] for i in ids], points,
                               [1e-7 * max(abs(z), scales[owner[i]])
                                for i, z in zip(ids, zs)])
         return [(z + params[owner[i]].alpha * v,
@@ -372,17 +363,17 @@ def _find_poles(rhos, params, cfg: QuadConfig) -> list:
             raise SolverError("pole search did not converge from any seed")
         # the dominant (largest Re) root, the first seed's on a tie
         s0, resid = min(roots, key=lambda r: -r[0].real)
-        if not s0.real < -cfg.rel_tol * abs(s0):
+        rel_tol = _CAUCHY_CFG.rel_tol
+        if not s0.real < -rel_tol * abs(s0):
             raise SolverError(
                 f"pole s0 = {s0:g} resolves no decay: Re s0 is not below "
-                f"-{cfg.rel_tol:g} |s0|, the transforms' relative tolerance "
+                f"-{rel_tol:g} |s0|, the transforms' relative tolerance "
                 "(a Re s0 > 0 would violate unitarity)")
         out.append((s0, resid))
     return out
 
 
-def find_pole(rho: SpectralDensity, params: ModelParams,
-              cfg: QuadConfig = _CAUCHY_CFG) -> complex:
+def find_pole(rho: SpectralDensity, params: ModelParams) -> complex:
     """Dominant resonance pole s0 of 1 / (s + alpha s_hat(s - i omega)).
 
     Newton iteration on F(s) = s + alpha * S_hat_II(s - i omega) from 8
@@ -390,15 +381,15 @@ def find_pole(rho: SpectralDensity, params: ModelParams,
     F and F' together; an accepted seed's root takes one last Newton step
     from the values it was accepted on.  The root with the greatest real
     part is returned.  The pole must be a decay the transforms resolve,
-    Re s0 < -cfg.rel_tol |s0|; a pole with Re s0 > 0 would violate
+    Re s0 < -_CAUCHY_CFG.rel_tol |s0|; a pole with Re s0 > 0 would violate
     unitarity and signal a broken kernel.  Raises :class:`SolverError`
     when no seed converges, when an iterate lands on Re(s - i omega) = 0,
     or for a pole that resolves no decay.
     """
-    return _find_poles([rho], [params], cfg)[0][0]
+    return _find_poles([rho], [params])[0][0]
 
 
-def analyze(rho, params, cfg: QuadConfig = _CAUCHY_CFG):
+def analyze(rho, params):
     """Markov rate, resonance pole and derived quantities in one record.
 
     Given sequences of densities and params instead, one per problem, it
@@ -417,13 +408,12 @@ def analyze(rho, params, cfg: QuadConfig = _CAUCHY_CFG):
                            gamma_markov=markov_rate(r, p),
                            lamb_shift=pole.imag, residual=resid)
            for r, p, (pole, resid) in zip(
-               rhos, ps, _find_poles(rhos, ps, cfg))]
+               rhos, ps, _find_poles(rhos, ps))]
     return out[0] if single else out
 
 
 def bromwich_invert(rho: SpectralDensity, params: ModelParams,
-                    t_grid: TimeGrid, cfg: QuadConfig = _BROMWICH_CFG
-                    ) -> AmplitudeSeries:
+                    t_grid: TimeGrid) -> AmplitudeSeries:
     """Numerical Bromwich inversion of c_hat(s) = 1/(s + alpha S_hat(s-iw)).
 
     The 1/s part (initial value) is inverted analytically; the remainder
@@ -432,10 +422,11 @@ def bromwich_invert(rho: SpectralDensity, params: ModelParams,
     sigma = _BROMWICH_SIGMA_TMAX / t_max = 3 / t_max, which keeps the
     e^{sigma t} amplification at e^3 while the aliasing error stays below
     e^{-4 sigma t_max} = e^{-12}.  The contour is walked in blocks of 512
-    points per side; each block and the two edge points of its truncation
-    test are one batch of Cauchy transforms, and their terms are added to c
-    in contour order.  The walk stops once the estimated truncation error
-    falls below 0.1 _BROMWICH_TOL = 1e-5.
+    points per side; each block is one batch of Cauchy transforms, and its
+    terms are added to c in contour order.  The truncation test reads the
+    block's last points on each side, sigma +- i y_edge.  The walk stops
+    once the estimated truncation error falls below
+    0.1 _BROMWICH_TOL = 1e-5.
     """
     alpha, omega = params.alpha, params.omega
     times = t_grid.times
@@ -450,8 +441,8 @@ def bromwich_invert(rho: SpectralDensity, params: ModelParams,
     h = math.pi / (2.0 * t_max)
 
     def chat_minus(points):
-        sheet = _first_sheet(rho, [complex(s - 1j * omega) for s in points],
-                             cfg)
+        sheet = _cauchy_transform(
+            rho, [complex(s - 1j * omega) for s in points], _BROMWICH_CFG)
         return [1.0 / (s + alpha * sh) - 1.0 / s
                 for s, sh in zip(points, sheet)]
 
@@ -465,15 +456,13 @@ def bromwich_invert(rho: SpectralDensity, params: ModelParams,
         k0 += block
         y_edge = (k0 - 1) * h
         # k = 0 handled once; negative side mirrored explicitly.  The block
-        # and its two edge points are one batch of transforms.
+        # is one batch of transforms; ys[-1] == y_edge ends each side
         terms = [(sign, y) for sign in (1.0, -1.0)
                  for y in (ys[ys > 0] if sign < 0 else ys)]
-        points = [complex(sigma, sign * y) for sign, y in terms]
-        g = chat_minus(points + [complex(sigma, y_edge),
-                                 complex(sigma, -y_edge)])
+        g = chat_minus([complex(sigma, sign * y) for sign, y in terms])
         for (sign, y), g_k in zip(terms, g):
             c += amp * np.exp(1j * sign * y * times) * g_k
-        gm = max(abs(g[-2]), abs(g[-1]))
+        gm = max(abs(g[len(ys) - 1]), abs(g[-1]))
         # 1/y^3 tail: sum_{y>Y} |g| ~ gm * Y / (2 h)
         tail = amp[-1] * gm * y_edge / (2.0 * h) * 2.0
         trunc[:] = tail

@@ -27,6 +27,8 @@ _X15, _W15 = leggauss(15)
 _X22 = np.concatenate([_X15, _X7])
 # complex weights for np.vecdot, so no row is cast on each call
 _W15C, _W7C = _W15.astype(complex), _W7.astype(complex)
+# the zeros that scale (im, re) in h * (re + i im) taken as a scalar
+_SIGNED_ZERO = np.array([-0.0, 0.0])
 
 # problems that advance together in one lockstep batch of _integrate_many.
 # With one call per density family per step, a seed-1 `qedvolterra sweep`
@@ -86,18 +88,31 @@ def _rule_estimates(f, a, b, idx):
     kernel (gemv) whose sums are not.  The error modulus is ``np.hypot`` of
     the parts, which matches a scalar ``abs`` bit for bit; ``np.abs`` on a
     complex array takes a vectorised path that can differ in the last bit.
+    The half-widths scale the sums as a scalar real-times-complex product
+    does, (h re - 0 im, h im + 0 re): numpy's real-by-complex array loop
+    gives (h re, h im), which differs in the sign of a part that is zero
+    (h im underflowing, say) and where the other part is not finite.
     """
     halves = 0.5 * (b - a)
     nodes = (0.5 * (a + b))[:, None] + halves[:, None] * _X22
     y = f(nodes.ravel(), idx)
     y, *y2 = y if isinstance(y, tuple) else (y,)
     y = np.asarray(y, dtype=complex).reshape(nodes.shape)
-    v15 = halves * np.vecdot(_W15C, y[:, :15])
-    d = v15 - halves * np.vecdot(_W7C, y[:, 15:])
+    # columns: the 15- and 7-point sums of y, then the 15-point sums of y2
+    sums = np.empty((len(halves), 2 + len(y2)), dtype=complex)
+    np.vecdot(_W15C, y[:, :15], out=sums[:, 0])
+    np.vecdot(_W7C, y[:, 15:], out=sums[:, 1])
     if y2:
         y2 = np.asarray(y2[0], dtype=complex).reshape(nodes.shape)
-        v15 = np.stack((v15, halves * np.vecdot(_W15C, y2[:, :15])), 1)
-    return v15, np.hypot(d.real, d.imag)
+        np.vecdot(_W15C, y2[:, :15], out=sums[:, 2])
+    # on the (re, im) pairs; x + (-0) im is x - 0 im bit for bit
+    parts = sums.view(float).reshape(*sums.shape, 2)
+    v = parts * halves[:, None, None]
+    v += parts[..., ::-1] * _SIGNED_ZERO
+    v = v.view(complex)[..., 0]
+    d = v[:, 0] - v[:, 1]
+    return (v[:, ::2] if sums.shape[1] == 3 else v[:, 0]), \
+        np.hypot(d.real, d.imag)
 
 
 def _integrate_many(f, bounds, cfg: QuadConfig = DEFAULT_QUAD) -> list:

@@ -286,7 +286,7 @@ def _solve_toeplitz(c, start, phi, W, scale, ends, beta):
 def _solve_leaves(c, start, phi, W, extra, scale, ends, beta, check):
     """Fill c[start:] given c[:start] and phi_{start-Q} .. phi_{start-1}
     (``phi``, Q = len(beta) - 1) for the scheme above, K_k[j] being
-    W[k - j] + extra(k)[j] (W or extra may be None).
+    W[k - j] + extra(k)[j] (extra None for a stationary kernel).
 
     A stationary kernel (extra None) goes to :func:`_solve_toeplitz`.
     Otherwise each leaf [lo, hi) of :class:`_HistorySum` is one
@@ -306,18 +306,16 @@ def _solve_leaves(c, start, phi, W, extra, scale, ends, beta, check):
     leaf = _HistorySum._LEAF
     # c[start:] holds its far field until it is solved
     c[start:] = 0.0
-    hist = _HistorySum(W, c, leaf) if W is not None else None
+    hist = _HistorySum(W, c, leaf)
     phi = np.asarray(phi, dtype=complex)
     for lo in range(0, n + 1, leaf):
         hi = min(lo + leaf, n + 1)
         s = max(lo, start)
         m = hi - s
-        known = np.zeros(m, dtype=complex)
-        if W is not None:
-            known += hist.leaf(lo)[s - lo:hi - lo]
-            # the end corrections at j < len(ends) <= start
-            for j, e in enumerate(ends):
-                known += (e - 1.0) * c[j] * W[s - j:hi - j]
+        known = hist.leaf(lo)[s - lo:hi - lo].copy()
+        # the end corrections at j < len(ends) <= start
+        for j, e in enumerate(ends):
+            known += (e - 1.0) * c[j] * W[s - j:hi - j]
         B = _leaf_coefficients(c, lo, s, hi, W, extra, scale, ends, known,
                                check)
         c0 = hi - B.shape[1]
@@ -368,8 +366,7 @@ def _leaf_coefficients(c, lo, s, hi, W, extra, scale, ends, known, check):
     for m, e in enumerate(ends):
         w[lag == m] = e
     w[:, cols < lo] -= 1.0
-    K = W[np.maximum(lag, 0)] if W is not None \
-        else np.zeros(w.shape, dtype=complex)
+    K = W[np.maximum(lag, 0)]
     c0 = cols[0]
     e = len(ends)
     start_corr = (ends - 1.0) * c[:e]
@@ -415,9 +412,7 @@ def _solve_gregory4(kernel, params, grid) -> np.ndarray:
     W, extra = kernel._history_split(grid.times, params.omega)
 
     def row(k):
-        if extra is None:
-            return W[k::-1]
-        return extra(k) if W is None else W[k::-1] + extra(k)
+        return W[k::-1] if extra is None else W[k::-1] + extra(k)
 
     # the steps from t_8 on read phi_5 .. phi_7 of the start-up values
     phi = [-alpha * dt * np.dot(_gregory_weights(k), c[:k + 1] * row(k))

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qedvolterra import QuadConfig, SmearingFunction, SpectralDensity, \
-    SqueezeParams, chi_momentum, density_from_table, hydrogen_chi, \
-    hydrogen_density, hydrogen_vacuum_density, make_kernel, \
+from qedvolterra import KernelEvaluator, ModelParams, QuadConfig, \
+    SmearingFunction, SpectralDensity, SqueezeParams, TimeGrid, \
+    chi_momentum, density_from_table, hydrogen_chi, hydrogen_density, \
+    hydrogen_vacuum_density, make_kernel, solve_ide, \
     squeezed_delta_concentrated, squeezed_delta_general, vacuum_kernel
 from qedvolterra.kernels import _PairMode
 
@@ -250,6 +251,51 @@ def test_kernel_evaluator_interface():
         nonstat.row(1.0, s), [nonstat.eval(1.0, float(x)) for x in s])
 
 
+def _exp_tau(lag):
+    return complex(math.exp(-abs(lag)))
+
+
+def _exp_row(t, s):
+    return np.exp(-np.abs(t - np.asarray(s, dtype=float))) + 0j
+
+
+@pytest.mark.parametrize("args, message", [
+    (dict(fn=None, stationary=True), "requires tau_fn"),
+    (dict(fn=None, stationary=True, tau_fn=_exp_tau, row_fn=_exp_row),
+     "no correction"),
+    (dict(fn=lambda t, s: 0j, stationary=True, tau_fn=_exp_tau),
+     "no correction"),
+    (dict(fn=None, stationary=False, tau_fn=_exp_tau),
+     "requires row_fn or fn"),
+], ids=["stationary-without-tau_fn", "stationary-with-row_fn",
+        "stationary-with-fn", "non-stationary-without-correction"])
+def test_kernel_evaluator_refuses_what_it_cannot_compute(args, message):
+    with pytest.raises(ValueError, match=message):
+        KernelEvaluator(label="bad", **args)
+
+
+@pytest.mark.parametrize("with_s0", [False, True], ids=["full-row", "s0+r"])
+@pytest.mark.parametrize("method", ["trapezoid", "gregory4"])
+def test_point_correction_solves_like_its_row_form(method, with_s0):
+    # R given point by point (fn) against the same R given as rows (row_fn),
+    # with no S0 and with one, over several non-stationary leaves
+    def row(t, s):
+        s = np.asarray(s, dtype=float)
+        return 0.3 * np.exp(-0.2j * (t + s) - 0.5 * np.abs(t - s))
+
+    tau_fn = _exp_tau if with_s0 else None
+    by_point = KernelEvaluator(lambda t, s: row(t, np.array([s]))[0],
+                               stationary=False, label="fn", tau_fn=tau_fn)
+    by_row = KernelEvaluator(None, stationary=False, label="row_fn",
+                             tau_fn=tau_fn, row_fn=row)
+    params = ModelParams(alpha=0.3, omega=0.5)
+    grid = TimeGrid(dt=0.05, n_steps=150)
+    a = solve_ide(by_point, params, grid, method).values
+    b = solve_ide(by_row, params, grid, method).values
+    assert a.tobytes() == b.tobytes()
+    assert by_point.eval(0.7, 0.2) == by_row.eval(0.7, 0.2)
+
+
 def test_squeeze_params_validation():
     q = np.array([1.0, 0.0, 0.0])
     sq = SqueezeParams(r=0.5, q=q, d=np.array([0.0, 0.0, 2.0]))
@@ -340,6 +386,34 @@ def test_squeezed_general_requires_wavepacket():
                        d=np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         squeezed_delta_general(1.0, 0.5, sq, chi)
+
+
+def test_squeezed_general_kernel_rows_and_solve():
+    # make_kernel's general squeezed kernel reads, per point, the vacuum S0
+    # plus squeezed_delta_general, and a short solve of it is finite; a wide
+    # packet and loose tolerances keep the pair-mode quadratures cheap
+    alpha, width = 1.0, 1.0
+    rho, chi = hydrogen_density(alpha), hydrogen_chi(alpha)
+    q, d = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+    sq = SqueezeParams(r=0.5, q=q, d=d,
+                       wavepacket=_gaussian_packet(q, d, width),
+                       wavepacket_width=width)
+    cfg = QuadConfig(rel_tol=1e-4, abs_tol=1e-7)
+    kernel = make_kernel("squeezed_general", density=rho, squeeze=sq,
+                         chi=chi, cfg=cfg)
+    grid = TimeGrid(dt=0.01, n_steps=8)
+    c = solve_ide(kernel, ModelParams(alpha=alpha, omega=0.375), grid,
+                  "trapezoid").values
+    assert np.isfinite(c).all()
+    vacuum = make_kernel("vacuum", density=rho, cfg=cfg)
+    mode = _PairMode(sq, chi, cfg)
+    t, s = grid.t_max, np.array([0.0, grid.t_max])
+    want = [vacuum.eval(t, x)
+            + squeezed_delta_general(t, x, sq, chi, cfg, _mode=mode)
+            for x in s]
+    assert kernel.row(t, s).tolist() == want
+    # the squeezing shows in the row
+    assert np.min(np.abs(kernel.row(t, s) - vacuum.row(t, s))) > 1e-4
 
 
 def test_longitudinal_chi_component_is_projected_out():

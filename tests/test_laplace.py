@@ -683,8 +683,8 @@ def test_pole_derivative_matches_a_central_difference(alpha, bound):
     z = complex(an.pole - 1j * params.omega)
     s_init = -alpha * s_hat(rho, 1e-6 * rho.scale - 1j * params.omega)
     h = 1e-3 * max(abs(s_init), 1e-3 * rho.scale)
-    (_, dv), = _second_sheet(rho, [z], _CAUCHY_CFG, [h])
-    up, down = _second_sheet(rho, [z + h, z - h], _CAUCHY_CFG)
+    (_, dv), = _second_sheet(rho, [z], [h])
+    up, down = _second_sheet(rho, [z + h, z - h])
     assert alpha * abs(dv - (up - down) / (2.0 * h)) <= bound
 
 

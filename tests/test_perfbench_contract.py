@@ -1,20 +1,22 @@
 """What the benchmark harness under perfbench/ uses of the package.
 
 The harness is not part of the package, but its tracer wraps package
-functions by name and its workloads build kernels in fixed call forms.  A
-rename or a dropped parameter in the package breaks a benchmark run; these
-tests catch it in the test suite instead.  They import the harness files
-and change nothing in them.
+functions by name and its workloads build kernels and call the library in
+fixed forms.  A rename or a dropped parameter in the package breaks a
+benchmark run; these tests catch it in the test suite instead.  They import
+the harness files and change nothing in them.
 """
 
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 import qedvolterra as qv
+from qedvolterra import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -61,3 +63,22 @@ def test_workload_kernel_call_forms_build_and_solve():
         assert abs(kernel.eval(0.7, 0.2) - np.exp(-0.5)) <= 1e-15
         np.testing.assert_allclose(kernel.row(0.7, np.array([0.2, 0.7])),
                                    np.exp(-np.array([0.5, 0.0])), atol=1e-15)
+
+
+def test_workload_library_call_forms_run():
+    # decay_chain's calls, in its own argument forms, on a short grid:
+    # make_kernel with tabulate, analyze, bromwich_invert and cli.fit_decay
+    workloads = _load("workloads")
+    inp = workloads.decay_chain_inputs(1, None)
+    rho, params = inp["density"], inp["params"]
+    grid = qv.TimeGrid(dt=0.1, n_steps=40)
+    kernel = qv.make_kernel("custom", density=rho,
+                            tabulate=(grid.t_max, 0.2))
+    ide = qv.solve_ide(kernel, params, grid, "trapezoid")
+    an = qv.analyze(rho, params)
+    brom = qv.bromwich_invert(rho, params, qv.TimeGrid(dt=1.0, n_steps=4))
+    fit = cli.fit_decay(ide, (1.0, 4.0))
+    assert an.pole.real < 0.0 and an.gamma_pole > 0.0
+    assert abs(an.gamma_pole / an.gamma_markov - 1.0) <= 0.05
+    assert np.max(np.abs(brom.values - ide.values[::10])) <= 1e-3
+    assert math.isfinite(fit.gamma_fit) and fit.window == (1.0, 4.0)

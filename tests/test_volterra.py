@@ -268,8 +268,6 @@ def history_rows(kernel, omega, grid):
     W, extra = kernel._history_split(grid.times, omega)
     if extra is None:
         return lambda k: W[k::-1]
-    if W is None:
-        return extra
     return lambda k: W[k::-1] + extra(k)
 
 
