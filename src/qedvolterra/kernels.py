@@ -47,10 +47,9 @@ class SpectralDensity:
     scale of the density.  ``analytic_extension`` evaluates rho at complex
     argument and is required by the resonance-pole search.
 
-    ``family = (g, theta)`` declares the density one member of a parametric
-    family: ``fn(p) == g(p, theta)`` bit for bit, and ``g`` also takes an
-    array of parameters broadcast against ``p``.  Batched Laplace-side
-    quadrature then evaluates every member of a family in one ``g`` call.
+    ``shape = (rho1, amplitude)`` declares rho(p) = amplitude *
+    rho1(p / scale) up to rounding; the Laplace side reads rho1 in units of
+    ``scale``, one call for every density that shares it.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -60,7 +59,7 @@ class SpectralDensity:
     decay_order: Optional[float] = None
     decay_rate: Optional[float] = None
     analytic_extension: Optional[Callable[[complex], complex]] = None
-    family: Optional[tuple[Callable, float]] = None
+    shape: Optional[tuple[Callable, float]] = None
 
     def __post_init__(self):
         if (self.decay_order is None) == (self.decay_rate is None):
@@ -73,6 +72,15 @@ class SpectralDensity:
         if self.decay_rate is not None \
                 and not 0.0 < self.decay_rate < math.inf:
             raise ValueError("decay_rate must be finite and > 0")
+        # the Laplace side's unit; hydrogen at alpha = 0 has scale 0
+        if not 0.0 <= self.scale < math.inf:
+            raise ValueError("scale must be finite and >= 0")
+        if self.shape is not None:
+            rho1, amplitude = self.shape
+            if not callable(rho1):
+                raise ValueError("shape function must be callable")
+            if not 0.0 < amplitude < math.inf:
+                raise ValueError("shape amplitude must be finite and > 0")
 
     def __call__(self, p):
         p = np.asarray(p, dtype=float)
@@ -87,16 +95,8 @@ class SpectralDensity:
 
 
 def hydrogen_vacuum_density(p, alpha):
-    """rho(p) = (alpha^2 / 3 pi^2) p / ((p/alpha)^2 + 9/4)^4 for hydrogen.
-
-    ``alpha`` may be an array broadcast against ``p``; each value equals the
-    one computed with that scalar alpha, bit for bit.
-    """
-    if np.ndim(alpha):
-        alpha = np.asarray(alpha, dtype=float)
-        if not (alpha > 0.0).all():
-            raise ValueError("alpha must be positive")
-    elif not alpha > 0.0:
+    """rho(p) = (alpha^2 / 3 pi^2) p / ((p/alpha)^2 + 9/4)^4 for hydrogen."""
+    if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     p = np.asarray(p, dtype=float)
     if (p < 0.0).any():
@@ -108,9 +108,18 @@ def hydrogen_vacuum_density(p, alpha):
     return val if val.ndim else float(val)
 
 
+def _hydrogen_unit(x):
+    """The hydrogen density at alpha = 1: the shape of every alpha."""
+    return hydrogen_vacuum_density(x, 1.0)
+
+
 def hydrogen_density(alpha: float) -> SpectralDensity:
-    """Spectral density of the hydrogen 2P -> 1S transition in vacuum."""
+    """Spectral density of the hydrogen 2P -> 1S transition in vacuum,
+    rho_alpha(p) = alpha^3 rho_1(p / alpha): declared as a shape where
+    alpha^3 is a float > 0, 1.7e-108 < alpha < 5.6e102."""
     pref = alpha * alpha / (3.0 * math.pi**2)
+    # a float ** raises OverflowError where this gives inf
+    amplitude = alpha * alpha * alpha
 
     def ext(z):
         return pref * z / ((z / alpha)**2 + 2.25)**4
@@ -122,7 +131,8 @@ def hydrogen_density(alpha: float) -> SpectralDensity:
         peak=alpha * math.sqrt(9.0 / 28.0),
         decay_order=7.0,
         analytic_extension=ext,
-        family=(hydrogen_vacuum_density, alpha),
+        shape=(_hydrogen_unit, amplitude)
+        if 0.0 < amplitude < math.inf else None,
     )
 
 

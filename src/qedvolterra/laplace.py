@@ -27,7 +27,7 @@ import numpy as np
 from .atom import ModelParams
 from .kernels import SpectralDensity
 from .quadrature import QuadConfig, QuadratureError, _integrate_many, \
-    _truncation_walks
+    _truncation_walk
 from .volterra import AmplitudeSeries, SolverError, TimeGrid
 
 _POLE_TOL = 1e-12
@@ -65,133 +65,129 @@ def _cauchy_transform(rho, ss: list, cfg: QuadConfig = _CAUCHY_CFG,
     """integral_0^inf rho(p)/(s + i p) dp for each s in ``ss``, off the cut.
 
     ``rho`` is one density for every point, or a sequence of densities, one
-    per point.  When the integrand develops a narrow Lorentzian at
-    p* = -Im s (small |Re s|), the near-pole window is handled by
-    subtracting rho(p*) and integrating the subtracted pole in closed form;
-    a milder peak is split at p*.  Every piece of every transform is one
+    per point.  Each transform runs in its density's own units: with
+    rho(p) = A rho1(p / lam), lam = ``scale`` (``shape = (rho1, A)``, or
+    rho1(x) = fn(lam x) and A = 1), it is A S1(z), z = s / lam, where
+    S1(z) = integral_0^inf rho1(x)/(z + ix) dx; the ladder, the near-pole
+    window and the tolerances act on S1, relative to the problem.  Near the
+    cut (|Re z| < 0.05), the Lorentzian at x* = -Im z is handled by
+    subtracting rho1(x*) and integrating the subtracted pole in closed form;
+    a milder peak is split at x*.  Every piece of every transform is one
     problem of a single lockstep :func:`_integrate_many`.
 
-    The densities are grouped by the parametric family they declare
-    (``SpectralDensity.family = (g, theta)``); a density that declares none
-    is a family of one.  The problems of each family are contiguous, so
-    each refinement step makes one call per family on its own slice of the
-    nodes: g(p, theta) with each node's theta, or fn(p) for a family of
-    one.  The truncation rungs (P_k, |rho(P_k)|) do not depend on s, so
-    each density walks one ladder for all its points (each takes the first
-    rung below its own threshold 0.1 abs_tol max(|s|, 1)); the members of
-    a family walk their ladders in lockstep, one call per block of rungs,
-    each with its own start, decay and rungs.  One call per family gives
-    the near-pole values rho(p*).  Each transform keeps its own truncation
-    point and branch, and sums its pieces in the same order as a transform
-    done on its own, so the values do not depend on what shares the batch.
+    The densities that share one rho1 (hydrogen at every alpha) are one
+    group; a density without a shape is a group of its own.  Each
+    refinement step makes one rho1 call per group, on its slice of the
+    nodes.  The points of a group whose densities agree on the peak and
+    decay in x walk one truncation ladder (each takes the first rung below
+    its own 0.1 abs_tol max(|z|, 1)), and one rho1 call gives the group's
+    near-pole values.  Each transform keeps its own truncation point and
+    branch and sums its pieces in its own order, so the values do not
+    depend on what shares the batch.
 
-    With ``derivative``, each entry is the pair (S_hat(s), dS_hat/ds).  Each
-    piece's integrand -(rho(p) - r)/(s + ip)^2 is the second component of
-    the same quadrature as the value, on the same nodes and intervals, and
-    the near-pole term contributes (r / i)(1/(s + ib) - 1/(s + ia)); the
-    window and r stay those of the value.  The values are bit for bit those
-    made without the derivative.
+    With ``derivative``, each entry is the pair (S_hat(s), dS_hat/ds), the
+    latter A/lam dS1/dz: each piece's -(rho1(x) - r)/(z + ix)^2 is the
+    second component of the value's quadrature, and the near-pole term
+    adds (r / i)(1/(z + ib) - 1/(z + ia)).  The values are bit for bit
+    those made without it.  A and A/lam scale each part on its own, so at
+    A = lam = 1 the transforms are bit for bit those of p.
     """
     rhos = [rho] * len(ss) if isinstance(rho, SpectralDensity) else list(rho)
-    for s in ss:
-        if s == 0.0:
-            raise ValueError("s = 0 lies on the branch cut")
-    # the densities of each family and the points of each density, in
-    # order of first appearance
-    families = {}
+    if any(r.scale == 0.0 for r in rhos):
+        raise ValueError("a density of scale 0 has no units to transform in")
+    zs = [complex(s.real / r.scale, s.imag / r.scale)
+          for s, r in zip(ss, rhos)]
+    if 0.0 in zs:
+        raise ValueError("s = 0 lies on the branch cut")
+    # the points of each rho1, in order of first appearance
+    groups = {}
     for k, r in enumerate(rhos):
-        key = id(r) if r.family is None else id(r.family[0])
-        families.setdefault(key, {}).setdefault(id(r), (r, []))[1].append(k)
-    bounds, s_of, r_of, member_of = [], [], [], []
-    # per family: its first problem and its call on nodes of its members
-    # m; per transform: its first piece, its piece count, its closed-form
-    # term
-    starts, calls, plans = [], [], [None] * len(ss)
-    for members in families.values():
-        members = list(members.values())
-        r0 = members[0][0]
-        if len(members) == 1:
-            # fn(p) is g(p, theta) with a scalar theta
-            def call(p, m, fn=r0.fn):
-                return fn(p)
+        groups.setdefault(id(r) if r.shape is None else id(r.shape[0]),
+                          []).append(k)
+    bounds, z_of, r_of = [], [], []
+    # per group: its first problem and its rho1; per transform: its first
+    # piece, its piece count, its closed-form term
+    starts, units, plans = [], [], [None] * len(ss)
+    for ks in groups.values():
+        r0 = rhos[ks[0]]
+        if r0.shape is not None:
+            unit = r0.shape[0]
         else:
-            def call(p, m, g=r0.family[0],
-                     thetas=np.array([r.family[1] for r, _ in members])):
-                return g(p, thetas[m])
-        calls.append(call)
-        cutoffs = _truncation_walks(call, [
-            ([0.1 * cfg.abs_tol * max(abs(ss[k]), 1.0) for k in ks],
-             r.decay_order, r.decay_rate, r.peak, None) for r, ks in members])
-        near = [[0.0 < -ss[k].imag < P and abs(ss[k].real) < 0.05 * r.scale
-                 for k, (P, _) in zip(ks, cut)]
-                for (r, ks), cut in zip(members, cutoffs)]
-        pstars = [(-ss[k].imag, m) for m, (_, ks) in enumerate(members)
-                  for k, is_near in zip(ks, near[m]) if is_near]
-        rstars = iter(np.asarray(call(np.array([p for p, _ in pstars]),
-                                      np.array([m for _, m in pstars])))
-                      .tolist() if pstars else ())
+            def unit(x, fn=r0.fn, lam=r0.scale):
+                return fn(lam * x)
+        units.append(unit)
+        walks = {}
+        for k in ks:
+            r = rhos[k]
+            walks.setdefault((r.peak / r.scale, r.decay_order,
+                              None if r.decay_rate is None
+                              else r.decay_rate * r.scale), []).append(k)
+        cutoff = {}
+        for (peak, order, rate), walk in walks.items():
+            cutoff.update(zip(walk, _truncation_walk(
+                unit, [0.1 * cfg.abs_tol * max(abs(zs[k]), 1.0)
+                       for k in walk], order, rate, peak)))
+        near = [k for k in ks if 0.0 < -zs[k].imag < cutoff[k][0]
+                and abs(zs[k].real) < 0.05]
+        rstars = dict(zip(near, np.asarray(unit(np.array(
+            [-zs[k].imag for k in near]))).tolist() if near else ()))
         starts.append(len(bounds))
-        for m, ((r, ks), cut) in enumerate(zip(members, cutoffs)):
-            for k, (P, _), is_near in zip(ks, cut, near[m]):
-                s = ss[k]
-                pstar = -s.imag
-                first = len(bounds)
-                log_term = None
-                # pieces (a, b, r) integrate (rho(p) - r) / (s + ip) over
-                # [a, b]
-                if is_near:
-                    delta = min(pstar, P - pstar, r.scale)
-                    a, b = pstar - delta, pstar + delta
-                    rstar = complex(next(rstars))
-                    pieces = [(0.0, a, 0.0), (a, b, rstar), (b, P, 0.0)]
-                    # int_a^b dp/(s+ip) along the vertical segment
-                    # Re = Re(s); the principal log branch is crossed when
-                    # Re(s) < 0
-                    log_diff = cmath.log(s + 1j * b) - cmath.log(s + 1j * a)
-                    if s.real < 0.0:
-                        log_diff -= 2j * math.pi
-                    # rstar times that integral, and its s-derivative
-                    log_term = (rstar * log_diff / 1j, rstar / 1j * (
-                        1.0 / (s + 1j * b) - 1.0 / (s + 1j * a)))
-                elif 0.0 < pstar < P:
-                    # mild peak: split to help the adaptive rule
-                    pieces = [(0.0, pstar, 0.0), (pstar, P, 0.0)]
-                else:
-                    pieces = [(0.0, P, 0.0)]
-                for a, b, rp in pieces:
-                    bounds.append((a, b))
-                    s_of.append(s)
-                    r_of.append(rp)
-                    member_of.append(m)
-                plans[k] = (first, len(pieces), log_term)
-    s_of = np.array(s_of, dtype=complex)
+        for k in ks:
+            z, (X, _) = zs[k], cutoff[k]
+            xstar = -z.imag
+            first = len(bounds)
+            log_term = None
+            # pieces (a, b, r) integrate (rho1(x) - r) / (z + ix) over [a, b]
+            if k in rstars:
+                delta = min(xstar, X - xstar, 1.0)
+                a, b = xstar - delta, xstar + delta
+                rstar = complex(rstars[k])
+                pieces = [(0.0, a, 0.0), (a, b, rstar), (b, X, 0.0)]
+                # int_a^b dx/(z+ix) along the vertical segment Re = Re(z);
+                # the principal log branch is crossed when Re(z) < 0
+                log_diff = cmath.log(z + 1j * b) - cmath.log(z + 1j * a)
+                if z.real < 0.0:
+                    log_diff -= 2j * math.pi
+                # rstar times that integral, and its z-derivative
+                log_term = (rstar * log_diff / 1j, rstar / 1j * (
+                    1.0 / (z + 1j * b) - 1.0 / (z + 1j * a)))
+            elif 0.0 < xstar < X:
+                # mild peak: split to help the adaptive rule
+                pieces = [(0.0, xstar, 0.0), (xstar, X, 0.0)]
+            else:
+                pieces = [(0.0, X, 0.0)]
+            for a, b, rp in pieces:
+                bounds.append((a, b))
+                z_of.append(z)
+                r_of.append(rp)
+            plans[k] = (first, len(pieces), log_term)
+    z_of = np.array(z_of, dtype=complex)
     r_of = np.array(r_of, dtype=complex)
-    member_of = np.array(member_of)
     starts = np.array(starts[1:])
 
-    def f(p, idx):
-        # idx is nondecreasing, so each family's nodes are one slice
+    def f(x, idx):
+        # idx is nondecreasing, so each group's nodes are one slice
         edges = [0, *(np.searchsorted(idx, starts).tolist() if starts.size
-                      else ()), len(p)]
-        rho_p = np.empty(p.shape, dtype=complex)
-        for call, lo, hi in zip(calls, edges, edges[1:]):
+                      else ()), len(x)]
+        rho_x = np.empty(x.shape, dtype=complex)
+        for unit, lo, hi in zip(units, edges, edges[1:]):
             if lo < hi:
-                rho_p[lo:hi] = call(p[lo:hi], member_of[idx[lo:hi]])
+                rho_x[lo:hi] = unit(x[lo:hi])
         # subtracting r = 0 leaves the plain pieces' values unchanged; in
         # place, so that few node-sized arrays are alive at once
-        rho_p -= r_of[idx]
-        den = 1j * p
-        den += s_of[idx]
-        rho_p /= den
+        rho_x -= r_of[idx]
+        den = 1j * x
+        den += z_of[idx]
+        rho_x /= den
         if not derivative:
-            return rho_p
-        # d/ds of (rho - r)/(s + ip)
-        return rho_p, rho_p / -den
+            return rho_x
+        # d/dz of (rho1 - r)/(z + ix)
+        return rho_x, rho_x / -den
 
     results = _integrate_many(f, bounds, cfg)
     width = 2 if derivative else 1
-    out = []
-    for first, n, log_term in plans:
+    sums = np.empty((len(ss), width), dtype=complex)
+    for k, (first, n, log_term) in enumerate(plans):
         # each piece's value and, with the derivative, its second integral,
         # which an empty piece (f never called there) lacks
         terms = [(v, *dv, 0.0 + 0.0j)[:width]
@@ -199,9 +195,14 @@ def _cauchy_transform(rho, ss: list, cfg: QuadConfig = _CAUCHY_CFG,
         if log_term is not None:
             terms.insert(2, log_term[:width])
         # summed left to right, in piece order
-        sums = [functools.reduce(operator.add, part) for part in zip(*terms)]
-        out.append(tuple(sums) if derivative else sums[0])
-    return out
+        sums[k] = [functools.reduce(operator.add, part)
+                   for part in zip(*terms)]
+    # (A, A/lam) on the (re, im) parts of (S1, dS1/dz)
+    amplitudes = [1.0 if r.shape is None else r.shape[1] for r in rhos]
+    sums.view(float).reshape(len(ss), width, 2)[...] *= np.array(
+        [(amp, amp / r.scale) for amp, r in zip(amplitudes, rhos)]
+    ).reshape(len(ss), 2, 1)[:, :width]
+    return [tuple(row) if derivative else row[0] for row in sums]
 
 
 def _first_sheet(rho, ss: list) -> list:
@@ -272,8 +273,9 @@ def _newton(fun, seeds, scales):
     """Newton iteration from every seed, in lockstep.
 
     ``fun(ids, points)`` maps the points of the seeds ``ids`` to their
-    (F, F') pairs, so each round is one batch at the unfinished seeds; seed
-    i steps with its own scale ``scales[i]``.  A seed whose |F| < _POLE_TOL
+    (F, F') pairs, so each round is one batch at the unfinished seeds; a
+    None in place of a pair stops that seed unconverged.  Seed i steps with
+    its own scale ``scales[i]``.  A seed whose |F| < _POLE_TOL
     is accepted, and its root is that round's point less F/F' (the point
     itself where F' = 0): the last Newton step costs no further batch.
     Each seed gets its own ``_MAX_NEWTON`` rounds and stops on the same
@@ -289,7 +291,10 @@ def _newton(fun, seeds, scales):
         if not active:
             break
         stepped = []
-        for i, (f, df) in zip(active, fun(active, [s[i] for i in active])):
+        for i, pair in zip(active, fun(active, [s[i] for i in active])):
+            if pair is None:
+                continue
+            f, df = pair
             if abs(f) < _POLE_TOL:
                 found[i] = (s[i] - f / df if df != 0.0 else s[i], abs(f))
                 continue
@@ -325,12 +330,14 @@ def _find_poles(rhos, params) -> list:
                 "pole finding refused")
         if p.alpha == 0.0:
             raise ValueError("alpha = 0 has no resonance pole")
+    # its smallest difference step, 1e-7 of the scale floor 1e-3 scale,
+    # must be a normal float, or the Plemelj difference overflows
+    if any(not 1e-10 * rho.scale >= np.finfo(float).tiny for rho in rhos):
+        raise SolverError("pole search cannot start: its smallest step "
+                          "1e-10 * scale is not a normal float (density "
+                          "scale too small)")
     points = [complex(1e-6 * rho.scale - 1j * p.omega)
               for rho, p in zip(rhos, params)]
-    if any(z.real <= 0.0 for z in points):
-        raise SolverError("pole search cannot start: its first-sheet point "
-                          "Re s = 1e-6 * scale underflows to 0 (density "
-                          "scale too small)")
     centres = [-p.alpha * v
                for p, v in zip(params, _first_sheet(rhos, points))]
     scales = [max(abs(z), 1e-3 * rho.scale) for z, rho in zip(centres, rhos)]
@@ -340,18 +347,21 @@ def _find_poles(rhos, params) -> list:
 
     def F(ids, zs):
         # complex() as in s_hat_second_sheet: the Plemelj term must see a
-        # Python complex, whose ** differs from numpy's in the last bits
+        # Python complex, whose ** differs from numpy's in the last bits.
+        # A point on Re s = 0, where the continuation is ambiguous, leaves
+        # the batch and stops its seed unconverged
         points = [complex(z - 1j * params[owner[i]].omega)
                   for i, z in zip(ids, zs)]
-        if any(z.real == 0.0 for z in points):
-            raise SolverError("pole search reached Re s = 0, where the "
-                              "continuation is ambiguous")
-        sheet = _second_sheet([rhos[owner[i]] for i in ids], points,
-                              [1e-7 * max(abs(z), scales[owner[i]])
-                               for i, z in zip(ids, zs)])
-        return [(z + params[owner[i]].alpha * v,
-                 1.0 + params[owner[i]].alpha * dv)
-                for i, z, (v, dv) in zip(ids, zs, sheet)]
+        live = [j for j, z in enumerate(points) if z.real != 0.0]
+        sheet = _second_sheet([rhos[owner[ids[j]]] for j in live],
+                              [points[j] for j in live],
+                              [1e-7 * max(abs(zs[j]), scales[owner[ids[j]]])
+                               for j in live])
+        out = [None] * len(ids)
+        for j, (v, dv) in zip(live, sheet):
+            alpha = params[owner[ids[j]]].alpha
+            out[j] = (zs[j] + alpha * v, 1.0 + alpha * dv)
+        return out
 
     found = _newton(F, seeds, [scales[k] for k in owner])
     n = len(_SEED_OFFSETS)
@@ -382,9 +392,10 @@ def find_pole(rho: SpectralDensity, params: ModelParams) -> complex:
     from the values it was accepted on.  The root with the greatest real
     part is returned.  The pole must be a decay the transforms resolve,
     Re s0 < -_CAUCHY_CFG.rel_tol |s0|; a pole with Re s0 > 0 would violate
-    unitarity and signal a broken kernel.  Raises :class:`SolverError`
-    when no seed converges, when an iterate lands on Re(s - i omega) = 0,
-    or for a pole that resolves no decay.
+    unitarity and signal a broken kernel.  A seed whose iterate lands on
+    Re(s - i omega) = 0, where the continuation is ambiguous, counts as not
+    converged.  Raises :class:`SolverError` when no seed converges, or for
+    a pole that resolves no decay.
     """
     return _find_poles([rho], [params])[0][0]
 

@@ -31,14 +31,9 @@ _W15C, _W7C = _W15.astype(complex), _W7.astype(complex)
 _SIGNED_ZERO = np.array([-0.0, 0.0])
 
 # problems that advance together in one lockstep batch of _integrate_many.
-# With one call per density family per step, a seed-1 `qedvolterra sweep`
-# of 24 alpha allocates at most 0.70, 0.80 and 1.24 MiB at once
-# (tracemalloc) with batches of 96, 128 and 256.  Warm, in one process, a
-# sweep takes 0.172-0.175, 0.159-0.166 and 0.155-0.176 s (medians of 8,
-# seeds 1-2); in a fresh process (perfbench `run_s`, seeds 1-2) 0.198/0.192,
-# 0.178/0.174 and 0.179/0.189 s, and 256 adds 0.55 MiB to the peak RSS.
-# 128 is the fastest cold and the leaner of the two fast ones (2-vCPU Xeon
-# VM)
+# On a seed-1 24-alpha `qedvolterra sweep`, with one density call per step,
+# batches of 96, 128 and 256 allocated at most 0.70, 0.80 and 1.24 MiB at
+# once (tracemalloc), and 128 ran fastest in a fresh process (2-vCPU Xeon)
 _LOCKSTEP_PROBLEMS = 128
 
 _AITKEN_LEVELS = 8
@@ -266,60 +261,43 @@ def _iterated_aitken(s: np.ndarray, levels: int = _AITKEN_LEVELS) -> complex:
     return complex(s[-1])
 
 
-def _truncation_walks(g, walks) -> list:
-    """Truncation points P of several ladders, walked in lockstep.
+def _truncation_walk(g, abs_tols, decay_order, decay_rate, peak) -> list:
+    """Truncation points P of one ladder, one (P, bound) per tolerance.
 
-    ``walks[m]`` is (abs_tols, decay_order, decay_rate, peak, start) of
-    walk m; a None start is max(8 peak, 1).  Walk m returns one (P, bound)
-    per tolerance in its ``abs_tols``: P walks the ladder start * 1.5^k,
-    k < 200, and each tolerance takes the first rung whose analytic tail
-    bound of |g| meets it.  The rungs do not depend on the tolerance, so
-    one walk serves them all, and each result equals a walk made for that
-    tolerance alone.  Each block of rungs of every unfinished walk is one
-    call ``g(P, m)``, where the integer array ``m`` names the walk of each
-    rung; each walk keeps its own start, decay and rungs.  Raises
+    P walks the ladder max(8 peak, 1) * 1.5^k, k < 200, and each tolerance
+    in ``abs_tols`` takes the first rung whose analytic tail bound of |g|
+    meets it.  The rungs do not depend on the tolerance, so one walk serves
+    them all, and each result equals a walk made for that tolerance alone.
+    Each block of rungs is one call ``g(P)``.  Raises
     :class:`QuadratureError` if some tolerance is met by no rung.
 
     A tolerance is still pending while it is below every bound so far, so
-    with a walk's tolerances sorted largest first, those a rung meets are
-    the first pending ones: each rung costs a few float comparisons.
+    with the tolerances sorted largest first, those a rung meets are the
+    first pending ones: each rung costs a few float comparisons.
     """
-    tols = [np.asarray(w[0], dtype=float).tolist() for w in walks]
-    out = [[None] * len(t) for t in tols]
-    queue = [sorted(range(len(ts)), key=ts.__getitem__, reverse=True)
-             for ts in tols]
-    met = [0] * len(walks)
-    rung = [start if start is not None else max(8.0 * max(peak, 0.0), 1.0)
-            for _, _, _, peak, start in walks]
-    live = [m for m, ts in enumerate(tols) if ts]
+    tols = np.asarray(abs_tols, dtype=float).tolist()
+    out = [None] * len(tols)
+    queue = sorted(range(len(tols)), key=tols.__getitem__, reverse=True)
+    met = 0
+    P = max(8.0 * max(peak, 0.0), 1.0)
     for _ in range(_LADDER_RUNGS // _LADDER_BLOCK):
-        live = [m for m in live if met[m] < len(tols[m])]
-        if not live:
+        if met == len(tols):
             return out
         ladder = []
-        for m in live:
-            P = rung[m]
-            for _ in range(_LADDER_BLOCK):
-                ladder.append(P)
-                P *= 1.5
-            rung[m] = P
-        gabs = np.abs(np.asarray(g(np.array(ladder),
-                                   np.repeat(live, _LADDER_BLOCK))))
+        for _ in range(_LADDER_BLOCK):
+            ladder.append(P)
+            P *= 1.5
+        gabs = np.abs(np.asarray(g(np.array(ladder))))
         gmax = gabs.reshape(len(ladder), -1).max(axis=1).tolist()
-        for j, m in enumerate(live):
-            _, decay_order, decay_rate, _, _ = walks[m]
-            ts, ks, i = tols[m], queue[m], met[m]
-            block = slice(j * _LADDER_BLOCK, (j + 1) * _LADDER_BLOCK)
-            for P_k, gP in zip(ladder[block], gmax[block]):
-                if decay_rate is not None:
-                    bound = gP / decay_rate
-                else:
-                    bound = gP * P_k / (decay_order - 1.0)
-                while i < len(ks) and bound <= ts[ks[i]]:
-                    out[m][ks[i]] = (P_k, bound)
-                    i += 1
-            met[m] = i
-    if any(n < len(ts) for n, ts in zip(met, tols)):
+        for P_k, gP in zip(ladder, gmax):
+            if decay_rate is not None:
+                bound = gP / decay_rate
+            else:
+                bound = gP * P_k / (decay_order - 1.0)
+            while met < len(tols) and bound <= tols[queue[met]]:
+                out[queue[met]] = (P_k, bound)
+                met += 1
+    if met < len(tols):
         raise QuadratureError("could not find a truncation point for the tail")
     return out
 
@@ -351,8 +329,8 @@ def oscillatory_halfline(g, tau: float, cfg: QuadConfig = DEFAULT_QUAD, *,
         raise ValueError("algebraic decay order must be >= 2")
 
     abs_tol = cfg.abs_tol
-    P, _ = _truncation_walks(lambda p, m: g(p), [
-        ([0.1 * abs_tol], decay_order, decay_rate, peak, None)])[0][0]
+    [(P, _)] = _truncation_walk(g, [0.1 * abs_tol], decay_order, decay_rate,
+                                peak)
 
     def integrand(p):
         return np.asarray(g(p), dtype=complex) * np.exp(-1j * tau * p)

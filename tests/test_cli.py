@@ -151,9 +151,13 @@ def _small_run(draw):
 
 @settings(deadline=None, max_examples=40)
 @given(_small_run())
-# the pole search's first-sheet point 1e-6 * scale underflows to Re s = 0
+# the pole search's smallest step 1e-10 * scale is not a normal float
 @example(("rates", {"alpha": 5e-324, "dt": 1.0, "tmax": 2.0,
                     "state": "vacuum", "fit": "false"}))
+# alpha^3 overflows, where a float ** raises OverflowError
+@example(("kernel", {"alpha": 1e200, "dt": 1.0, "tmax": 2.0,
+                     "transition": "custom", "omega": 0.0, "state": "vacuum",
+                     "fit": "true", "sweep_values": "0.0"}))
 def test_random_small_runs_end_in_an_exit_code(run):
     # in process, through main: every run ends in 0, 2 or 3 and raises
     # nothing; a custom state reads a valid p e^{-p} table
@@ -634,14 +638,11 @@ def test_sweep_matches_one_interval_quadrature(tmp_path, monkeypatch):
 
     walked = []
 
-    def one_ladder_per_tolerance(g, walks):
-        out = []
-        for m, (tols, order, rate, peak, start) in enumerate(walks):
-            walked.extend(tols)
-            out.append([reference_truncation_point(
-                lambda P: g(P, np.full(P.shape, m)), tol, decay_order=order,
-                decay_rate=rate, peak=peak, start=start) for tol in tols])
-        return out
+    def one_ladder_per_tolerance(g, tols, order, rate, peak):
+        walked.extend(tols)
+        return [reference_truncation_point(g, tol, decay_order=order,
+                                           decay_rate=rate, peak=peak)
+                for tol in tols]
 
     points = []
     transform = qedvolterra.laplace._cauchy_transform
@@ -653,7 +654,7 @@ def test_sweep_matches_one_interval_quadrature(tmp_path, monkeypatch):
     monkeypatch.setattr(qedvolterra.laplace, "_cauchy_transform", counted)
     for module in (qedvolterra.quadrature, qedvolterra.laplace):
         monkeypatch.setattr(module, "_integrate_many", one_at_a_time)
-    monkeypatch.setattr(qedvolterra.laplace, "_truncation_walks",
+    monkeypatch.setattr(qedvolterra.laplace, "_truncation_walk",
                         one_ladder_per_tolerance)
     monkeypatch.setattr(qedvolterra.quadrature, "integrate_finite",
                         reference_integrate_finite)
@@ -684,13 +685,29 @@ def test_pole_search_failure_exit_code(tmp_path, capsys, alpha, message):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_at_a_tiny_alpha_warns_nothing(tmp_path, capsys):
-    # (p / alpha)^2 overflows in the hydrogen density, whose limit is 0
+    # (p / alpha)^2 overflows in the hydrogen density, whose limit is 0.
+    # A seed that reaches Re s = 0 no longer stops the search, only itself:
+    # the search ends on its root s0 = 0, which resolves no decay
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("transition = custom\nomega = 0\n"
                    "sweep_values = 1.7310555150289214e-291\n")
     assert main(["sweep", "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == 3
-    assert "reached Re s = 0" in capsys.readouterr().err
+    assert "resolves no decay" in capsys.readouterr().err
+
+
+def test_sweep_of_a_small_and_a_large_alpha(tmp_path):
+    # hydrogen at 3e-4 and 0.5 in one sweep: it exited 3 when a seed of
+    # one alpha reached Re s = 0 and failed the lockstep search of both.
+    # Each row equals that alpha's sweep alone
+    rows = []
+    for k, values in enumerate(("3e-4, 0.5", "3e-4", "0.5")):
+        cfg, out = tmp_path / f"sweep{k}.cfg", tmp_path / f"sweep{k}.csv"
+        cfg.write_text(f"sweep_values = {values}\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows.append(out.read_text().splitlines())
+    assert rows[0] == rows[1] + rows[2][1:]
+    assert float(rows[0][1].split(",")[2]) > 0.0
 
 
 def test_numerical_failure_exit_code(tmp_path):

@@ -6,9 +6,9 @@ import pytest
 from qedvolterra import KernelEvaluator, ModelParams, QuadConfig, \
     SmearingFunction, SpectralDensity, SqueezeParams, TimeGrid, \
     chi_momentum, density_from_table, hydrogen_chi, hydrogen_density, \
-    hydrogen_vacuum_density, make_kernel, solve_ide, \
+    hydrogen_vacuum_density, make_kernel, s_hat, solve_ide, \
     squeezed_delta_concentrated, squeezed_delta_general, vacuum_kernel
-from qedvolterra.kernels import _PairMode
+from qedvolterra.kernels import _PairMode, _hydrogen_unit
 
 TIGHT = QuadConfig(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -113,42 +113,64 @@ def test_nonnegative_momentum_accepted(p):
 
 
 def _hydrogen_formula(p, alpha):
-    # the formula with one scalar alpha: the reference for the array form
+    # the formula as written
     p = np.asarray(p, dtype=float)
     val = (alpha * alpha / (3.0 * math.pi**2)) * p / ((p / alpha)**2 + 2.25)**4
     return val if val.ndim else float(val)
 
 
-_P_GRIDS = [np.linspace(0.0, 30.0, 1200), np.linspace(0.1, 40.0, 20),
-            np.array([0.0, 0.5, 2.0]), 0.0, -0.0, np.array(0.7)]
-
-
-@pytest.mark.parametrize("p", _P_GRIDS,
-                         ids=["table", "lags", "array", "zero", "-zero",
-                              "0-d"])
-def test_hydrogen_density_of_an_alpha_array(p):
-    # scalar alpha: the values of the formula as written, bit for bit; an
-    # alpha array broadcast against p: each value that of its own scalar
-    # alpha
-    alphas = [1.0, 0.1, 0.5, 0.7565217391304349]
-    for alpha in alphas:
-        got = hydrogen_vacuum_density(p, alpha)
-        want = _hydrogen_formula(p, alpha)
+@pytest.mark.parametrize("alpha", [1.0, 0.1, 0.5, 0.7565217391304349,
+                                   1e-4, 3.0])
+def test_hydrogen_density_is_its_shape_at_a_scale(alpha):
+    # fn is the formula as written, bit for bit, and the declared shape
+    # gives the same density, rho(p) = alpha^3 rho_1(p / alpha), to rounding
+    rho = hydrogen_density(alpha)
+    unit, amplitude = rho.shape
+    assert unit is _hydrogen_unit and amplitude == alpha * alpha * alpha
+    p = np.linspace(0.0, 30.0 * alpha, 1200)
+    got = rho.fn(p)
+    assert got.tobytes() == _hydrogen_formula(p, alpha).tobytes()
+    assert unit(p).tobytes() == hydrogen_vacuum_density(p, 1.0).tobytes()
+    np.testing.assert_allclose(amplitude * unit(p / alpha), got,
+                               rtol=1e-14, atol=0.0)
+    for q in (0.0, -0.0, np.array(0.7), np.linspace(0.1, 40.0, 20)):
+        got = hydrogen_vacuum_density(q, alpha)
+        want = _hydrogen_formula(q, alpha)
         assert type(got) is type(want)
         assert np.array(got).tobytes() == np.array(want).tobytes()
-    column = np.array(alphas)[:, None]
-    grid = hydrogen_vacuum_density(p, column)
-    assert grid.shape == (len(alphas), np.size(p))
-    for row, alpha in zip(grid, alphas):
-        assert row.tobytes() == np.atleast_1d(
-            _hydrogen_formula(p, alpha)).tobytes()
-    # one alpha per node, each checked against a one-node array (a numpy
-    # scalar's ** is not the array's and may differ in the last bit)
-    flat = np.ravel(p)
-    per_node = np.resize(alphas, flat.shape)
-    want = np.concatenate([_hydrogen_formula(flat[k:k + 1], a)
-                           for k, a in enumerate(per_node.tolist())])
-    assert hydrogen_vacuum_density(flat, per_node).tobytes() == want.tobytes()
+
+
+def test_hydrogen_density_without_a_shape_where_alpha3_leaves_floats():
+    # a shape's amplitude is finite and > 0: where alpha^3 underflows to 0
+    # or overflows, fn serves the transforms as it is
+    assert hydrogen_density(1e-107).shape[1] > 0.0
+    assert hydrogen_density(5e102).shape[1] < math.inf
+    for alpha in (1e-110, 1e103, 1e200):
+        assert hydrogen_density(alpha).shape is None
+    assert not hydrogen_density(1e-110).fn(np.linspace(0.0, 1e-108, 50)).any()
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_density_refuses_a_bad_shape_or_scale(value):
+    # the Laplace side divides s by scale and multiplies its transforms by
+    # the shape's amplitude.  A scale of 0 (hydrogen at alpha = 0) builds,
+    # and its transforms refuse
+    def fn(q):
+        return q * np.exp(-q)
+
+    with pytest.raises(ValueError, match="shape amplitude must be finite"):
+        SpectralDensity(fn=fn, decay_rate=1.0, shape=(fn, value))
+    if value == 0.0:
+        rho = SpectralDensity(fn=fn, decay_rate=1.0, scale=value)
+        with pytest.raises(ValueError, match="scale 0"):
+            s_hat(rho, 1.0)
+    else:
+        with pytest.raises(ValueError, match="scale must be finite"):
+            SpectralDensity(fn=fn, decay_rate=1.0, scale=value)
+    with pytest.raises(ValueError, match="shape function must be callable"):
+        SpectralDensity(fn=fn, decay_rate=1.0, shape=(value, 1.0))
+    assert SpectralDensity(fn=fn, decay_rate=1.0, scale=2.0,
+                           shape=(fn, 0.5)).shape == (fn, 0.5)
 
 
 def test_density_at_a_scalar_reads_the_array_path():
@@ -165,9 +187,8 @@ def test_density_at_a_scalar_reads_the_array_path():
 @pytest.mark.parametrize("bad", [0.0, -0.3, math.nan])
 def test_hydrogen_density_refuses_a_bad_alpha_element(bad):
     p = np.array([0.5, 1.0, 2.0])
-    for alpha in (bad, np.array([0.5, bad, 1.0]), np.array([[bad]])):
-        with pytest.raises(ValueError, match="^alpha must be positive$"):
-            hydrogen_vacuum_density(p, alpha)
+    with pytest.raises(ValueError, match="^alpha must be positive$"):
+        hydrogen_vacuum_density(p, bad)
 
 
 def test_density_from_table_round_trip(tmp_path):

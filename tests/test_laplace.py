@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qedvolterra.kernels
 import qedvolterra.laplace
 from qedvolterra import MissingExtensionError, ModelParams, QuadConfig, \
     QuadratureError, SolverError, \
@@ -15,28 +16,47 @@ from qedvolterra import MissingExtensionError, ModelParams, QuadConfig, \
     s_hat, s_hat_second_sheet, solve_ide
 from qedvolterra.laplace import _BROMWICH_CFG, _CAUCHY_CFG, _MAX_NEWTON, \
     _POLE_TOL, _cauchy_transform, _newton, _second_sheet
-from qedvolterra.quadrature import _truncation_walks
+from qedvolterra.kernels import _hydrogen_unit
+from qedvolterra.quadrature import _truncation_walk
 from qedvolterra.volterra import AmplitudeSeries
 
 # ------------------------------------------------- one-at-a-time oracles
 # The Cauchy transform, the pole search and the Bromwich contour as they ran
 # before their transforms were batched: one point per transform, one
-# integrate_finite call per piece, one seed at a time.  The batched
-# routines must reproduce them bit for bit.
+# integrate_finite call per piece, one seed at a time, each transform in its
+# density's own units.  The batched routines must reproduce them bit for
+# bit.
+
+
+def _own_units(rho):
+    """(rho1, A): the density's shape, or fn(scale x) at amplitude 1."""
+    if rho.shape is not None:
+        return rho.shape
+    return (lambda x: rho.fn(rho.scale * x)), 1.0
+
+
+def _scaled(v, a):
+    """a v, each part scaled on its own."""
+    return np.complex128(complex(a * v.real, a * v.imag))
 
 
 def reference_cauchy_transform(rho, s, cfg=_CAUCHY_CFG, derivative=False):
-    """The transform at s, or with ``derivative`` the pair (value, d/ds):
-    each piece's integrand carries its s-derivative -(rho - r)/(s + ip)^2
-    as a second component, and the near-pole term its closed form."""
-    [[(P, _)]] = _truncation_walks(lambda p, m: rho.fn(p), [
-        ([0.1 * cfg.abs_tol * max(abs(s), 1.0)], rho.decay_order,
-         rho.decay_rate, rho.peak, None)])
+    """The transform at s, or with ``derivative`` the pair (value, d/ds),
+    in the density's own units: with rho(p) = A rho1(p / lam) it is
+    A S1(z), z = s / lam, and its derivative A/lam dS1/dz.  Each piece's
+    integrand carries its z-derivative -(rho1 - r)/(z + ix)^2 as a second
+    component, and the near-pole term its closed form."""
+    unit, amp = _own_units(rho)
+    lam = rho.scale
+    z = complex(s.real / lam, s.imag / lam)
+    rate = None if rho.decay_rate is None else rho.decay_rate * lam
+    [(X, _)] = _truncation_walk(unit, [0.1 * cfg.abs_tol * max(abs(z), 1.0)],
+                                rho.decay_order, rate, rho.peak / lam)
 
     def subtracted(r):
-        def f(p):
-            val = (np.asarray(rho.fn(p), dtype=complex) - r) / (s + 1j * p)
-            return (val, val / -(s + 1j * p)) if derivative else val
+        def f(x):
+            val = (np.asarray(unit(x), dtype=complex) - r) / (z + 1j * x)
+            return (val, val / -(z + 1j * x)) if derivative else val
         return f
 
     def piece(f, a, b):
@@ -47,28 +67,30 @@ def reference_cauchy_transform(rho, s, cfg=_CAUCHY_CFG, derivative=False):
         return np.array([out[0], out[2] if len(out) > 2 else 0.0 + 0.0j])
 
     f = subtracted(0.0)
-    pstar = -s.imag
-    if 0.0 < pstar < P and abs(s.real) < 0.05 * rho.scale:
-        delta = min(pstar, P - pstar, rho.scale)
-        a, b = pstar - delta, pstar + delta
-        rstar = complex(rho.fn(np.array([pstar]))[0])
+    xstar = -z.imag
+    if 0.0 < xstar < X and abs(z.real) < 0.05:
+        delta = min(xstar, X - xstar, 1.0)
+        a, b = xstar - delta, xstar + delta
+        rstar = complex(unit(np.array([xstar]))[0])
         val = piece(f, 0.0, a)
         val += piece(subtracted(rstar), a, b)
-        log_diff = cmath.log(s + 1j * b) - cmath.log(s + 1j * a)
-        if s.real < 0.0:
+        log_diff = cmath.log(z + 1j * b) - cmath.log(z + 1j * a)
+        if z.real < 0.0:
             log_diff -= 2j * math.pi
         log_term = rstar * log_diff / 1j
         if derivative:
             log_term = np.array([log_term, rstar / 1j * (
-                1.0 / (s + 1j * b) - 1.0 / (s + 1j * a))])
+                1.0 / (z + 1j * b) - 1.0 / (z + 1j * a))])
         val += log_term
-        val += piece(f, b, P)
-    elif 0.0 < pstar < P:
-        val = piece(f, 0.0, pstar)
-        val += piece(f, pstar, P)
+        val += piece(f, b, X)
+    elif 0.0 < xstar < X:
+        val = piece(f, 0.0, xstar)
+        val += piece(f, xstar, X)
     else:
-        val = piece(f, 0.0, P)
-    return tuple(val) if derivative else val
+        val = piece(f, 0.0, X)
+    if derivative:
+        return _scaled(val[0], amp), _scaled(val[1], amp / lam)
+    return _scaled(val, amp)
 
 
 def reference_second_sheet(rho, s, cfg=_CAUCHY_CFG, h=None):
@@ -224,21 +246,28 @@ def test_batched_cauchy_transform_matches_one_at_a_time(synthetic_density):
             == [reference_second_sheet(rho, s) for s in points]
 
 
+def _logged(rho):
+    """rho with the function its transforms read, its shape's or fn,
+    recording the size of each call."""
+    calls = []
+    unit, amp = rho.shape if rho.shape is not None else (rho.fn, None)
+
+    def logged(x):
+        calls.append(np.size(x))
+        return unit(x)
+
+    if rho.shape is not None:
+        return replace(rho, shape=(logged, amp)), calls
+    return replace(rho, fn=logged), calls
+
+
 def test_batched_near_pole_values_share_one_density_call(synthetic_density):
     # near-pole points with distinct p* on both sheets, among plain ones:
     # their rho(p*) come from one density call, each at its own point
     points = [1e-6 - 0.3j, 0.4 - 0.2j, -2e-4 - 0.05j, 1e-3 - 0.7j,
               -1e-5 - 1.1j, 2.0 + 1.0j, 3e-3 - 0.3j]
     for rho in (hydrogen_density(0.5), synthetic_density):
-        calls = []
-
-        def fn(p, rho=rho):
-            calls.append(np.size(p))
-            return rho.fn(p)
-
-        logged = SpectralDensity(fn=fn, label=rho.label, scale=rho.scale,
-                                 peak=rho.peak, decay_order=rho.decay_order,
-                                 decay_rate=rho.decay_rate)
+        logged, calls = _logged(rho)
         want = [reference_cauchy_transform(rho, s) for s in points]
         assert _cauchy_transform(logged, points) == want
         near = [s for s in points if abs(s.real) < 0.05 * rho.scale]
@@ -247,20 +276,6 @@ def test_batched_near_pole_values_share_one_density_call(synthetic_density):
         # lockstep step of 22 or 44 nodes per piece
         assert calls.count(len(near)) == 1
         assert all(n % 22 == 0 or n in (8, len(near)) for n in calls)
-
-
-def _logged(rho):
-    """rho with a density function that records the size of each call."""
-    calls = []
-
-    def fn(p):
-        calls.append(np.size(p))
-        return rho.fn(p)
-
-    return SpectralDensity(fn=fn, label=rho.label, scale=rho.scale,
-                           peak=rho.peak, decay_order=rho.decay_order,
-                           decay_rate=rho.decay_rate,
-                           analytic_extension=rho.analytic_extension), calls
 
 
 def test_multi_density_cauchy_transform_matches_per_density(
@@ -341,28 +356,38 @@ def _bits(values):
 
 
 def _hydrogen_family(alphas):
-    """Hydrogen densities at ``alphas``, declared as one family whose g
-    records each call's nodes, parameters and values."""
+    """Hydrogen densities at ``alphas``, sharing one shape function that
+    records each call's nodes and values."""
     calls = []
 
-    def g(p, alpha):
-        val = hydrogen_vacuum_density(p, alpha)
-        calls.append((np.array(p), np.broadcast_to(alpha, np.shape(p)).copy(),
-                      np.array(val)))
+    def unit(x):
+        val = _hydrogen_unit(x)
+        calls.append((np.array(x), np.array(val)))
         return val
 
-    return [replace(hydrogen_density(a), family=(g, a)) for a in alphas], \
-        calls
+    return [replace(rho, shape=(unit, rho.shape[1]))
+            for rho in map(hydrogen_density, alphas)], calls
+
+
+def _interleaved(per_density):
+    """The (density, point) pairs of ``per_density``, k-th points first."""
+    rhos, points = [], []
+    for k in range(max(len(pts) for _, pts in per_density)):
+        for rho, pts in per_density:
+            if k < len(pts):
+                rhos.append(rho)
+                points.append(pts[k])
+    return rhos, points
 
 
 def test_family_cauchy_transform_matches_per_density(synthetic_density):
-    # hydrogen at three alpha, one family, mixed with p e^{-p} and a table
-    # density (no family) in one batch, points interleaved: near-pole,
+    # hydrogen at three alpha sharing one shape, mixed with p e^{-p} and a
+    # table density (no shape) in one batch, points interleaved: near-pole,
     # split and plain branches on both sides of the cut.  Every value
-    # equals its density's own batch without a family, bit for bit, and
-    # the densities without a family see exactly the calls of their own
-    # batch
-    family, g_calls = _hydrogen_family([0.3, 0.5, 0.9])
+    # equals its density's own batch and the one-at-a-time reference, bit
+    # for bit; the densities without a shape see exactly the calls of
+    # their own batch, and the shape exactly those of the family's batch
+    family, unit_calls = _hydrogen_family([0.3, 0.5, 0.9])
     p = np.linspace(0.0, 8.0, 200)
     table = density_from_table(np.column_stack([p, p * np.exp(-p)]), 4.0)
     per_density = [
@@ -373,82 +398,71 @@ def test_family_cauchy_transform_matches_per_density(synthetic_density):
         (family[2], [0.2 - 0.3j, -1e-6 - 0.30375j, 1e-3 - 2.0j])]
     alone, logged = [], []
     for rho, points in per_density:
-        plain = replace(rho, family=None)
-        want = _cauchy_transform(plain, points)
+        want = _cauchy_transform(rho, points)
         assert _bits(want) == _bits(
-            [reference_cauchy_transform(plain, s) for s in points])
-        if rho.family is None:
+            [reference_cauchy_transform(rho, s) for s in points])
+        if rho.shape is None:
             alone_rho, alone_calls = _logged(rho)
             _cauchy_transform(alone_rho, points)
             rho, calls = _logged(rho)
             logged.append((calls, alone_calls))
         alone.append((rho, points, want))
-    rhos, points = [], []
-    for k in range(4):
-        for rho, pts, _ in alone:
-            if k < len(pts):
-                rhos.append(rho)
-                points.append(pts[k])
+    del unit_calls[:]
+    _cauchy_transform(*_interleaved(
+        [(rho, pts) for rho, pts, _ in alone if rho in family]))
+    family_calls = [x.size for x, _ in unit_calls]
+    del unit_calls[:]
+    rhos, points = _interleaved([(rho, pts) for rho, pts, _ in alone])
     got = _cauchy_transform(rhos, points)
     for rho, pts, want in alone:
         assert _bits([v for r, v in zip(rhos, got) if r is rho]) \
             == _bits(want)
     for calls, alone_calls in logged:
         assert calls == alone_calls
-    # the first family call is a ladder block of all three members
-    assert len(g_calls) > 10
-    assert set(g_calls[0][1].tolist()) == {0.3, 0.5, 0.9}
+    assert [x.size for x, _ in unit_calls] == family_calls
 
 
 def test_family_ladders_and_near_pole_values_match_per_density():
-    # each member walks its own ladder (start 8 * peak, decay p^-7) with
-    # its own tolerances; the lockstep walk makes one g call per block, as
-    # many as the longest walk alone, and each result equals the member's
-    # own walk alone
-    alphas = [0.2, 0.45, 1.0, 3.0]
+    # hydrogen at five alpha sharing one shape.  The ladder's peak in own
+    # units, peak / scale, rounds to one value at four of them and one ulp
+    # off at the fifth: the four walk one ladder for all their points, the
+    # fifth its own, and each transform equals its density's own batch.
+    # The near-pole values rho1(x*) of the batch come from one call
+    alphas = [0.2, 0.45, 1.0, 3.0, 0.4434782608695652]
     family, calls = _hydrogen_family(alphas)
-    thetas = np.array(alphas)
-    tols = [[1e-16, 1e-20, 1e-13], [1e-16], [], [1e-25, 1e-16]]
-    walks = [(t, rho.decay_order, rho.decay_rate, rho.peak, None)
-             for rho, t in zip(family, tols)]
-    got = _truncation_walks(lambda P, m: family[0].family[0](P, thetas[m]),
-                            walks)
-    blocks = []
-    for rho, t, walk in zip(family, tols, got):
-        sizes = []
-
-        def fn(P, m, rho=rho):
-            sizes.append(np.size(P))
-            return rho.fn(P)
-
-        assert [walk] == _truncation_walks(
-            fn, [(t, rho.decay_order, None, rho.peak, None)])
-        blocks.append(len(sizes))
-    assert len(calls) == max(blocks) > 1
-    # the near-pole values rho(p*) of a family batch come from one call,
-    # each equal to its own density's value
+    peaks = [r.peak / r.scale for r in family]
+    assert len(set(peaks[:4])) == 1 and peaks[4] != peaks[0]
     points = [1e-6 - 0.01j, 0.4 - 0.2j, -1e-6 - 0.06j, 1e-5 - 0.4j,
-              -2e-5 - 0.1j, 1e-6 - 0.5j]
-    rhos = [family[k % 4] for k in range(len(points))]
+              -2e-5 - 0.1j, 1e-6 - 0.5j, 0.3 - 0.2j, 2e-6 - 0.3j,
+              -3e-6 - 0.7j]
+    rhos = [family[k % 5] for k in range(len(points))]
+    want = [_cauchy_transform(r, [s])[0] for r, s in zip(rhos, points)]
+    zs = [s / r.scale for r, s in zip(rhos, points)]
     del calls[:]
-    _cauchy_transform(rhos, points)
-    # in the batch's order: member by member, each member's points in order
-    near = sorted([(r, -s.imag) for r, s in zip(rhos, points)
-                   if abs(s.real) < 0.05 * r.scale],
-                  key=lambda n: family.index(n[0]))
-    assert len(near) == 5
-    pstars = [p for _, p in near]
-    hits = [c for c in calls if c[0].tolist() == pstars]
+    assert _bits(_cauchy_transform(rhos, points)) == _bits(want)
+    # one walk per peak, each as long as its strictest point's walk alone
+    blocks = 0
+    for peak in (peaks[0], peaks[4]):
+        walked = []
+        _truncation_walk(lambda x: walked.append(x) or _hydrogen_unit(x),
+                         [0.1 * _CAUCHY_CFG.abs_tol * max(abs(z), 1.0)
+                          for r, z in zip(rhos, zs)
+                          if r.peak / r.scale == peak], 7.0, None, peak)
+        blocks += len(walked)
+    assert [x.size for x, _ in calls].count(8) == blocks
+    # the near-pole values, in batch order
+    near = [-z.imag for z in zs if abs(z.real) < 0.05]
+    assert len(near) == 7
+    hits = [(x, v) for x, v in calls if x.tolist() == near]
     assert len(hits) == 1
-    _, th, vals = hits[0]
-    assert th.tolist() == [r.family[1] for r, _ in near]
-    assert vals.tobytes() == np.array(
-        [r.fn(np.array([p]))[0] for r, p in near]).tobytes()
+    assert hits[0][1].tobytes() == np.array(
+        [_hydrogen_unit(np.array([x]))[0] for x in near]).tobytes()
 
 
 def test_family_analyze_matches_per_density_analyze(synthetic_density):
-    # hydrogen at three alpha, as one family and as densities without a
-    # family, with p e^{-p} in the batch: the same records bit for bit
+    # hydrogen at three alpha, read through its shape and through fn alone
+    # (fn(scale x) at amplitude 1), with p e^{-p} in the batch: two routes
+    # to one density, whose records agree to the transforms' tolerance
     rhos, params = [], []
     for alpha in (0.2, 0.7565217391304349, 1.0):
         rho, p = _hydrogen(alpha)
@@ -457,21 +471,30 @@ def test_family_analyze_matches_per_density_analyze(synthetic_density):
     rhos.insert(1, synthetic_density)
     params.insert(1, ModelParams(alpha=0.01, omega=1.0))
     got = analyze(rhos, params)
-    want = analyze([replace(r, family=None) for r in rhos], params)
+    want = analyze([replace(r, shape=None) for r in rhos], params)
     for an, one in zip(got, want):
-        assert _bits([an.pole, an.gamma_pole, an.gamma_markov,
-                      an.lamb_shift, an.residual]) \
-            == _bits([one.pole, one.gamma_pole, one.gamma_markov,
-                      one.lamb_shift, one.residual])
+        assert an.gamma_markov == one.gamma_markov
+        assert abs(an.pole - one.pole) <= 1e-12 * abs(one.pole)
+        assert abs(an.gamma_pole / one.gamma_pole - 1.0) <= 1e-10
+    # p e^{-p} and hydrogen at alpha = 1 (A = scale = 1) read the same
+    # values both ways
+    assert _bits([an.pole for an in got[1::2]]) \
+        == _bits([an.pole for an in want[1::2]])
 
 
 def test_family_is_called_once_per_lockstep_step(monkeypatch):
-    # a 24-alpha hydrogen sweep: every lockstep step of every batch of
-    # transforms calls the family's g exactly once and no density's fn, so
-    # a return to one call per density per step fails here
+    # a 24-alpha hydrogen sweep shares one shape: every lockstep step of
+    # every batch of transforms calls _hydrogen_unit exactly once and no
+    # density's fn, so a return to one call per density per step fails
+    # here.  _hydrogen_unit reads hydrogen_vacuum_density by its module
+    # name, as perfbench's node counter does
     alphas = np.linspace(0.2, 1.0, 24).tolist()
-    family, calls = _hydrogen_family(alphas)
-    fn_calls = []
+    density_calls, fn_calls = [], []
+    density = qedvolterra.kernels.hydrogen_vacuum_density
+
+    def counted_density(p, alpha):
+        density_calls.append(np.size(p))
+        return density(p, alpha)
 
     def counting_fn(rho):
         def fn(p):
@@ -479,28 +502,34 @@ def test_family_is_called_once_per_lockstep_step(monkeypatch):
             return rho.fn(p)
         return fn
 
-    rhos = [replace(r, fn=counting_fn(r)) for r in family]
+    plain = [hydrogen_density(a) for a in alphas]
+    rhos = [replace(r, fn=counting_fn(r)) for r in plain]
     params = [ModelParams(alpha=a, omega=0.375 * a * a) for a in alphas]
     per_step = []
     integrate_many = qedvolterra.laplace._integrate_many
 
     def counted(f, bounds, cfg):
         def step(p, idx):
-            before = len(calls), len(fn_calls)
+            before = len(density_calls), len(fn_calls)
             out = f(p, idx)
-            per_step.append((len(calls) - before[0],
+            per_step.append((len(density_calls) - before[0],
                              len(fn_calls) - before[1]))
             return out
         return integrate_many(step, bounds, cfg)
 
+    monkeypatch.setattr(qedvolterra.kernels, "hydrogen_vacuum_density",
+                        counted_density)
     monkeypatch.setattr(qedvolterra.laplace, "_integrate_many", counted)
     got = analyze(rhos, params)
     assert len(per_step) > 100
     assert set(per_step) == {(1, 0)}
-    # ladders and near-pole values: a few calls per batch, not per alpha
-    assert len(calls) - len(per_step) < len(per_step) // 4
+    # fn serves only the Markov rates; the ladders and near-pole values
+    # take a few calls per batch, not per alpha
+    assert len(fn_calls) == 24
+    assert len(density_calls) - len(fn_calls) - len(per_step) \
+        < len(per_step) // 4
     monkeypatch.undo()
-    want = analyze([replace(r, family=None) for r in family], params)
+    want = analyze(plain, params)
     assert _bits([an.pole for an in got]) == _bits([an.pole for an in want])
 
 
@@ -643,6 +672,90 @@ def test_hydrogen_pole_is_a_decay_or_an_error(alpha):
     assert an.gamma_pole > 0.0
 
 
+def _mp_hydrogen_pole(alpha, omega, dps=25):
+    """The hydrogen pole s0 from mpmath at ``dps`` digits, an oracle that
+    shares no code with the package.  In units of alpha, u = s / alpha is a
+    root of F(u) = u + alpha^3 (-i) G_II(i (u - i omega / alpha)), where
+    G_II(zeta) = integral rho_1(x) / (x - zeta) dx is taken along
+    0 -> -0.5i -> 2 - 0.5i -> 2 -> inf, a path that passes below zeta, and
+    rho_1(x) = x / (3 pi^2 (x^2 + 9/4)^4) is hydrogen at alpha = 1.  The
+    search starts from the first-order root, F's value at u = 0 negated.
+    At 25 digits it agrees with 40 digits exactly at the gate's alpha."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        a, w = mp.mpf(alpha), mp.mpf(omega)
+
+        def G(zeta):
+            return mp.quad(lambda x: x / (3 * mp.pi**2)
+                           / (x**2 + mp.mpf(9) / 4)**4 / (x - zeta),
+                           [0, -0.5j, 2 - 0.5j, 2, mp.inf])
+
+        def F(u):
+            return u - 1j * a**3 * G(1j * (u - 1j * w / a))
+
+        return complex(a * mp.findroot(F, 1j * a**3 * G(w / a)))
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.05, 1.0 / 137.036, 2e-3, 1e-3,
+                                   1e-4])
+def test_hydrogen_pole_matches_a_high_precision_oracle(alpha):
+    # gamma_pole and the Lamb shift within 1e-8 of the mpmath root, down
+    # to alpha = 1e-4; with tolerances absolute in p, the Lamb shift at
+    # alpha = 1e-3 was 99.88 % too small and alpha <= 5.4e-4 raised
+    rho, params = _hydrogen(alpha)
+    an = analyze(rho, params)
+    s0 = _mp_hydrogen_pole(alpha, params.omega)
+    assert abs(an.gamma_pole / (-2.0 * s0.real) - 1.0) <= 1e-8
+    assert abs(an.lamb_shift / s0.imag - 1.0) <= 1e-8
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [1.43e-54, 5.87e-53])
+def test_hydrogen_at_a_tiny_alpha_fails_cleanly(alpha):
+    # in p the integrand overflowed here ("overflow encountered in
+    # divide"), and the search spent 0.5-1.7 s before a QuadratureError;
+    # in own units its root resolves no decay
+    with pytest.raises(SolverError, match="resolves no decay"):
+        analyze(*_hydrogen(alpha))
+
+
+def _count_unconverged(monkeypatch):
+    """Patch the pole search's Newton loop to record the seeds whose F is
+    None, those whose iterate landed on Re(s - i omega) = 0."""
+    seen = []
+    newton = qedvolterra.laplace._newton
+
+    def counted(fun, seeds, scales):
+        def f(ids, zs):
+            out = fun(ids, zs)
+            seen.extend(i for i, pair in zip(ids, out) if pair is None)
+            return out
+        return newton(f, seeds, scales)
+
+    monkeypatch.setattr(qedvolterra.laplace, "_newton", counted)
+    return seen
+
+
+@pytest.mark.parametrize("alphas", [[3e-4, 0.5], [9.223851039358457e-06,
+                                                  0.5, 3e-4]])
+def test_a_seed_on_re_s_zero_stops_alone(alphas, monkeypatch):
+    # a seed whose iterate lands on Re(s - i omega) = 0 stops unconverged
+    # and leaves the batch; it raised SolverError for every problem of the
+    # batch.  Each problem gets its lone record, and at 9.2e-6, where four
+    # of the eight seeds land there, the pole meets the mpmath oracle
+    problems = [_hydrogen(a) for a in alphas]
+    seen = _count_unconverged(monkeypatch)
+    got = analyze([r for r, _ in problems], [p for _, p in problems])
+    assert len(seen) == (4 if 9.223851039358457e-06 in alphas else 0)
+    for (rho, params), an in zip(problems, got):
+        one = analyze(rho, params)
+        assert _bits([an.pole, an.residual]) == _bits([one.pole,
+                                                       one.residual])
+    rho, params = problems[0]
+    s0 = _mp_hydrogen_pole(alphas[0], params.omega)
+    assert abs(got[0].gamma_pole / (-2.0 * s0.real) - 1.0) <= 1e-8
+
+
 def test_search_agrees_with_the_central_difference_search():
     # the central-difference search is a tolerance oracle: at the sweep's
     # alpha both find the same rate to 1e-10 relative
@@ -698,6 +811,16 @@ def test_newton_returns_the_accepting_rounds_step():
 
     assert _newton(fun, [1.0, 2.0, 3.0], [1.0] * 3) \
         == [(0.25 + 0j, 0.0), (2.0 + 0j, 1e-13), None]
+    # a None in place of (F, F') stops that seed unconverged, alone
+    rounds = []
+
+    def on_axis(ids, zs):
+        rounds.append(list(ids))
+        return [None if i == 1 else (z - 0.25, 1.0) for i, z in zip(ids, zs)]
+
+    assert _newton(on_axis, [1.0, 2.0], [1.0] * 2) == [(0.25 + 0j, 0.0),
+                                                       None]
+    assert rounds == [[0, 1], [0]]
     half = _newton(lambda ids, zs: [(1e-13, 2.0) for _ in ids], [1.0], [1.0])
     assert half == [(1.0 - 5e-14 + 0j, 1e-13)]
 

@@ -10,7 +10,7 @@ from qedvolterra import QuadConfig, QuadratureError, hydrogen_density, \
 from qedvolterra.kernels import hydrogen_vacuum_density
 import qedvolterra.quadrature
 from qedvolterra.quadrature import _LADDER_BLOCK, _LADDER_RUNGS, \
-    _integrate_many, _rule_estimates, _truncation_walks, _worst
+    _integrate_many, _rule_estimates, _truncation_walk, _worst
 
 TIGHT = QuadConfig(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -71,8 +71,8 @@ def reference_integrate_finite(f, a, b, cfg=QuadConfig()):
 
 
 def reference_truncation_point(g, abs_tol, *, decay_order=None,
-                               decay_rate=None, peak=0.0, start=None):
-    P = start if start is not None else max(8.0 * max(peak, 0.0), 1.0)
+                               decay_rate=None, peak=0.0):
+    P = max(8.0 * max(peak, 0.0), 1.0)
     for _ in range(200):
         gP = abs(complex(np.max(np.abs(np.asarray(g(np.array([P])))))))
         if decay_rate is not None:
@@ -86,10 +86,10 @@ def reference_truncation_point(g, abs_tol, *, decay_order=None,
 
 
 def _walk_spec(tols, kw):
-    """The _truncation_walks entry of a walk for ``tols`` whose decay and
-    start are the reference's keywords ``kw``."""
+    """The _truncation_walk arguments after g of a walk for ``tols`` whose
+    decay and peak are the reference's keywords ``kw``."""
     return (tols, kw.get("decay_order"), kw.get("decay_rate"),
-            kw.get("peak", 0.0), kw.get("start"))
+            kw.get("peak", 0.0))
 
 
 class _CallLog:
@@ -106,21 +106,22 @@ class _CallLog:
 
 def _near_pole_f_sub():
     # the subtracted near-pole window of laplace._cauchy_transform at
-    # s = sigma - i omega, sigma = 1e-6: the costliest window of the search
+    # s = sigma - i omega, sigma = 1e-6, in hydrogen's own units
+    # z = s / alpha: a costly window of the search
     alpha = 0.5
     rho = hydrogen_density(alpha)
-    s = complex(1e-6, -0.375 * alpha * alpha)
-    pstar = -s.imag
-    [[(P, _)]] = _truncation_walks(lambda p, m: rho.fn(p), [
-        ([0.1 * 1e-15 * max(abs(s), 1.0)], rho.decay_order, None, rho.peak,
-         None)])
-    delta = min(pstar, P - pstar, rho.scale)
-    rstar = complex(rho.fn(np.array([pstar]))[0])
+    unit = rho.shape[0]
+    z = complex(1e-6 / alpha, -0.375 * alpha * alpha / alpha)
+    xstar = -z.imag
+    [(X, _)] = _truncation_walk(unit, [0.1 * 1e-15 * max(abs(z), 1.0)],
+                                rho.decay_order, None, rho.peak / alpha)
+    delta = min(xstar, X - xstar, 1.0)
+    rstar = complex(unit(np.array([xstar]))[0])
 
-    def f_sub(p):
-        return (np.asarray(rho.fn(p), dtype=complex) - rstar) / (s + 1j * p)
+    def f_sub(x):
+        return (np.asarray(unit(x), dtype=complex) - rstar) / (z + 1j * x)
 
-    return f_sub, pstar - delta, pstar + delta
+    return f_sub, xstar - delta, xstar + delta
 
 
 def _oracle_cases():
@@ -171,11 +172,10 @@ def test_batched_rule_matches_reference_on_budget_exhaustion():
 def test_batched_ladder_matches_one_rung_reference(abs_tol):
     rho = hydrogen_density(0.7)
     for kw in (dict(decay_order=rho.decay_order, peak=rho.peak),
-               dict(decay_rate=0.5, start=0.3)):
+               dict(decay_rate=0.5, peak=0.05)):
         g = rho.fn if "decay_order" in kw else (lambda p: np.exp(-0.5 * p))
         new_log, ref_log = _CallLog(g), _CallLog(g)
-        [[got]] = _truncation_walks(lambda P, m: new_log(P),
-                                    [_walk_spec([abs_tol], kw)])
+        [got] = _truncation_walk(new_log, *_walk_spec([abs_tol], kw))
         want = reference_truncation_point(ref_log, abs_tol, **kw)
         assert got == want
         # the rungs the reference walked, eight to a call
@@ -259,12 +259,12 @@ def test_batched_ladder_matches_per_tolerance_reference(kind):
     if kind == "algebraic":
         g, kw = rho.fn, dict(decay_order=rho.decay_order, peak=rho.peak)
     else:
-        g, kw = (lambda p: np.exp(-0.5 * p)), dict(decay_rate=0.5, start=0.3)
+        g, kw = (lambda p: np.exp(-0.5 * p)), dict(decay_rate=0.5, peak=0.05)
     tols = [1e-10, 1e-2, 1e-17, 1e-10, 3e-16, 1e-40, 1e-2, 2e-16, 1e-17]
     # a tolerance equal to a rung's bound is met at that rung
     tols.append(reference_truncation_point(g, 1e-12, **kw)[1])
     log = _CallLog(g)
-    [got] = _truncation_walks(lambda P, m: log(P), [_walk_spec(tols, kw)])
+    got = _truncation_walk(log, *_walk_spec(tols, kw))
     want, walked = [], []
     for tol in tols:
         ref_log = _CallLog(g)
@@ -274,13 +274,12 @@ def test_batched_ladder_matches_per_tolerance_reference(kind):
     # the strictest tolerance's rungs, eight to a call, walked once
     assert log.sizes == [8] * -(-max(walked) // 8)
     assert max(walked) > 8
-    assert _truncation_walks(lambda P, m: log(P), [_walk_spec([], kw)]) \
-        == [[]]
+    assert _truncation_walk(log, *_walk_spec([], kw)) == []
     # a tolerance no rung meets fails the whole batch, as it fails alone
     with pytest.raises(QuadratureError):
         reference_truncation_point(g, -1.0, **kw)
     with pytest.raises(QuadratureError):
-        _truncation_walks(lambda P, m: g(P), [_walk_spec(tols + [-1.0], kw)])
+        _truncation_walk(g, *_walk_spec(tols + [-1.0], kw))
 
 
 _walk = st.one_of(
@@ -289,65 +288,43 @@ _walk = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(_walk, st.lists(st.integers(-40, -1), max_size=6)),
-                min_size=1, max_size=5))
-def test_random_lockstep_ladders_match_per_tolerance_reference(walks):
-    # several ladders with their own envelope, decay, start and unsorted,
-    # duplicated tolerances (one of them a rung's own bound), walked in
-    # lockstep: each equals one reference walk per tolerance, and the
-    # blocks of all walks share one g call each
-    gs, specs, want, walked = [], [], [], []
-    for (kind, x), exps in walks:
-        if kind == "algebraic":
-            g = (lambda p, a=x: hydrogen_vacuum_density(p, a))
-            kw = dict(decay_order=7.0, peak=x * math.sqrt(9.0 / 28.0))
-        else:
-            g = (lambda p, r=x: np.exp(-r * p))
-            kw = dict(decay_rate=x, start=0.5 * x)
-        tols = [10.0 ** e for e in exps]
-        if tols:
-            tols.append(reference_truncation_point(g, tols[0], **kw)[1])
-        gs.append(g)
-        specs.append(_walk_spec(tols, kw))
-        rungs = []
-        for tol in tols:
-            log = _CallLog(g)
-            want.append(reference_truncation_point(log, tol, **kw))
-            rungs.append(len(log.sizes))
-        walked.append(max(rungs, default=0))
-    calls = []
-
-    def g_all(P, m):
-        calls.append(np.bincount(m, minlength=len(gs)).tolist())
-        return np.concatenate([gs[k](P[m == k]) for k in np.unique(m)])
-
-    got = _truncation_walks(g_all, specs)
-    assert [x for walk in got for x in walk] == want
-    blocks = [-(-n // _LADDER_BLOCK) for n in walked]
-    assert len(calls) == max(blocks)
-    for j, sizes in enumerate(calls):
-        assert sizes == [_LADDER_BLOCK if j < b else 0 for b in blocks]
+@given(_walk, st.lists(st.integers(-40, -1), max_size=6))
+def test_random_ladders_match_per_tolerance_reference(walk, exps):
+    # a ladder with its own envelope, decay, peak and unsorted, duplicated
+    # tolerances (one of them a rung's own bound): it equals one reference
+    # walk per tolerance, and walks the strictest one's rungs once, eight
+    # to a call
+    kind, x = walk
+    if kind == "algebraic":
+        g = (lambda p: hydrogen_vacuum_density(p, x))
+        kw = dict(decay_order=7.0, peak=x * math.sqrt(9.0 / 28.0))
+    else:
+        g = (lambda p: np.exp(-x * p))
+        kw = dict(decay_rate=x, peak=x / 16.0)
+    tols = [10.0 ** e for e in exps]
+    if tols:
+        tols.append(reference_truncation_point(g, tols[0], **kw)[1])
+    want, rungs = [], [0]
+    for tol in tols:
+        log = _CallLog(g)
+        want.append(reference_truncation_point(log, tol, **kw))
+        rungs.append(len(log.sizes))
+    log = _CallLog(g)
+    assert _truncation_walk(log, *_walk_spec(tols, kw)) == want
+    assert log.sizes == [_LADDER_BLOCK] * -(-max(rungs) // _LADDER_BLOCK)
 
 
 def test_nan_tolerance_walks_every_rung_and_fails():
     # a NaN tolerance is met by no rung: as alone, the walk takes every
-    # block and fails, and the other walks' rungs share its calls until
-    # they are done
+    # block and fails
     rho = hydrogen_density(0.7)
     kw = dict(decay_order=7.0, peak=rho.peak)
-    calls = []
-
-    def g(P, m):
-        calls.append(np.size(P))
-        return rho.fn(P)
-
-    spec = ([1e-12, math.nan, 1e-3], 7.0, None, rho.peak, None)
+    log = _CallLog(rho.fn)
     with pytest.raises(QuadratureError):
-        _truncation_walks(g, [([1e-16], 7.0, None, rho.peak, None), spec])
+        _truncation_walk(log, *_walk_spec([1e-12, math.nan, 1e-3], kw))
     with pytest.raises(QuadratureError):
         reference_truncation_point(rho.fn, math.nan, **kw)
-    assert len(calls) == _LADDER_RUNGS // _LADDER_BLOCK
-    assert calls[0] == 2 * _LADDER_BLOCK and calls[-1] == _LADDER_BLOCK
+    assert log.sizes == [_LADDER_BLOCK] * (_LADDER_RUNGS // _LADDER_BLOCK)
 
 
 # ------------------------------------------------------ lockstep batch
@@ -636,8 +613,7 @@ def test_nan_on_one_seven_point_node():
 
 def test_ladder_without_decay_raises():
     with pytest.raises(QuadratureError):
-        _truncation_walks(lambda p, m: np.ones_like(p),
-                          [([1e-12], 3.0, None, 0.0, None)])
+        _truncation_walk(np.ones_like, [1e-12], 3.0, None, 0.0)
 
 
 def test_finite_polynomial_exact():
