@@ -22,7 +22,7 @@ from .atom import ModelParams, SmearingFunction, hydrogen_chi, \
 from .kernels import SpectralDensity, SqueezeParams, density_from_table, \
     hydrogen_density, make_kernel
 from .laplace import analyze, markov_rate
-from .quadrature import QuadConfig, QuadratureError
+from .quadrature import QuadratureError
 from .units import FINE_STRUCTURE
 from .volterra import AmplitudeSeries, SolverError, TimeGrid, solve_ide
 
@@ -35,10 +35,9 @@ SUMMARY_KEYS = ("gamma_markov", "gamma_pole", "pole_re", "pole_im",
 
 # largest grid a solve may request without --force; physical-alpha hydrogen
 # needs ~1e13 steps (decay time 1/gamma ~ alpha^-5 vs kernel memory ~ 1/alpha).
-# Solving leaf blocks over FFT history sums, the solver itself takes 0.3-0.4 s
-# for 2e5 trapezoid steps with the kernel's lags given (2-vCPU Xeon VM);
-# what bounds such a run is tabulating the kernel, one adaptive quadrature
-# per lag at 0.7-0.9 ms, 2-3 min for 2e5.
+# 2e5 trapezoid steps of hydrogen at the default dt solve in 0.3-0.4 s once
+# their lags are known, but tabulating them takes 13 min: 4 ms per lag on
+# average out to alpha tau = 6600, 0.75 ms up to 40 (2-vCPU Xeon).
 _MAX_SOLVE_STEPS = 200_000
 
 
@@ -63,8 +62,6 @@ class RunConfig:
     dt: Optional[float] = None
     tmax: Optional[float] = None
     method: str = "trapezoid"
-    rel_tol: float = 1e-11
-    abs_tol: float = 1e-13
     fit_window: Optional[tuple] = None   # (t1, t2); default [0.2, 0.9]*tmax
     fit: bool = True
     sweep_axis: str = "alpha"
@@ -117,8 +114,6 @@ class RunConfig:
             raise ConfigError("dt must be positive")
         if self.tmax is not None and self.tmax <= 0.0:
             raise ConfigError("tmax must be positive")
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ConfigError("rel_tol and abs_tol must be positive")
         if self.dt is not None and self.tmax is not None \
                 and self.tmax <= self.dt:
             raise ConfigError("tmax must exceed dt")
@@ -342,7 +337,6 @@ def _default_grid(cfg: RunConfig, params: ModelParams,
 
 
 def _build_kernel(cfg: RunConfig, params, density, grid: Optional[TimeGrid]):
-    quad_cfg = QuadConfig(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
     tabulate = None
     # the decoupled limit alpha = 0 reads no kernel value
     if grid is not None and grid.n_steps > 4000 and params.alpha > 0.0:
@@ -350,7 +344,7 @@ def _build_kernel(cfg: RunConfig, params, density, grid: Optional[TimeGrid]):
     squeeze = cfg.squeeze_params()
     chi = _load_chi(cfg) if squeeze is not None else None
     return make_kernel(cfg.state, density=density, squeeze=squeeze, chi=chi,
-                       cfg=quad_cfg, tabulate=tabulate)
+                       tabulate=tabulate)
 
 
 def _refuse_oversized(cfg: RunConfig, grid: TimeGrid):

@@ -180,18 +180,31 @@ def density_from_table(table, tail_order: float,
     )
 
 
-def vacuum_kernel(tau: float, rho: SpectralDensity,
-                  cfg: QuadConfig = DEFAULT_QUAD) -> complex:
+def _own_units(rho: SpectralDensity) -> tuple:
+    """(rho1, A, peak, decay_order, decay_rate) of rho(p) = A rho1(p / scale)
+    in x = p / scale: rho1 is the shape, or a fresh fn(scale x) at A = 1."""
+    lam = rho.scale
+    if lam == 0.0:
+        raise ValueError("a density of scale 0 has no units to transform in")
+    rho1, amplitude = rho.shape or ((lambda x: rho.fn(lam * x)), 1.0)
+    return (rho1, amplitude, rho.peak / lam, rho.decay_order,
+            None if rho.decay_rate is None else rho.decay_rate * lam)
+
+
+def vacuum_kernel(tau: float, rho: SpectralDensity) -> complex:
     """Stationary kernel S(tau) = integral_0^inf rho(p) exp(-i p tau) dp.
 
-    rho is real, so S(-tau) = conj(S(tau)); negative lags are computed by
-    conjugation, which makes Hermiticity exact.
+    It is A lam S1(lam tau) in the density's own units, lam = ``scale``, at
+    the default tolerance on S1, each part scaled on its own (bit for bit at
+    A = lam = 1).  rho is real, so S(-tau) = conj(S(tau)); negative lags
+    are computed by conjugation, which makes Hermiticity exact.
     """
     if tau < 0.0:
-        return np.conj(vacuum_kernel(-tau, rho, cfg))
-    return oscillatory_halfline(
-        rho.fn, tau, cfg, decay_order=rho.decay_order,
-        decay_rate=rho.decay_rate, peak=rho.peak)
+        return np.conj(vacuum_kernel(-tau, rho))
+    rho1, amp, peak, order, rate = _own_units(rho)
+    s1 = oscillatory_halfline(rho1, rho.scale * tau, decay_order=order,
+                              decay_rate=rate, peak=peak)
+    return complex(amp * rho.scale * s1.real, amp * rho.scale * s1.imag)
 
 
 @dataclass
@@ -422,12 +435,11 @@ class KernelEvaluator:
             lambda k: self._r(times[k], times[:k + 1]) * phase[k::-1]
 
 
-def _tabulated_tau(rho: SpectralDensity, cfg: QuadConfig, tau_max: float,
-                   spacing: float):
+def _tabulated_tau(rho: SpectralDensity, tau_max: float, spacing: float):
     """Cubic-spline tabulation of S(tau) on [0, tau_max] (fast solver path)."""
     n = max(int(math.ceil(tau_max / spacing)), 8)
     taus = np.linspace(0.0, tau_max * (1.0 + 2.0 / n), n + 3)
-    vals = np.array([vacuum_kernel(float(x), rho, cfg) for x in taus])
+    vals = np.array([vacuum_kernel(float(x), rho) for x in taus])
     from scipy.interpolate import CubicSpline
     spl_re = CubicSpline(taus, vals.real)
     spl_im = CubicSpline(taus, vals.imag)
@@ -446,7 +458,6 @@ def make_kernel(state: str, *,
                 density: Optional[SpectralDensity] = None,
                 squeeze: Optional[SqueezeParams] = None,
                 chi: Optional[SmearingFunction] = None,
-                cfg: QuadConfig = DEFAULT_QUAD,
                 tabulate: Optional[tuple[float, float]] = None
                 ) -> KernelEvaluator:
     """Build a kernel evaluator for a field state.
@@ -457,17 +468,18 @@ def make_kernel(state: str, *,
         ``chi``; non-stationary.
       * ``squeezed_general`` -- as above plus a wavepacket in ``squeeze``.
 
-    ``tabulate=(tau_max, spacing)`` pre-tabulates the stationary part on a
-    spline, trading one-off quadrature cost for O(1) lag lookups.
+    S0 is :func:`vacuum_kernel`'s, and a general squeezed kernel's pair mode
+    runs at ``DEFAULT_QUAD``.  ``tabulate=(tau_max, spacing)`` pre-tabulates
+    S0 on a spline, trading one-off quadrature cost for O(1) lag lookups.
     """
     if state in ("vacuum", "custom"):
         if density is None:
             raise ValueError(f"state {state!r} requires a spectral density")
         if tabulate is not None:
-            tau_fn = _tabulated_tau(density, cfg, *tabulate)
+            tau_fn = _tabulated_tau(density, *tabulate)
         else:
             def tau_fn(lag):
-                return vacuum_kernel(lag, density, cfg)
+                return vacuum_kernel(lag, density)
         return KernelEvaluator(None, stationary=True,
                                label=f"{state}:{density.label}",
                                tau_fn=tau_fn)
@@ -476,19 +488,18 @@ def make_kernel(state: str, *,
         if density is None or squeeze is None or chi is None:
             raise ValueError(f"state {state!r} requires density, squeeze "
                              "parameters and a smearing function")
-        base = make_kernel("vacuum", density=density, cfg=cfg,
-                           tabulate=tabulate)
+        base = make_kernel("vacuum", density=density, tabulate=tabulate)
         if state == "squeezed_concentrated":
             def row_fn(t, s):
                 return squeezed_delta_concentrated(t, s, squeeze, chi)
         else:
             if squeeze.wavepacket is None:
                 raise ValueError("squeezed_general requires a wavepacket")
-            mode = _PairMode(squeeze, chi, cfg)
+            mode = _PairMode(squeeze, chi, DEFAULT_QUAD)
 
             def row_fn(t, s):
                 return np.array([squeezed_delta_general(
-                    t, float(x), squeeze, chi, cfg, _mode=mode) for x in s])
+                    t, float(x), squeeze, chi, _mode=mode) for x in s])
         return KernelEvaluator(None, stationary=False,
                                label=f"{state}:r={squeeze.r:g}",
                                tau_fn=base._tau_fn, row_fn=row_fn)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atom import ModelParams
-from .kernels import SpectralDensity
+from .kernels import SpectralDensity, _own_units
 from .quadrature import QuadConfig, QuadratureError, _integrate_many, \
     _truncation_walk
 from .volterra import AmplitudeSeries, SolverError, TimeGrid
@@ -93,35 +93,25 @@ def _cauchy_transform(rho, ss: list, cfg: QuadConfig = _CAUCHY_CFG,
     A = lam = 1 the transforms are bit for bit those of p.
     """
     rhos = [rho] * len(ss) if isinstance(rho, SpectralDensity) else list(rho)
-    if any(r.scale == 0.0 for r in rhos):
-        raise ValueError("a density of scale 0 has no units to transform in")
+    by_id = {id(r): _own_units(r) for r in rhos}
+    views = [by_id[id(r)] for r in rhos]
     zs = [complex(s.real / r.scale, s.imag / r.scale)
           for s, r in zip(ss, rhos)]
     if 0.0 in zs:
         raise ValueError("s = 0 lies on the branch cut")
     # the points of each rho1, in order of first appearance
     groups = {}
-    for k, r in enumerate(rhos):
-        groups.setdefault(id(r) if r.shape is None else id(r.shape[0]),
-                          []).append(k)
+    for k, view in enumerate(views):
+        groups.setdefault(id(view[0]), []).append(k)
+    units = [views[ks[0]][0] for ks in groups.values()]
     bounds, z_of, r_of = [], [], []
-    # per group: its first problem and its rho1; per transform: its first
-    # piece, its piece count, its closed-form term
-    starts, units, plans = [], [], [None] * len(ss)
-    for ks in groups.values():
-        r0 = rhos[ks[0]]
-        if r0.shape is not None:
-            unit = r0.shape[0]
-        else:
-            def unit(x, fn=r0.fn, lam=r0.scale):
-                return fn(lam * x)
-        units.append(unit)
+    # per group: its first problem; per transform: its first piece, its
+    # piece count, its closed-form term
+    starts, plans = [], [None] * len(ss)
+    for unit, ks in zip(units, groups.values()):
         walks = {}
         for k in ks:
-            r = rhos[k]
-            walks.setdefault((r.peak / r.scale, r.decay_order,
-                              None if r.decay_rate is None
-                              else r.decay_rate * r.scale), []).append(k)
+            walks.setdefault(views[k][2:], []).append(k)
         cutoff = {}
         for (peak, order, rate), walk in walks.items():
             cutoff.update(zip(walk, _truncation_walk(
@@ -198,9 +188,8 @@ def _cauchy_transform(rho, ss: list, cfg: QuadConfig = _CAUCHY_CFG,
         sums[k] = [functools.reduce(operator.add, part)
                    for part in zip(*terms)]
     # (A, A/lam) on the (re, im) parts of (S1, dS1/dz)
-    amplitudes = [1.0 if r.shape is None else r.shape[1] for r in rhos]
     sums.view(float).reshape(len(ss), width, 2)[...] *= np.array(
-        [(amp, amp / r.scale) for amp, r in zip(amplitudes, rhos)]
+        [(amp, amp / r.scale) for (_, amp, *_), r in zip(views, rhos)]
     ).reshape(len(ss), 2, 1)[:, :width]
     return [tuple(row) if derivative else row[0] for row in sums]
 

@@ -352,6 +352,11 @@ def oscillatory_halfline(g, tau: float, cfg: QuadConfig = DEFAULT_QUAD, *,
     accel_prev = None
     streak = 0
     k = 0
+    if 0.0 < bulk_end < h:
+        # one 15-point panel would not resolve a bulk inside one half period
+        partial = integrate_finite(integrand, 0.0, h, cfg)[0]
+        sums.append(partial)
+        k = 1
     while k < max_panels:
         edges = np.arange(k, k + block + 1, dtype=float) * h
         vals = _panel_values(integrand, edges)

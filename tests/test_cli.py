@@ -13,8 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 import qedvolterra.cli
 import qedvolterra.laplace
 import qedvolterra.quadrature
-from qedvolterra import ModelParams, TimeGrid, hydrogen_density, \
-    make_kernel, solve_ide
+from qedvolterra import FINE_STRUCTURE, ModelParams, TimeGrid, \
+    hydrogen_density, make_kernel, solve_ide
 from qedvolterra.cli import SUMMARY_KEYS, ConfigError, DecayFit, RunConfig, \
     _fit_window, _fmt, build_config, fit_decay, main, parse_config_file
 from test_quadrature import reference_integrate_finite, \
@@ -442,6 +442,18 @@ def test_kernel_mode(tmp_path):
     assert len(lines) == 52
 
 
+def test_kernel_mode_at_the_physical_alpha(tmp_path):
+    # at the default alpha, S(0) = 32 alpha^4 / (6561 pi^2) to 1e-9
+    # relative; a quadrature with absolute tolerances in p was 1.4e-5 off
+    out = tmp_path / "kernel.csv"
+    assert main(["kernel", "--dt", "10", "--tmax", "1000",
+                 "--out", str(out)]) == 0
+    tau, re_s, _ = out.read_text().splitlines()[1].split(",")
+    exact = 32.0 * FINE_STRUCTURE**4 / (6561.0 * math.pi**2)
+    assert float(tau) == 0.0
+    assert abs(float(re_s) / exact - 1.0) <= 1e-9
+
+
 @pytest.mark.parametrize("state", ["vacuum", "squeezed_concentrated"])
 def test_kernel_dump_matches_one_read_per_sample(tmp_path, state):
     # the dump reads a stationary kernel in one tau_values call and a
@@ -513,11 +525,13 @@ def test_missing_config_file_is_config_error(tmp_path):
 
 
 def test_unknown_config_key_is_config_error(tmp_path):
+    # the kernel quadrature's tolerances are no configuration keys
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("alhpa = 0.1\n")
-    res = run_cli("solve", "--config", str(cfg))
-    assert res.returncode == 2
-    assert "alhpa" in res.stderr
+    for key, value in (("alhpa", "0.1"), ("rel_tol", "-1")):
+        cfg.write_text(f"{key} = {value}\n")
+        res = run_cli("solve", "--config", str(cfg))
+        assert res.returncode == 2
+        assert f"unknown configuration key {key!r}" in res.stderr
 
 
 @pytest.mark.parametrize("line", ["dt = abc", "alpha = foo",

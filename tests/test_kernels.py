@@ -2,15 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qedvolterra import KernelEvaluator, ModelParams, QuadConfig, \
-    SmearingFunction, SpectralDensity, SqueezeParams, TimeGrid, \
+from qedvolterra import DEFAULT_QUAD, KernelEvaluator, ModelParams, \
+    QuadConfig, SmearingFunction, SpectralDensity, SqueezeParams, TimeGrid, \
     chi_momentum, density_from_table, hydrogen_chi, hydrogen_density, \
     hydrogen_vacuum_density, make_kernel, s_hat, solve_ide, \
     squeezed_delta_concentrated, squeezed_delta_general, vacuum_kernel
 from qedvolterra.kernels import _PairMode, _hydrogen_unit
-
-TIGHT = QuadConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 
 def _s0_closed_form(alpha):
@@ -20,7 +19,7 @@ def _s0_closed_form(alpha):
 @pytest.mark.parametrize("alpha", [1.0, 0.1])
 def test_kernel_at_zero_lag(alpha):
     rho = hydrogen_density(alpha)
-    s0 = vacuum_kernel(0.0, rho, TIGHT)
+    s0 = vacuum_kernel(0.0, rho)
     assert s0.imag == pytest.approx(0.0, abs=1e-15 * _s0_closed_form(alpha))
     assert s0.real == pytest.approx(_s0_closed_form(alpha), rel=1e-8)
 
@@ -28,8 +27,8 @@ def test_kernel_at_zero_lag(alpha):
 def test_kernel_hermiticity():
     rho = hydrogen_density(0.5)
     for tau in np.linspace(0.1, 40.0, 20):
-        assert vacuum_kernel(-tau, rho, TIGHT) \
-            == pytest.approx(np.conj(vacuum_kernel(tau, rho, TIGHT)),
+        assert vacuum_kernel(-tau, rho) \
+            == pytest.approx(np.conj(vacuum_kernel(tau, rho)),
                              abs=1e-10)
 
 
@@ -37,10 +36,10 @@ def test_kernel_curvature_matches_second_moment():
     # S''(0) = -integral p^2 rho(p) dp = -4 alpha^6 / (729 pi^2)
     alpha = 1.0
     rho = hydrogen_density(alpha)
-    s0 = vacuum_kernel(0.0, rho, TIGHT).real
+    s0 = vacuum_kernel(0.0, rho).real
 
     def second_diff(h):
-        return 2.0 * (vacuum_kernel(h, rho, TIGHT).real - s0) / h**2
+        return 2.0 * (vacuum_kernel(h, rho).real - s0) / h**2
 
     h = 0.05
     richardson = (16.0 * second_diff(h / 2.0) - second_diff(h)) / 15.0
@@ -54,10 +53,40 @@ def test_kernel_riemann_lebesgue_decay():
     alpha = 0.5
     rho = hydrogen_density(alpha)
     s0 = _s0_closed_form(alpha)
-    small = abs(vacuum_kernel(50.0 / alpha, rho, TIGHT))
-    tiny = abs(vacuum_kernel(500.0 / alpha, rho, TIGHT))
+    small = abs(vacuum_kernel(50.0 / alpha, rho))
+    tiny = abs(vacuum_kernel(500.0 / alpha, rho))
     assert small < 0.05 * s0
     assert tiny < small
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.1, 1.0 / 137.036, 1e-3, 1e-6])
+def test_kernel_is_scale_covariant(alpha):
+    # hydrogen's kernel is exactly covariant, S_alpha(tau) =
+    # alpha^4 S_1(alpha tau) (Facchi & Pascazio, Phys. Lett. A 241 (1998)
+    # 139), and the quadrature runs in units of alpha, so the two agree to
+    # rounding at every alpha
+    rho, unit = hydrogen_density(alpha), hydrogen_density(1.0)
+    for theta in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0):
+        want = vacuum_kernel(theta, unit)
+        got = vacuum_kernel(theta / alpha, rho) / alpha**4
+        assert abs(got - want) <= 1e-12 * abs(want), theta
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.floats(-4.0, 4.0),
+       st.floats(0.0, 40.0))
+def test_kernel_of_the_closed_form_family(n, log_b, theta):
+    # rho(p) = p^n exp(-p / b) = b^n rho1(p / b), rho1(x) = x^n exp(-x),
+    # has S(tau) = n! / (1/b + i tau)^(n + 1); in units of b the default
+    # tolerance holds relative to b^(n + 1) at every b
+    b = 10.0 ** log_b
+    rho = SpectralDensity(
+        fn=lambda p: p**n * np.exp(-p / b), scale=b, peak=n * b,
+        decay_rate=1.0 / b, shape=(lambda x: x**n * np.exp(-x), b**n))
+    exact = math.factorial(n) / (1.0 / b + 1j * (theta / b))**(n + 1)
+    unit = abs(math.factorial(n) / (1.0 + 1j * theta)**(n + 1))
+    got = vacuum_kernel(theta / b, rho)
+    assert abs(got - exact) <= 10.0 * b**(n + 1) * max(1e-13, 1e-11 * unit)
 
 
 def test_density_validation():
@@ -200,7 +229,7 @@ def test_density_from_table_round_trip(tmp_path):
     rho_tab = density_from_table(path, tail_order=7.0, label="tab")
     rho = hydrogen_density(alpha)
     for tau in (0.0, 1.5, 8.0):
-        direct = vacuum_kernel(tau, rho, TIGHT)
+        direct = vacuum_kernel(tau, rho)
         from_table = vacuum_kernel(tau, rho_tab)
         assert from_table == pytest.approx(direct, abs=1e-8)
 
@@ -227,9 +256,8 @@ def test_density_from_table_rejections():
 
 def test_tabulated_kernel_matches_direct():
     rho = hydrogen_density(0.5)
-    direct = make_kernel("vacuum", density=rho, cfg=TIGHT)
-    fast = make_kernel("vacuum", density=rho, cfg=TIGHT,
-                       tabulate=(30.0, 0.02))
+    direct = make_kernel("vacuum", density=rho)
+    fast = make_kernel("vacuum", density=rho, tabulate=(30.0, 0.02))
     lags = np.array([0.0, 0.37, 5.111, 29.0, -13.2])
     np.testing.assert_allclose(fast.tau_values(lags),
                                direct.tau_values(lags), rtol=0.0, atol=1e-8)
@@ -411,26 +439,25 @@ def test_squeezed_general_requires_wavepacket():
 
 def test_squeezed_general_kernel_rows_and_solve():
     # make_kernel's general squeezed kernel reads, per point, the vacuum S0
-    # plus squeezed_delta_general, and a short solve of it is finite; a wide
-    # packet and loose tolerances keep the pair-mode quadratures cheap
+    # plus squeezed_delta_general at DEFAULT_QUAD, and a short solve of it
+    # is finite; a wide packet keeps the pair-mode quadratures cheap
     alpha, width = 1.0, 1.0
     rho, chi = hydrogen_density(alpha), hydrogen_chi(alpha)
     q, d = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
     sq = SqueezeParams(r=0.5, q=q, d=d,
                        wavepacket=_gaussian_packet(q, d, width),
                        wavepacket_width=width)
-    cfg = QuadConfig(rel_tol=1e-4, abs_tol=1e-7)
     kernel = make_kernel("squeezed_general", density=rho, squeeze=sq,
-                         chi=chi, cfg=cfg)
+                         chi=chi)
     grid = TimeGrid(dt=0.01, n_steps=8)
     c = solve_ide(kernel, ModelParams(alpha=alpha, omega=0.375), grid,
                   "trapezoid").values
     assert np.isfinite(c).all()
-    vacuum = make_kernel("vacuum", density=rho, cfg=cfg)
-    mode = _PairMode(sq, chi, cfg)
+    vacuum = make_kernel("vacuum", density=rho)
+    mode = _PairMode(sq, chi, DEFAULT_QUAD)
     t, s = grid.t_max, np.array([0.0, grid.t_max])
     want = [vacuum.eval(t, x)
-            + squeezed_delta_general(t, x, sq, chi, cfg, _mode=mode)
+            + squeezed_delta_general(t, x, sq, chi, _mode=mode)
             for x in s]
     assert kernel.row(t, s).tolist() == want
     # the squeezing shows in the row

@@ -82,3 +82,25 @@ def test_workload_library_call_forms_run():
     assert abs(an.gamma_pole / an.gamma_markov - 1.0) <= 0.05
     assert np.max(np.abs(brom.values - ide.values[::10])) <= 1e-3
     assert math.isfinite(fit.gamma_fit) and fit.window == (1.0, 4.0)
+
+
+def test_squeezed_reference_call_forms_run(tmp_path, monkeypatch):
+    # squeezed_cli's reference reads vacuum_kernel(lag, rho) and
+    # squeezed_delta_concentrated(t, s, sq, chi) in its own forms; on a
+    # 10-step grid it solves as the library's own squeezed kernel does
+    workloads = _load("workloads")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(workloads, "_SQ_TMAX", 5.0 * workloads._SQ_DT)
+    inp = workloads.squeezed_cli_inputs(1, None)
+    ref = workloads._squeezed_reference(inp)
+    alpha, omega = inp["alpha"], inp["omega"]
+    sq = qv.SqueezeParams(r=inp["r"], q=np.array([omega, 0.0, 0.0]),
+                          d=np.array([0.0, 0.0, 1.0]), amplitude=5e-4)
+    kernel = qv.make_kernel("squeezed_concentrated",
+                            density=qv.hydrogen_density(alpha), squeeze=sq,
+                            chi=qv.hydrogen_chi(alpha))
+    grid = qv.TimeGrid(dt=workloads._SQ_DT / 2.0, n_steps=10)
+    c = qv.solve_ide(kernel, qv.ModelParams(alpha=alpha, omega=omega), grid,
+                     "gregory4").values
+    assert ref.shape == c.shape == (11,)
+    assert np.max(np.abs(c - ref)) <= 1e-12

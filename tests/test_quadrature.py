@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qedvolterra import QuadConfig, QuadratureError, hydrogen_density, \
     integrate_finite, oscillatory_halfline
-from qedvolterra.kernels import hydrogen_vacuum_density
+from qedvolterra.kernels import _hydrogen_unit, hydrogen_vacuum_density
 import qedvolterra.quadrature
 from qedvolterra.quadrature import _LADDER_BLOCK, _LADDER_RUNGS, \
     _integrate_many, _rule_estimates, _truncation_walk, _worst
@@ -663,12 +663,31 @@ def test_oscillatory_exponential_envelope_closed_form():
 
 
 def test_oscillatory_algebraic_envelope_closed_form():
-    # integral_0^inf p/(p^2+1)^2 e^{-ip tau} dp; real part known in closed
-    # form: (1/2)[cosh(tau) Chi(tau) ... ] -- compare instead against the
-    # exponential-integral-free identity at tau = 0: value 1/2
+    # integral_0^inf p/(p^2+1)^2 e^{-ip tau} dp is 1/2 at tau = 0
     val = oscillatory_halfline(lambda p: p / (p * p + 1.0)**2, 0.0, TIGHT,
                                decay_order=3.0)
     assert val == pytest.approx(0.5, abs=1e-11)
+    # p/(p^2+1)^((m+1)/2) decays like p^-m, so its tail bound puts P near
+    # 1e14 (m = 2) or 1e7 (m = 3): these lags are summed half period by half
+    # period, the first one adaptive where it holds the whole bulk (one
+    # 15-point panel there was up to 1e7 tolerances off at tau = 0.25); one
+    # adaptive integral over [0, P] would not converge
+    mp = pytest.importorskip("mpmath")
+    exact = {
+        2: lambda t: 1 - mp.pi / 2 * t * (mp.besseli(0, t) - mp.struvel(0, t))
+        - 1j * t * mp.besselk(0, t),
+        3: lambda t: 0.5 - t / 4 * (mp.exp(-t) * mp.ei(t)
+                                    - mp.exp(t) * mp.ei(-t))
+        - 1j * mp.pi / 4 * t * mp.exp(-t),
+    }
+    for m, form in exact.items():
+        g = lambda p: p / (p * p + 1.0) ** ((m + 1) / 2.0)
+        for tau in (0.25, 0.5, 1.0, 2.0, 5.0):
+            want = complex(form(mp.mpf(tau)))
+            got = oscillatory_halfline(g, tau, decay_order=float(m),
+                                       peak=1.0 / math.sqrt(m))
+            assert abs(got - want) <= 10.0 * max(1e-13, 1e-11 * abs(want)), \
+                (m, tau)
 
 
 def test_oscillatory_requires_one_decay_declaration():
@@ -694,6 +713,22 @@ def test_oscillatory_against_brute_force(tau_over_alpha):
     val = oscillatory_halfline(g, tau, TIGHT, decay_order=7.0,
                                peak=alpha * math.sqrt(9.0 / 28.0))
     assert val == pytest.approx(brute, abs=1e-7)
+
+
+@pytest.mark.parametrize("abs_tol", [1e-15, 1e-16, 1e-18])
+def test_oscillatory_tighter_tolerance_keeps_the_looser_value(abs_tol):
+    # a tighter tolerance moves the truncation point P out, and tau P past
+    # 40 pi left the adaptive branch: at tau = 0.5 the first half-period
+    # panel, [0, 2 pi], held the whole bulk of hydrogen's shape, and the
+    # value was 1e-6 relative off at abs_tol = 1e-15
+    kw = dict(decay_order=7.0, peak=math.sqrt(9.0 / 28.0))
+    loose = QuadConfig(rel_tol=1e-13, abs_tol=1e-13)
+    tight = QuadConfig(rel_tol=1e-13, abs_tol=abs_tol)
+    for tau in (0.25, 0.5, 1.0, 2.0, 5.0):
+        want = oscillatory_halfline(_hydrogen_unit, tau, loose, **kw)
+        got = oscillatory_halfline(_hydrogen_unit, tau, tight, **kw)
+        assert abs(got - want) \
+            <= 10.0 * max(loose.abs_tol, loose.rel_tol * abs(want)), tau
 
 
 def test_oscillatory_conjugation():
