@@ -34,7 +34,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .atom import SmearingFunction
-from .quadrature import QuadConfig, DEFAULT_QUAD, oscillatory_halfline
+from .quadrature import oscillatory_halfline
 
 
 @dataclass(frozen=True)
@@ -254,20 +254,20 @@ def _transverse(p: np.ndarray, v: np.ndarray) -> np.ndarray:
 class _PairMode:
     """F(t) = integral d^3p / sqrt(2p) f(p) . (P_T chi)(p) exp(-i|p| t)."""
 
-    def __init__(self, params: SqueezeParams, chi: SmearingFunction,
-                 cfg: QuadConfig, n_theta: int = 40, n_phi: int = 40):
+    def __init__(self, params: SqueezeParams, chi: SmearingFunction):
         self.params = params
         self.chi = chi
-        self.cfg = cfg
-        u, wu = leggauss(n_theta)
-        phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
+        # Gauss-Legendre in cos(theta) times the midpoint rule in phi
+        n = 40
+        u, wu = leggauss(n)
+        phi = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
         st = np.sqrt(1.0 - u * u)
-        # unit directions, shape (n_theta * n_phi, 3), with solid-angle weights
+        # unit directions, shape (n * n, 3), with solid-angle weights
         nx = np.outer(st, np.cos(phi)).ravel()
         ny = np.outer(st, np.sin(phi)).ravel()
-        nz = np.repeat(u, n_phi)
+        nz = np.repeat(u, n)
         self._dirs = np.stack([nx, ny, nz], axis=-1)
-        self._wts = np.repeat(wu, n_phi) * (2.0 * math.pi / n_phi)
+        self._wts = np.repeat(wu, n) * (2.0 * math.pi / n)
         self._cache: dict[float, complex] = {}
 
     def _radial_envelope(self, p: np.ndarray) -> np.ndarray:
@@ -287,7 +287,7 @@ class _PairMode:
             return hit
         q0 = max(self.params.q0, self.params.wavepacket_width)
         val = oscillatory_halfline(
-            self._radial_envelope, t, self.cfg,
+            self._radial_envelope, t,
             decay_rate=1.0 / self.params.wavepacket_width,
             peak=q0 + 3.0 * self.params.wavepacket_width)
         self._cache[t] = val
@@ -296,14 +296,13 @@ class _PairMode:
 
 def squeezed_delta_general(t: float, s: float, params: SqueezeParams,
                            chi: SmearingFunction,
-                           cfg: QuadConfig = DEFAULT_QUAD,
                            _mode: Optional[_PairMode] = None) -> complex:
     """Delta S(t, s) for a squeezed state with an explicit pair wavepacket."""
     if params.wavepacket is None:
         raise ValueError("general squeezed kernel requires a wavepacket")
     if params.r == 0.0:
         return 0.0 + 0.0j
-    mode = _mode if _mode is not None else _PairMode(params, chi, cfg)
+    mode = _mode if _mode is not None else _PairMode(params, chi)
     ft, fs = mode(t), mode(s)
     sh, ch = math.sinh(params.r), math.cosh(params.r)
     z1 = ft * fs
@@ -468,9 +467,9 @@ def make_kernel(state: str, *,
         ``chi``; non-stationary.
       * ``squeezed_general`` -- as above plus a wavepacket in ``squeeze``.
 
-    S0 is :func:`vacuum_kernel`'s, and a general squeezed kernel's pair mode
-    runs at ``DEFAULT_QUAD``.  ``tabulate=(tau_max, spacing)`` pre-tabulates
-    S0 on a spline, trading one-off quadrature cost for O(1) lag lookups.
+    S0 is :func:`vacuum_kernel`'s.  ``tabulate=(tau_max, spacing)``
+    pre-tabulates S0 on a spline, trading one-off quadrature cost for O(1)
+    lag lookups.
     """
     if state in ("vacuum", "custom"):
         if density is None:
@@ -495,7 +494,7 @@ def make_kernel(state: str, *,
         else:
             if squeeze.wavepacket is None:
                 raise ValueError("squeezed_general requires a wavepacket")
-            mode = _PairMode(squeeze, chi, DEFAULT_QUAD)
+            mode = _PairMode(squeeze, chi)
 
             def row_fn(t, s):
                 return np.array([squeezed_delta_general(

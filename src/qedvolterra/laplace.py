@@ -194,16 +194,6 @@ def _cauchy_transform(rho, ss: list, cfg: QuadConfig = _CAUCHY_CFG,
     return [tuple(row) if derivative else row[0] for row in sums]
 
 
-def _first_sheet(rho, ss: list) -> list:
-    """s_hat at each of the complex points ``ss``, as one batch; ``rho`` is
-    one density or one per point."""
-    for s in ss:
-        if s.real <= 0.0:
-            raise ValueError("s_hat requires Re s > 0; "
-                             "use s_hat_second_sheet for the continuation")
-    return _cauchy_transform(rho, ss)
-
-
 def _second_sheet(rho, ss: list, steps=None) -> list:
     """s_hat_second_sheet at each of the complex points ``ss``, as one
     batch; ``rho`` is one density or one per point.
@@ -241,7 +231,11 @@ def _second_sheet(rho, ss: list, steps=None) -> list:
 
 def s_hat(rho: SpectralDensity, s: complex) -> complex:
     """Laplace transform of the stationary kernel, valid for Re s > 0."""
-    return _first_sheet(rho, [complex(s)])[0]
+    s = complex(s)
+    if s.real <= 0.0:
+        raise ValueError("s_hat requires Re s > 0; "
+                         "use s_hat_second_sheet for the continuation")
+    return _cauchy_transform(rho, [s])[0]
 
 
 def s_hat_second_sheet(rho: SpectralDensity, s: complex) -> complex:
@@ -327,8 +321,9 @@ def _find_poles(rhos, params) -> list:
                           "scale too small)")
     points = [complex(1e-6 * rho.scale - 1j * p.omega)
               for rho, p in zip(rhos, params)]
+    # Re > 0 at every point, 1e-6 scale being a normal float (checked above)
     centres = [-p.alpha * v
-               for p, v in zip(params, _first_sheet(rhos, points))]
+               for p, v in zip(params, _cauchy_transform(rhos, points))]
     scales = [max(abs(z), 1e-3 * rho.scale) for z, rho in zip(centres, rhos)]
     owner = [k for k in range(len(rhos)) for _ in _SEED_OFFSETS]
     seeds = [z + off * scale for z, scale in zip(centres, scales)

@@ -57,12 +57,6 @@ class QuadConfig:
     abs_tol: float = 1e-13
     max_subdivisions: int = 2000
 
-    def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 8:
-            raise ValueError("max_subdivisions must be >= 8")
-
 
 DEFAULT_QUAD = QuadConfig()
 
@@ -228,18 +222,18 @@ def _worst(error, a, b):
     return j
 
 
-def integrate_finite(f, a: float, b: float,
-                     cfg: QuadConfig = DEFAULT_QUAD) -> tuple[complex, float]:
+def integrate_finite(f, a: float, b: float) -> tuple[complex, float]:
     """Adaptive quadrature of a complex-valued f on [a, b].
 
-    The one-problem case of :func:`_integrate_many`.  ``f`` must accept
-    numpy arrays and is called once per refinement step: once for [a, b],
-    then once for each split, on the nodes of both halves together.
+    The one-problem case of :func:`_integrate_many`, at ``DEFAULT_QUAD``.
+    ``f`` must accept numpy arrays and is called once per refinement step:
+    once for [a, b], then once for each split, on the nodes of both halves
+    together.
     Returns (value, error estimate), plus the integral of a second
     component when ``f`` returns a pair; raises :class:`QuadratureError`
     when the subdivision budget is exhausted before the tolerance is met.
     """
-    return _integrate_many(lambda p, idx: f(p), [(a, b)], cfg)[0]
+    return _integrate_many(lambda p, idx: f(p), [(a, b)], DEFAULT_QUAD)[0]
 
 
 def _iterated_aitken(s: np.ndarray, levels: int = _AITKEN_LEVELS) -> complex:
@@ -253,11 +247,10 @@ def _iterated_aitken(s: np.ndarray, levels: int = _AITKEN_LEVELS) -> complex:
         safe = np.abs(d2) > 1e-300
         nxt = np.where(safe, s[2:] - np.where(safe, d1, 0) ** 2
                        / np.where(safe, d2, 1.0), s[2:])
-        if np.any(~safe):
-            # sequence already flat; stop accelerating
-            s = nxt
-            break
         s = nxt
+        if not safe.all():
+            # sequence already flat; stop accelerating
+            break
     return complex(s[-1])
 
 
@@ -312,8 +305,7 @@ def _panel_values(f, edges: np.ndarray) -> np.ndarray:
     return half * (vals @ _W15)
 
 
-def oscillatory_halfline(g, tau: float, cfg: QuadConfig = DEFAULT_QUAD, *,
-                         decay_order: float | None = None,
+def oscillatory_halfline(g, tau: float, *, decay_order: float | None = None,
                          decay_rate: float | None = None,
                          peak: float = 0.0) -> complex:
     """integral_0^inf g(p) exp(-i p tau) dp for a decaying envelope g.
@@ -321,14 +313,14 @@ def oscillatory_halfline(g, tau: float, cfg: QuadConfig = DEFAULT_QUAD, *,
     Exactly one decay declaration is required: ``decay_order`` m >= 2 for an
     algebraic tail |g| ~ C/p^m, or ``decay_rate`` for an exponential tail.
     ``peak`` is the location of the envelope maximum (drives the strategy
-    switch at |tau| * peak = 2).
+    switch at |tau| * peak = 2).  It runs at ``DEFAULT_QUAD``.
     """
     if (decay_order is None) == (decay_rate is None):
         raise ValueError("declare exactly one of decay_order / decay_rate")
     if decay_order is not None and decay_order < 2.0:
         raise ValueError("algebraic decay order must be >= 2")
 
-    abs_tol = cfg.abs_tol
+    abs_tol, rel_tol = DEFAULT_QUAD.abs_tol, DEFAULT_QUAD.rel_tol
     [(P, _)] = _truncation_walk(g, [0.1 * abs_tol], decay_order, decay_rate,
                                 peak)
 
@@ -337,8 +329,8 @@ def oscillatory_halfline(g, tau: float, cfg: QuadConfig = DEFAULT_QUAD, *,
 
     plain = (abs(tau) * max(peak, 0.0) < 2.0
              and abs(tau) * P < 40.0 * math.pi)
-    if tau == 0.0 or plain:
-        val, err = integrate_finite(integrand, 0.0, P, cfg)
+    if plain:
+        val, err = integrate_finite(integrand, 0.0, P)
         return val
 
     # half-period panels; partial sums past the envelope bulk alternate and
@@ -354,7 +346,7 @@ def oscillatory_halfline(g, tau: float, cfg: QuadConfig = DEFAULT_QUAD, *,
     k = 0
     if 0.0 < bulk_end < h:
         # one 15-point panel would not resolve a bulk inside one half period
-        partial = integrate_finite(integrand, 0.0, h, cfg)[0]
+        partial = integrate_finite(integrand, 0.0, h)[0]
         sums.append(partial)
         k = 1
     while k < max_panels:
@@ -368,7 +360,7 @@ def oscillatory_halfline(g, tau: float, cfg: QuadConfig = DEFAULT_QUAD, *,
         if len(sums) >= 8:
             accel = _iterated_aitken(np.array(sums[-48:]))
             if accel_prev is not None:
-                tol = max(abs_tol, cfg.rel_tol * abs(accel))
+                tol = max(abs_tol, rel_tol * abs(accel))
                 streak = streak + 1 if abs(accel - accel_prev) < tol else 0
                 if streak >= 2:
                     return accel

@@ -7,10 +7,6 @@ only dimensionless parameter left in the dynamics is the fine-structure
 constant alpha.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 # CODATA 2018 constants, 9 significant digits where available.
 HBAR_J_S = 1.054571817e-34          # reduced Planck constant, J s (exact-derived)
 ELECTRON_REST_ENERGY_EV = 510998.950  # m_e c^2, eV
@@ -23,63 +19,43 @@ COMPTON_TIME_S = HBAR_J_S / ELECTRON_REST_ENERGY_J
 COMPTON_LENGTH_M = COMPTON_TIME_S * SPEED_OF_LIGHT_M_S
 
 
-@dataclass(frozen=True)
-class UnitSystem:
-    """Conversion factors of the dimensionless unit system."""
-
-    electron_rest_energy_eV: float = ELECTRON_REST_ENERGY_EV
-    compton_time_s: float = COMPTON_TIME_S
-    compton_length_m: float = COMPTON_LENGTH_M
-    fine_structure_default: float = FINE_STRUCTURE
-
-    def __post_init__(self):
-        for name in ("electron_rest_energy_eV", "compton_time_s",
-                     "compton_length_m", "fine_structure_default"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-
-
-DEFAULT_UNITS = UnitSystem()
-
-
-def time_to_si(t_d: float, units: UnitSystem = DEFAULT_UNITS) -> float:
+def time_to_si(t_d: float) -> float:
     """Dimensionless time -> seconds (t_d = 1 is one Compton time)."""
-    return t_d * units.compton_time_s
+    return t_d * COMPTON_TIME_S
 
 
-def time_from_si(t_s: float, units: UnitSystem = DEFAULT_UNITS) -> float:
+def time_from_si(t_s: float) -> float:
     """Seconds -> dimensionless time."""
-    return t_s / units.compton_time_s
+    return t_s / COMPTON_TIME_S
 
 
-def energy_to_ev(e_d: float, units: UnitSystem = DEFAULT_UNITS) -> float:
+def energy_to_ev(e_d: float) -> float:
     """Dimensionless energy -> eV (e_d = 1 is the electron rest energy)."""
-    return e_d * units.electron_rest_energy_eV
+    return e_d * ELECTRON_REST_ENERGY_EV
 
 
-def energy_from_ev(e_ev: float, units: UnitSystem = DEFAULT_UNITS) -> float:
+def energy_from_ev(e_ev: float) -> float:
     """eV -> dimensionless energy."""
-    return e_ev / units.electron_rest_energy_eV
+    return e_ev / ELECTRON_REST_ENERGY_EV
 
 
-def length_to_si(x_d: float, units: UnitSystem = DEFAULT_UNITS) -> float:
+def length_to_si(x_d: float) -> float:
     """Dimensionless length -> meters."""
-    return x_d * units.compton_length_m
+    return x_d * COMPTON_LENGTH_M
 
 
-def length_from_si(x_m: float, units: UnitSystem = DEFAULT_UNITS) -> float:
+def length_from_si(x_m: float) -> float:
     """Meters -> dimensionless length."""
-    return x_m / units.compton_length_m
+    return x_m / COMPTON_LENGTH_M
 
 
-def constants_table(units: UnitSystem = DEFAULT_UNITS) -> str:
+def constants_table() -> str:
     """Human-readable reference table of the pinned constants."""
     rows = [
-        ("electron rest energy", f"{units.electron_rest_energy_eV:.9g} eV"),
-        ("unit of time", f"{units.compton_time_s:.9g} s"),
-        ("unit of length", f"{units.compton_length_m:.9g} m"),
-        ("default fine-structure constant",
-         f"{units.fine_structure_default:.9g}"),
+        ("electron rest energy", f"{ELECTRON_REST_ENERGY_EV:.9g} eV"),
+        ("unit of time", f"{COMPTON_TIME_S:.9g} s"),
+        ("unit of length", f"{COMPTON_LENGTH_M:.9g} m"),
+        ("default fine-structure constant", f"{FINE_STRUCTURE:.9g}"),
         ("hbar", f"{HBAR_J_S:.9g} J s"),
         ("eV", f"{EV_IN_J:.9g} J"),
     ]

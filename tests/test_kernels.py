@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qedvolterra import DEFAULT_QUAD, KernelEvaluator, ModelParams, \
-    QuadConfig, SmearingFunction, SpectralDensity, SqueezeParams, TimeGrid, \
-    chi_momentum, density_from_table, hydrogen_chi, hydrogen_density, \
+from qedvolterra import KernelEvaluator, ModelParams, SmearingFunction, \
+    SpectralDensity, SqueezeParams, TimeGrid, chi_momentum, \
+    density_from_table, hydrogen_chi, hydrogen_density, \
     hydrogen_vacuum_density, make_kernel, s_hat, solve_ide, \
     squeezed_delta_concentrated, squeezed_delta_general, vacuum_kernel
 from qedvolterra.kernels import _PairMode, _hydrogen_unit
@@ -419,9 +419,7 @@ def test_squeezed_general_converges_to_concentrated():
         sq = SqueezeParams(r=0.5, q=q, d=d,
                            wavepacket=_gaussian_packet(q, d, width),
                            wavepacket_width=width)
-        mode = _PairMode(sq, chi, QuadConfig(rel_tol=1e-9, abs_tol=1e-12),
-                         n_theta=100, n_phi=100)
-        val = squeezed_delta_general(0.8, 0.3, sq, chi, _mode=mode)
+        val = squeezed_delta_general(0.8, 0.3, sq, chi)
         errs.append(abs(val - target))
     # the finite-width correction changes sign near w = 0.4, so only the
     # last pair is required to shrink monotonically
@@ -439,7 +437,7 @@ def test_squeezed_general_requires_wavepacket():
 
 def test_squeezed_general_kernel_rows_and_solve():
     # make_kernel's general squeezed kernel reads, per point, the vacuum S0
-    # plus squeezed_delta_general at DEFAULT_QUAD, and a short solve of it
+    # plus squeezed_delta_general, and a short solve of it
     # is finite; a wide packet keeps the pair-mode quadratures cheap
     alpha, width = 1.0, 1.0
     rho, chi = hydrogen_density(alpha), hydrogen_chi(alpha)
@@ -454,7 +452,7 @@ def test_squeezed_general_kernel_rows_and_solve():
                   "trapezoid").values
     assert np.isfinite(c).all()
     vacuum = make_kernel("vacuum", density=rho)
-    mode = _PairMode(sq, chi, DEFAULT_QUAD)
+    mode = _PairMode(sq, chi)
     t, s = grid.t_max, np.array([0.0, grid.t_max])
     want = [vacuum.eval(t, x)
             + squeezed_delta_general(t, x, sq, chi, _mode=mode)
@@ -475,9 +473,7 @@ def test_longitudinal_chi_component_is_projected_out():
     chi = hydrogen_chi(alpha)
     chi_long = SmearingFunction(
         fn=lambda p: chi_momentum(p, alpha) + 0.7 * p, label="with-long")
-    cfg = QuadConfig(rel_tol=1e-9, abs_tol=1e-12)
-    base = squeezed_delta_general(1.1, 0.6, SqueezeParams(**sq_args), chi,
-                                  cfg)
+    base = squeezed_delta_general(1.1, 0.6, SqueezeParams(**sq_args), chi)
     shifted = squeezed_delta_general(1.1, 0.6, SqueezeParams(**sq_args),
-                                     chi_long, cfg)
+                                     chi_long)
     assert shifted == pytest.approx(base, rel=1e-6)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import qedvolterra.kernels
 import qedvolterra.laplace
-from qedvolterra import MissingExtensionError, ModelParams, QuadConfig, \
+from qedvolterra import MissingExtensionError, ModelParams, \
     QuadratureError, SolverError, \
     SpectralDensity, TimeGrid, analyze, bromwich_invert, \
     density_from_table, find_pole, hydrogen_density, \
@@ -19,11 +19,12 @@ from qedvolterra.laplace import _BROMWICH_CFG, _CAUCHY_CFG, _MAX_NEWTON, \
 from qedvolterra.kernels import _hydrogen_unit
 from qedvolterra.quadrature import _truncation_walk
 from qedvolterra.volterra import AmplitudeSeries
+from test_quadrature import finite_at
 
 # ------------------------------------------------- one-at-a-time oracles
 # The Cauchy transform, the pole search and the Bromwich contour as they ran
-# before their transforms were batched: one point per transform, one
-# integrate_finite call per piece, one seed at a time, each transform in its
+# before their transforms were batched: one point per transform, a
+# one-problem quadrature per piece, one seed at a time, each transform in its
 # density's own units.  The batched routines must reproduce them bit for
 # bit.
 
@@ -60,7 +61,7 @@ def reference_cauchy_transform(rho, s, cfg=_CAUCHY_CFG, derivative=False):
         return f
 
     def piece(f, a, b):
-        out = integrate_finite(f, a, b, cfg)
+        out = finite_at(cfg, f, a, b)
         if not derivative:
             return out[0]
         # an empty piece has no second component
@@ -553,7 +554,6 @@ def test_s_hat_two_routes(synthetic_density):
     # momentum route: integral rho(p)/(s+ip) dp.  time route: the kernel of
     # rho = p e^{-p} is S(tau) = 1/(1+i tau)^2, so S_hat is its ordinary
     # Laplace transform.
-    cfg = QuadConfig(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=6000)
     for s in (0.5, 2.0, 1.0 + 0.7j, 0.3 - 1.2j):
         momentum = s_hat(synthetic_density, s)
 
@@ -561,7 +561,7 @@ def test_s_hat_two_routes(synthetic_density):
             return np.exp(-s * tau) / (1.0 + 1j * tau) ** 2
 
         time_route = sum(
-            integrate_finite(time_integrand, a, b, cfg)[0]
+            integrate_finite(time_integrand, a, b)[0]
             for a, b in [(0.0, 20.0), (20.0, 200.0), (200.0, 2000.0)])
         assert momentum == pytest.approx(time_route, abs=1e-6)
 
@@ -707,6 +707,66 @@ def test_hydrogen_pole_matches_a_high_precision_oracle(alpha):
     s0 = _mp_hydrogen_pole(alpha, params.omega)
     assert abs(an.gamma_pole / (-2.0 * s0.real) - 1.0) <= 1e-8
     assert abs(an.lamb_shift / s0.imag - 1.0) <= 1e-8
+
+
+def _family(n, b):
+    """rho(p) = p^n e^{-p/b}, declared as the shape x^n e^{-x} at b."""
+    return SpectralDensity(
+        fn=lambda p: p**n * np.exp(-p / b), label=f"p^{n} e^(-p/{b:g})",
+        scale=b, peak=n * b, decay_rate=1.0 / b,
+        analytic_extension=lambda z: z**n * np.exp(-z / b),
+        shape=(lambda x: x**n * np.exp(-x), b**n))
+
+
+def _mp_family_transform(n, b, s, second_sheet=False):
+    """S_hat of p^n e^{-p/b} at s from mpmath at 30 digits, an oracle that
+    shares no code with the package: with u = -i s / b it is
+    -i b^n I_n(u), where I_0(u) = e^u E_1(u) and I_k = (k - 1)! - u I_{k-1}
+    (I_n(u) = integral_0^inf x^n e^{-x} / (x + u) dx).  On the second sheet
+    a point with Re s < 0 adds 2 pi rho(i s)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        s, b = mp.mpc(s), mp.mpf(b)
+        u = -1j * s / b
+        integral = mp.exp(u) * mp.e1(u)
+        for k in range(1, n + 1):
+            integral = mp.factorial(k - 1) - u * integral
+        value = -1j * b**n * integral
+        if second_sheet and s.real < 0:
+            value += 2 * mp.pi * (1j * s)**n * mp.exp(-1j * s / b)
+        return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.floats(-2.0, 2.0),
+       st.floats(1e-3, 5.0), st.floats(-6.0, 6.0), st.booleans())
+def test_transforms_of_the_closed_form_family(n, log_b, x, y, left):
+    # s_hat at z = s / b = x + iy and s_hat_second_sheet at z = -x + iy
+    # (left) or x + iy, within 1e-12 relative of the E_1 closed form
+    b = 10.0 ** log_b
+    rho = _family(n, b)
+    s = complex(b * x, b * y)
+    want = complex(_mp_family_transform(n, b, s))
+    assert abs(s_hat(rho, s) - want) <= 1e-12 * abs(want)
+    if left:
+        s = complex(-b * x, b * y)
+    want = complex(_mp_family_transform(n, b, s, second_sheet=True))
+    assert abs(s_hat_second_sheet(rho, s) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("alpha", [0.0025, 0.01, 0.2])
+def test_pole_of_the_closed_form_family(alpha):
+    # analyze's pole of p e^{-p} at omega = 1 within 1e-10 of the mpmath
+    # root of s + alpha S_hat_II(s - i), searched from the first-order root
+    mp = pytest.importorskip("mpmath")
+    pole = analyze(_family(1, 1.0), ModelParams(alpha=alpha, omega=1.0)).pole
+    with mp.workdps(30):
+        def F(s):
+            return s + alpha * _mp_family_transform(1, 1.0, s - 1j, True)
+
+        start = -alpha * _mp_family_transform(1, 1.0, 1e-20 - 1j)
+        root = complex(mp.findroot(F, start))
+    assert abs(pole - root) <= 1e-10
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -4,16 +4,21 @@ The harness is not part of the package, but its tracer wraps package
 functions by name and its workloads build kernels and call the library in
 fixed forms.  A rename or a dropped parameter in the package breaks a
 benchmark run; these tests catch it in the test suite instead.  They import
-the harness files and change nothing in them.
+the harness files and change nothing in them.  The last test pins the
+package's public surface: no public callable takes a tolerance or a unit
+system.
 """
 
 import importlib
 import importlib.util
+import inspect
+import json
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import qedvolterra as qv
 from qedvolterra import cli
@@ -104,3 +109,38 @@ def test_squeezed_reference_call_forms_run(tmp_path, monkeypatch):
                      "gregory4").values
     assert ref.shape == c.shape == (11,)
     assert np.max(np.abs(c - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", [w["name"] for w in json.loads(
+    (PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]])
+def test_traced_run_finds_every_layer(name, tmp_path, monkeypatch):
+    # a gated workload's timed section, once, under the tracer: every layer
+    # the workload declares records a span or a count, as the traced
+    # benchmark run requires of it
+    tracer, workloads = _load("tracer"), _load("workloads")
+    wl = workloads.WORKLOADS[name]
+    monkeypatch.chdir(tmp_path)
+    tr = tracer.Tracer(run_id=f"{name}-1")
+    inp = wl.inputs(1, tr.count)
+    tr.install()
+    try:
+        wl.run(inp)
+    finally:
+        tr.uninstall()
+    assert tracer.missing_layers(tracer.layer_metrics(tr), wl.layers) == []
+
+
+def test_public_surface_takes_no_tolerance():
+    # tolerances and units are fixed in the layer that uses them: no public
+    # callable takes a QuadConfig or a unit system, and neither is exported
+    for name in qv.__all__:
+        obj = getattr(qv, name)
+        # an exception class takes a message, and a builtin base has no
+        # signature to read
+        if callable(obj) and not (isinstance(obj, type)
+                                  and issubclass(obj, Exception)):
+            params = inspect.signature(obj).parameters
+            assert not {"cfg", "units"} & set(params), name
+    for name in ("QuadConfig", "DEFAULT_QUAD", "UnitSystem",
+                 "DEFAULT_UNITS"):
+        assert name not in qv.__all__ and not hasattr(qv, name), name

@@ -34,20 +34,6 @@ def test_unit_energy_is_electron_rest_energy():
     assert units.energy_to_ev(1.0) == 510998.950
 
 
-def test_custom_unit_system():
-    sys = units.UnitSystem(electron_rest_energy_eV=1.0, compton_time_s=2.0,
-                           compton_length_m=3.0)
-    assert units.energy_to_ev(5.0, sys) == 5.0
-    assert units.time_to_si(1.0, sys) == 2.0
-
-
-@pytest.mark.parametrize("field", ["electron_rest_energy_eV",
-                                   "compton_time_s", "compton_length_m"])
-def test_nonpositive_constants_rejected(field):
-    with pytest.raises(ValueError):
-        units.UnitSystem(**{field: -1.0})
-
-
 def test_constants_table_mentions_all_units():
     table = units.constants_table()
     for fragment in ("eV", " s", " m", "fine-structure"):
