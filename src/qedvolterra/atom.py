@@ -32,10 +32,10 @@ class ModelParams:
 
     def __post_init__(self):
         # alpha = 0 (decoupled limit) and omega = 0 are valid test settings
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be nonnegative")
-        if self.omega < 0.0:
-            raise ValueError("omega must be nonnegative")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and nonnegative")
+        if not 0.0 <= self.omega < math.inf:
+            raise ValueError("omega must be finite and nonnegative")
 
     @classmethod
     def hydrogen_2p1s(cls, alpha: float = FINE_STRUCTURE) -> "ModelParams":

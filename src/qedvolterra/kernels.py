@@ -75,6 +75,8 @@ class SpectralDensity:
         # the Laplace side's unit; hydrogen at alpha = 0 has scale 0
         if not 0.0 <= self.scale < math.inf:
             raise ValueError("scale must be finite and >= 0")
+        if not math.isfinite(self.peak):
+            raise ValueError("peak must be finite")
         if self.shape is not None:
             rho1, amplitude = self.shape
             if not callable(rho1):
@@ -229,6 +231,16 @@ class SqueezeParams:
         self.d = np.asarray(self.d, dtype=complex)
         if self.q.shape != (3,) or self.d.shape != (3,):
             raise ValueError("q and d must be 3-vectors")
+        if not (np.isfinite(self.q).all() and math.isfinite(self.amplitude)):
+            raise ValueError("q and amplitude must be finite")
+        try:
+            squeeze_finite = math.isfinite(math.sinh(self.r)
+                                           * math.cosh(self.r))
+        except OverflowError:
+            squeeze_finite = False
+        if not squeeze_finite:
+            raise ValueError(f"r = {self.r:g}: sinh(r) cosh(r) must be "
+                             "finite")
         nd = math.sqrt(abs(np.vdot(self.d, self.d)))
         if nd == 0.0:
             raise ValueError("polarization must be nonzero")
@@ -238,6 +250,9 @@ class SqueezeParams:
             raise ValueError("polarization must be orthogonal to the carrier")
         if self.wavepacket is not None and self.wavepacket_width is None:
             raise ValueError("wavepacket requires wavepacket_width")
+        if self.wavepacket_width is not None \
+                and not 0.0 < self.wavepacket_width < math.inf:
+            raise ValueError("wavepacket_width must be finite and > 0")
 
     @property
     def q0(self) -> float:
@@ -255,6 +270,8 @@ class _PairMode:
     """F(t) = integral d^3p / sqrt(2p) f(p) . (P_T chi)(p) exp(-i|p| t)."""
 
     def __init__(self, params: SqueezeParams, chi: SmearingFunction):
+        if params.wavepacket is None:
+            raise ValueError("general squeezed kernel requires a wavepacket")
         self.params = params
         self.chi = chi
         # Gauss-Legendre in cos(theta) times the midpoint rule in phi
@@ -274,40 +291,52 @@ class _PairMode:
         p = np.atleast_1d(p)
         pts = p[:, None, None] * self._dirs[None, :, :]
         fv = np.asarray(self.params.wavepacket(pts), dtype=complex)
-        cv = self._transverse(pts)
+        cv = _transverse(pts, np.asarray(self.chi(pts), dtype=complex))
         ang = np.sum(fv * cv, axis=-1) @ self._wts
         return p**2 / np.sqrt(2.0 * p) * ang
 
-    def _transverse(self, pts):
-        return _transverse(pts, np.asarray(self.chi(pts), dtype=complex))
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        """F over the array t, one quadrature per distinct t ever read."""
+        out = np.empty(t.shape, dtype=complex)
+        width = self.params.wavepacket_width
+        for i, x in enumerate(t.ravel().tolist()):
+            hit = self._cache.get(x)
+            if hit is None:
+                hit = self._cache[x] = oscillatory_halfline(
+                    self._radial_envelope, x, decay_rate=1.0 / width,
+                    peak=max(self.params.q0, width) + 3.0 * width)
+            out.flat[i] = hit
+        return out
 
-    def __call__(self, t: float) -> complex:
-        hit = self._cache.get(t)
-        if hit is not None:
-            return hit
-        q0 = max(self.params.q0, self.params.wavepacket_width)
-        val = oscillatory_halfline(
-            self._radial_envelope, t,
-            decay_rate=1.0 / self.params.wavepacket_width,
-            peak=q0 + 3.0 * self.params.wavepacket_width)
-        self._cache[t] = val
-        return val
+    def products(self, t: np.ndarray, s: np.ndarray) -> tuple:
+        """The pair products (F(t) F(s), F(t)* F(s))."""
+        ft, fs = self(t), self(s)
+        return ft * fs, np.conj(ft) * fs
 
 
-def squeezed_delta_general(t: float, s: float, params: SqueezeParams,
-                           chi: SmearingFunction,
-                           _mode: Optional[_PairMode] = None) -> complex:
-    """Delta S(t, s) for a squeezed state with an explicit pair wavepacket."""
-    if params.wavepacket is None:
-        raise ValueError("general squeezed kernel requires a wavepacket")
-    if params.r == 0.0:
-        return 0.0 + 0.0j
-    mode = _mode if _mode is not None else _PairMode(params, chi)
-    ft, fs = mode(t), mode(s)
-    sh, ch = math.sinh(params.r), math.cosh(params.r)
-    z1 = ft * fs
-    z2 = np.conj(ft) * fs
-    return (-(z1 + np.conj(z1)) * sh * ch + (z2 + np.conj(z2)) * sh * sh)
+def _pair_delta(t, s, r: float, products, amplitude: float = 1.0):
+    """amplitude * (-(z1 + z1*) sinh r cosh r + (z2 + z2*) sinh^2 r) over
+    the broadcast t and s, with (z1, z2) = products(t, s); exact zeros at
+    r = 0, where ``products`` is not called."""
+    t = np.asarray(t, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if r == 0.0:
+        out = np.zeros(np.broadcast_shapes(t.shape, s.shape), dtype=complex)
+    else:
+        z1, z2 = products(t, s)
+        sh, ch = math.sinh(r), math.cosh(r)
+        out = amplitude * (-(z1 + np.conj(z1)) * sh * ch
+                           + (z2 + np.conj(z2)) * sh * sh)
+    return out if out.ndim else complex(out)
+
+
+def squeezed_delta_general(t, s, params: SqueezeParams,
+                           chi: SmearingFunction):
+    """Delta S(t, s) for a squeezed state with an explicit pair wavepacket.
+
+    Broadcasts over array-valued t or s.
+    """
+    return _pair_delta(t, s, params.r, _PairMode(params, chi).products)
 
 
 def squeezed_delta_concentrated(t, s, params: SqueezeParams,
@@ -316,20 +345,13 @@ def squeezed_delta_concentrated(t, s, params: SqueezeParams,
 
     Broadcasts over array-valued t or s.
     """
-    if params.r == 0.0:
-        z = np.zeros(np.broadcast_shapes(np.shape(t), np.shape(s)),
-                     dtype=complex)
-        return z if z.ndim else 0.0 + 0.0j
-    m = complex(np.dot(params.d, chi(params.q)))
-    q0 = params.q0
-    sh, ch = math.sinh(params.r), math.cosh(params.r)
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    z1 = m * m * np.exp(-1j * q0 * (t + s))
-    z2 = np.conj(m) * m * np.exp(-1j * q0 * (t - s))
-    out = params.amplitude * (-(z1 + np.conj(z1)) * sh * ch
-                              + (z2 + np.conj(z2)) * sh * sh)
-    return out if out.ndim else complex(out)
+    def products(t, s):
+        m = complex(np.dot(params.d, chi(params.q)))
+        q0 = params.q0
+        return (m * m * np.exp(-1j * q0 * (t + s)),
+                np.conj(m) * m * np.exp(-1j * q0 * (t - s)))
+
+    return _pair_delta(t, s, params.r, products, params.amplitude)
 
 
 class KernelEvaluator:
@@ -360,7 +382,9 @@ class KernelEvaluator:
                              "give neither fn nor row_fn")
         if not stationary and fn is None and row_fn is None:
             raise ValueError("a non-stationary kernel requires row_fn or fn")
-        self._fn = fn
+        if row_fn is None and fn is not None:
+            def row_fn(t, s):
+                return [fn(t, x) for x in s.tolist()]
         self.stationary = stationary
         self.label = label
         self._tau_fn = tau_fn
@@ -368,8 +392,6 @@ class KernelEvaluator:
         self._lags = None
 
     def eval(self, t: float, s: float) -> complex:
-        if self.stationary:
-            return complex(self._tau_fn(t - s))
         return complex(self.row(t, np.array([s]))[0])
 
     def tau_values(self, lags: np.ndarray) -> np.ndarray:
@@ -385,9 +407,6 @@ class KernelEvaluator:
 
     def _r(self, t: float, s: np.ndarray) -> np.ndarray:
         """R(t, s) over the array s."""
-        if self._row_fn is None:
-            return np.array([self._fn(t, float(x)) for x in s],
-                            dtype=complex)
         return np.asarray(self._row_fn(t, s), dtype=complex)
 
     def _s0(self, lags) -> np.ndarray:
@@ -413,25 +432,6 @@ class KernelEvaluator:
         if memo is None or len(values) > len(memo[1]):
             self._lags = (dt, values)
         return values
-
-    def _history_split(self, times: np.ndarray, omega: float):
-        """(W, extra) with K_k[j] = W[k - j] + extra(k)[j] for the history
-        rows K_k[j] = e^{i omega (t_k - t_j)} S(t_k, t_j), j = 0..k, on the
-        uniform grid ``times``.
-
-        W[m] = e^{i omega t_m} S0(t_m) is the stationary part, read on the
-        lag grid through the memo (zeros for a kernel built without
-        ``tau_fn``).  ``times`` must be arange(n + 1) * dt, n >= 1.
-        ``extra(k)`` is the correction R of row k over all j at once; it is
-        None exactly when the kernel is stationary.  Each row is meant to be
-        requested once, so none is kept.
-        """
-        phase = np.exp(1j * omega * times)
-        if self.stationary:
-            phase *= self._grid_s0(times)
-            return phase, None
-        return phase * self._grid_s0(times), \
-            lambda k: self._r(times[k], times[:k + 1]) * phase[k::-1]
 
 
 def _tabulated_tau(rho: SpectralDensity, tau_max: float, spacing: float):
@@ -471,36 +471,30 @@ def make_kernel(state: str, *,
     pre-tabulates S0 on a spline, trading one-off quadrature cost for O(1)
     lag lookups.
     """
-    if state in ("vacuum", "custom"):
-        if density is None:
-            raise ValueError(f"state {state!r} requires a spectral density")
-        if tabulate is not None:
-            tau_fn = _tabulated_tau(density, *tabulate)
-        else:
-            def tau_fn(lag):
-                return vacuum_kernel(lag, density)
-        return KernelEvaluator(None, stationary=True,
-                               label=f"{state}:{density.label}",
-                               tau_fn=tau_fn)
+    stationary = state in ("vacuum", "custom")
+    if not stationary and state not in ("squeezed_concentrated",
+                                        "squeezed_general"):
+        raise ValueError(f"unknown state {state!r}")
+    if stationary and density is None:
+        raise ValueError(f"state {state!r} requires a spectral density")
+    if not stationary and (density is None or squeeze is None or chi is None):
+        raise ValueError(f"state {state!r} requires density, squeeze "
+                         "parameters and a smearing function")
+    row_fn = None
+    if state == "squeezed_concentrated":
+        def row_fn(t, s):
+            return squeezed_delta_concentrated(t, s, squeeze, chi)
+    elif state == "squeezed_general":
+        products = _PairMode(squeeze, chi).products
 
-    if state in ("squeezed_concentrated", "squeezed_general"):
-        if density is None or squeeze is None or chi is None:
-            raise ValueError(f"state {state!r} requires density, squeeze "
-                             "parameters and a smearing function")
-        base = make_kernel("vacuum", density=density, tabulate=tabulate)
-        if state == "squeezed_concentrated":
-            def row_fn(t, s):
-                return squeezed_delta_concentrated(t, s, squeeze, chi)
-        else:
-            if squeeze.wavepacket is None:
-                raise ValueError("squeezed_general requires a wavepacket")
-            mode = _PairMode(squeeze, chi)
-
-            def row_fn(t, s):
-                return np.array([squeezed_delta_general(
-                    t, float(x), squeeze, chi, _mode=mode) for x in s])
-        return KernelEvaluator(None, stationary=False,
-                               label=f"{state}:r={squeeze.r:g}",
-                               tau_fn=base._tau_fn, row_fn=row_fn)
-
-    raise ValueError(f"unknown state {state!r}")
+        def row_fn(t, s):
+            return _pair_delta(t, s, squeeze.r, products)
+    if tabulate is not None:
+        tau_fn = _tabulated_tau(density, *tabulate)
+    else:
+        def tau_fn(lag):
+            return vacuum_kernel(lag, density)
+    label = density.label if stationary else f"r={squeeze.r:g}"
+    return KernelEvaluator(None, stationary=stationary,
+                           label=f"{state}:{label}", tau_fn=tau_fn,
+                           row_fn=row_fn)

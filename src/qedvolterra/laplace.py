@@ -201,18 +201,9 @@ def _second_sheet(rho, ss: list, steps=None) -> list:
     Given ``steps``, one real h per point, each entry is the pair (value,
     derivative): the transform's derivative comes from its own quadrature,
     and the Plemelj term's from a central difference of the closed-form
-    extension at s +- h.
+    extension at s +- h.  The callers refuse Re s = 0 and missing extensions.
     """
     rhos = [rho] * len(ss) if isinstance(rho, SpectralDensity) else list(rho)
-    for s, r in zip(ss, rhos):
-        if s.real > 0.0:
-            continue
-        if s.real == 0.0:
-            raise ValueError("evaluation on Re s = 0 is ambiguous; offset s")
-        if r.analytic_extension is None:
-            raise MissingExtensionError(
-                f"density {r.label!r} has no analytic extension; "
-                "second-sheet evaluation refused")
     sheet = _cauchy_transform(rhos, ss, derivative=steps is not None)
     if steps is None:
         return [v if s.real > 0.0
@@ -244,7 +235,14 @@ def s_hat_second_sheet(rho: SpectralDensity, s: complex) -> complex:
     Equals s_hat for Re s > 0; for Re s < 0 it adds the Plemelj jump
     2 pi rho(i s), which requires the density's analytic extension.
     """
-    return _second_sheet(rho, [complex(s)])[0]
+    s = complex(s)
+    if s.real == 0.0:
+        raise ValueError("evaluation on Re s = 0 is ambiguous; offset s")
+    if s.real < 0.0 and rho.analytic_extension is None:
+        raise MissingExtensionError(
+            f"density {rho.label!r} has no analytic extension; "
+            "second-sheet evaluation refused")
+    return _second_sheet(rho, [s])[0]
 
 
 def markov_rate(rho: SpectralDensity, params: ModelParams) -> float:

@@ -236,10 +236,10 @@ def integrate_finite(f, a: float, b: float) -> tuple[complex, float]:
     return _integrate_many(lambda p, idx: f(p), [(a, b)], DEFAULT_QUAD)[0]
 
 
-def _iterated_aitken(s: np.ndarray, levels: int = _AITKEN_LEVELS) -> complex:
+def _iterated_aitken(s: np.ndarray) -> complex:
     """Iterated Aitken delta-squared acceleration of a partial-sum sequence."""
     s = np.asarray(s, dtype=complex)
-    for _ in range(levels):
+    for _ in range(_AITKEN_LEVELS):
         if len(s) < 3:
             break
         d2 = s[2:] - 2.0 * s[1:-1] + s[:-2]

@@ -378,10 +378,31 @@ def _leaf_coefficients(c, lo, s, hi, W, extra, scale, ends, known, check):
     return np.multiply(-scale * w, K, out=K)
 
 
+def _history_split(kernel: KernelEvaluator, times: np.ndarray,
+                   omega: float):
+    """(W, extra) with K_k[j] = W[k - j] + extra(k)[j] for the history rows
+    K_k[j] = e^{i omega (t_k - t_j)} S(t_k, t_j), j = 0..k, on the uniform
+    grid ``times``.
+
+    W[m] = e^{i omega t_m} S0(t_m) is the stationary part, read on the lag
+    grid through the kernel's memo (zeros for a kernel built without
+    ``tau_fn``).  ``times`` must be arange(n + 1) * dt, n >= 1.
+    ``extra(k)`` is the kernel's correction R of row k over all j at once;
+    it is None exactly when the kernel is stationary.  Each row is meant to
+    be requested once, so none is kept.
+    """
+    phase = np.exp(1j * omega * times)
+    if kernel.stationary:
+        phase *= kernel._grid_s0(times)
+        return phase, None
+    return phase * kernel._grid_s0(times), \
+        lambda k: kernel._r(times[k], times[:k + 1]) * phase[k::-1]
+
+
 def _solve_trapezoid(kernel, params, grid) -> np.ndarray:
     c = np.empty(grid.n_steps + 1, dtype=complex)
     c[0] = 1.0
-    W, extra = kernel._history_split(grid.times, params.omega)
+    W, extra = _history_split(kernel, grid.times, params.omega)
     _solve_leaves(c, 1, [0.0], W, extra, params.alpha * grid.dt,
                   _TRAPEZOID_ENDS, grid.dt * _TRAPEZOID_BETA,
                   lambda d: _check_step(params.alpha, grid.dt, d))
@@ -409,7 +430,7 @@ def _solve_gregory4(kernel, params, grid) -> np.ndarray:
     c[:n_start + 1] = _richardson_start(kernel, params, grid, n_start)
     if n <= 7:
         return c
-    W, extra = kernel._history_split(grid.times, params.omega)
+    W, extra = _history_split(kernel, grid.times, params.omega)
 
     def row(k):
         return W[k::-1] if extra is None else W[k::-1] + extra(k)

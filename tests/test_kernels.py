@@ -9,7 +9,8 @@ from qedvolterra import KernelEvaluator, ModelParams, SmearingFunction, \
     density_from_table, hydrogen_chi, hydrogen_density, \
     hydrogen_vacuum_density, make_kernel, s_hat, solve_ide, \
     squeezed_delta_concentrated, squeezed_delta_general, vacuum_kernel
-from qedvolterra.kernels import _PairMode, _hydrogen_unit
+import qedvolterra.kernels
+from qedvolterra.kernels import _hydrogen_unit
 
 
 def _s0_closed_form(alpha):
@@ -296,8 +297,8 @@ def test_kernel_evaluator_interface():
     assert not nonstat.stationary
     with pytest.raises(ValueError):
         nonstat.tau_values(np.array([1.0]))
-    np.testing.assert_allclose(
-        nonstat.row(1.0, s), [nonstat.eval(1.0, float(x)) for x in s])
+    assert nonstat.row(1.0, s).tolist() \
+        == [nonstat.eval(1.0, float(x)) for x in s]
 
 
 def _exp_tau(lag):
@@ -357,6 +358,52 @@ def test_squeeze_params_validation():
     with pytest.raises(ValueError):
         SqueezeParams(r=0.5, q=q, d=np.array([0.0, 1.0, 0.0]),
                       wavepacket=lambda p: p)
+
+
+def _squeeze(**changes):
+    args = dict(r=0.5, q=np.array([1.0, 0.0, 0.0]),
+                d=np.array([0.0, 0.0, 1.0]))
+    return SqueezeParams(**{**args, **changes})
+
+
+def _packet(width):
+    return _squeeze(wavepacket=lambda p: p, wavepacket_width=width)
+
+
+def _peaked_at(peak):
+    return SpectralDensity(fn=lambda p: p * np.exp(-p), peak=peak,
+                           decay_rate=1.0)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: ModelParams(alpha=math.nan, omega=1.0),
+                 id="alpha-nan"),
+    pytest.param(lambda: ModelParams(alpha=math.inf, omega=1.0),
+                 id="alpha-inf"),
+    pytest.param(lambda: ModelParams(alpha=0.1, omega=math.nan),
+                 id="omega-nan"),
+    pytest.param(lambda: ModelParams(alpha=0.1, omega=math.inf),
+                 id="omega-inf"),
+    pytest.param(lambda: _squeeze(r=math.nan), id="r-nan"),
+    pytest.param(lambda: _squeeze(r=math.inf), id="r-inf"),
+    pytest.param(lambda: _squeeze(r=-math.inf), id="r-minus-inf"),
+    pytest.param(lambda: _squeeze(r=1e3), id="r-overflows"),
+    pytest.param(lambda: _squeeze(amplitude=math.nan), id="amplitude-nan"),
+    pytest.param(lambda: _squeeze(amplitude=math.inf), id="amplitude-inf"),
+    pytest.param(lambda: _squeeze(q=np.array([math.nan, 0.0, 0.0])),
+                 id="q-nan"),
+    pytest.param(lambda: _squeeze(q=np.array([math.inf, 0.0, 0.0])),
+                 id="q-inf"),
+    pytest.param(lambda: _packet(0.0), id="width-zero"),
+    pytest.param(lambda: _packet(-1.0), id="width-negative"),
+    pytest.param(lambda: _packet(math.nan), id="width-nan"),
+    pytest.param(lambda: _packet(math.inf), id="width-inf"),
+    pytest.param(lambda: _peaked_at(math.inf), id="peak-inf"),
+    pytest.param(lambda: _peaked_at(math.nan), id="peak-nan"),
+])
+def test_constructors_refuse_what_they_cannot_compute(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_squeezed_concentrated_properties():
@@ -436,8 +483,8 @@ def test_squeezed_general_requires_wavepacket():
 
 
 def test_squeezed_general_kernel_rows_and_solve():
-    # make_kernel's general squeezed kernel reads, per point, the vacuum S0
-    # plus squeezed_delta_general, and a short solve of it
+    # make_kernel's general squeezed kernel reads the vacuum S0 plus
+    # squeezed_delta_general over the whole row, and a short solve of it
     # is finite; a wide packet keeps the pair-mode quadratures cheap
     alpha, width = 1.0, 1.0
     rho, chi = hydrogen_density(alpha), hydrogen_chi(alpha)
@@ -452,14 +499,42 @@ def test_squeezed_general_kernel_rows_and_solve():
                   "trapezoid").values
     assert np.isfinite(c).all()
     vacuum = make_kernel("vacuum", density=rho)
-    mode = _PairMode(sq, chi)
     t, s = grid.t_max, np.array([0.0, grid.t_max])
-    want = [vacuum.eval(t, x)
-            + squeezed_delta_general(t, x, sq, chi, _mode=mode)
-            for x in s]
-    assert kernel.row(t, s).tolist() == want
+    want = vacuum.row(t, s) + squeezed_delta_general(t, s, sq, chi)
+    assert kernel.row(t, s).tolist() == want.tolist()
     # the squeezing shows in the row
     assert np.min(np.abs(kernel.row(t, s) - vacuum.row(t, s))) > 1e-4
+
+
+def test_squeezed_general_broadcasts_like_its_points(monkeypatch):
+    # one call over an array of s equals the per-point values, and it
+    # integrates the pair mode once per distinct time
+    chi = hydrogen_chi(1.0)
+    q, d = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+    sq = SqueezeParams(r=0.5, q=q, d=d,
+                       wavepacket=_gaussian_packet(q, d, 1.0),
+                       wavepacket_width=1.0)
+    halfline = qedvolterra.kernels.oscillatory_halfline
+    taus = []
+
+    def counted(g, tau, **kwargs):
+        taus.append(tau)
+        return halfline(g, tau, **kwargs)
+
+    monkeypatch.setattr(qedvolterra.kernels, "oscillatory_halfline", counted)
+    s = np.array([0.0, 0.05, 0.3, 0.05, 0.0])
+    row = squeezed_delta_general(0.3, s, sq, chi)
+    assert sorted(taus) == [0.0, 0.05, 0.3]
+    assert row.tolist() \
+        == [squeezed_delta_general(0.3, x, sq, chi) for x in s.tolist()]
+    # at r = 0 both forms are exact zeros, with no quadrature
+    taus.clear()
+    flat = SqueezeParams(r=0.0, q=q, d=d, wavepacket=sq.wavepacket,
+                         wavepacket_width=1.0)
+    for delta in (squeezed_delta_general, squeezed_delta_concentrated):
+        assert delta(0.3, s, flat, chi).tolist() == [0j] * len(s)
+        assert delta(0.3, 0.1, flat, chi) == 0j
+    assert taus == []
 
 
 def test_longitudinal_chi_component_is_projected_out():

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import qedvolterra.kernels
 import qedvolterra.laplace
-from qedvolterra import MissingExtensionError, ModelParams, \
-    QuadratureError, SolverError, \
+from qedvolterra import KernelEvaluator, MissingExtensionError, \
+    ModelParams, QuadratureError, SolverError, \
     SpectralDensity, TimeGrid, analyze, bromwich_invert, \
     density_from_table, find_pole, hydrogen_density, \
     hydrogen_vacuum_density, integrate_finite, make_kernel, markov_rate, \
@@ -767,6 +767,27 @@ def test_pole_of_the_closed_form_family(alpha):
         start = -alpha * _mp_family_transform(1, 1.0, 1e-20 - 1j)
         root = complex(mp.findroot(F, start))
     assert abs(pole - root) <= 1e-10
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.floats(-0.3, 0.3),
+       st.floats(-2.5, -1.5), st.floats(0.5, 2.0))
+def test_solve_of_the_closed_form_family_meets_bromwich(n, log_b, log_alpha,
+                                                        w):
+    # a gregory4 solve on the closed-form kernel S(tau) = n!/(1/b + i
+    # tau)^{n+1}, so no quadrature enters it, agrees with bromwich_invert
+    # within criterion 6's 1e-3
+    b = 10.0 ** log_b
+    rho = _family(n, b)
+    params = ModelParams(alpha=10.0 ** log_alpha, omega=w * n * b)
+    factorial = float(math.factorial(n))
+    kernel = KernelEvaluator(
+        None, stationary=True, label=rho.label,
+        tau_fn=lambda tau: factorial / complex(1.0 / b, tau) ** (n + 1))
+    ide = solve_ide(kernel, params, TimeGrid(dt=0.05, n_steps=2000),
+                    "gregory4")
+    inv = bromwich_invert(rho, params, TimeGrid(dt=1.0, n_steps=100))
+    assert np.max(np.abs(inv.values - ide.values[::20])) <= 1e-3
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -10,7 +10,7 @@ from qedvolterra import KernelEvaluator, ModelParams, SolverError, \
     hydrogen_density, make_kernel, solve_ide, solve_integral_form, \
     squeezed_delta_concentrated
 from qedvolterra.volterra import _TOEPLITZ_LEAF, ZKernel, _HistorySum, \
-    _gregory_weights, _solve_gregory4, _solve_trapezoid
+    _gregory_weights, _history_split, _solve_gregory4, _solve_trapezoid
 
 
 def const_kernel(value=1.0):
@@ -265,7 +265,7 @@ def test_history_sum_matches_direct_dot():
 
 def history_rows(kernel, omega, grid):
     """k -> K_k[0..k], the history rows of ``kernel`` on ``grid``."""
-    W, extra = kernel._history_split(grid.times, omega)
+    W, extra = _history_split(kernel, grid.times, omega)
     if extra is None:
         return lambda k: W[k::-1]
     return lambda k: W[k::-1] + extra(k)
@@ -686,11 +686,11 @@ def test_solves_on_one_grid_read_each_lag_once():
 
 def test_shorter_grid_is_served_a_prefix_bitwise():
     kernel = counted_kernel()
-    kernel._history_split(TimeGrid(dt=0.01, n_steps=1000).times, 0.61)
+    _history_split(kernel, TimeGrid(dt=0.01, n_steps=1000).times, 0.61)
     short = TimeGrid(dt=0.01, n_steps=373).times
-    W = kernel._history_split(short, 0.61)[0]
+    W = _history_split(kernel, short, 0.61)[0]
     assert kernel.calls == 1001
-    fresh = counted_kernel()._history_split(short, 0.61)[0]
+    fresh = _history_split(counted_kernel(), short, 0.61)[0]
     assert W.tobytes() == fresh.tobytes()
 
 
@@ -720,7 +720,7 @@ def test_memo_is_read_only():
         with pytest.raises(ValueError):
             view[0] = 0.0
     # W is a fresh array: the solvers weight its end lags in place
-    W = kernel._history_split(TimeGrid(dt=0.01, n_steps=100).times, 0.61)[0]
+    W = _history_split(kernel, TimeGrid(dt=0.01, n_steps=100).times, 0.61)[0]
     W[1] = 0.0
     assert values[1] != 0.0
 
