@@ -81,6 +81,10 @@ class RunConfig:
         if self.state == "squeezed_general":
             raise ConfigError("squeezed_general needs a pair wavepacket, "
                               "which no configuration key supplies")
+        if self.mode in ("rates", "sweep") \
+                and self.state.startswith("squeezed"):
+            raise ConfigError(f"{self.mode} mode needs a stationary "
+                              "(vacuum/custom) state")
         for name in sorted(_FLOAT_FIELDS | _TUPLE_FIELDS):
             val = getattr(self, name)
             vals = val if name in _TUPLE_FIELDS and val is not None \
@@ -483,9 +487,6 @@ def run(cfg: RunConfig) -> int:
         Path(cfg.out).write_text("\n".join([header] + _sweep_rows(cfg))
                                  + "\n")
         return 0
-    if cfg.mode == "rates" and cfg.state.startswith("squeezed"):
-        raise ConfigError("rates mode needs a stationary (vacuum/custom) "
-                          "state")
     params, density = _model(cfg)
     grid = _default_grid(cfg, params, density)
     try:

@@ -13,9 +13,10 @@ Note on the squeezed-state formulas: the two displays for the squeezed
 two-point function in the source derivation disagree on the placement of the
 sinh^2 term.  This module follows the general-wavepacket form (the one that
 follows directly from the pair expectation values) and obtains the
-concentrated form as its narrow-wavepacket limit; the concentrated overall
-amplitude is an explicit scalar (default 1) since the wavepacket
-normalization convention is not fixed by the derivation.
+concentrated form as its narrow-wavepacket limit; both read one pair mode
+F(t) through one formula, and their overall pair amplitude is an explicit
+scalar (default 1) since the wavepacket normalization convention is not
+fixed by the derivation.
 
 scipy's ``CubicSpline`` is imported only inside the two functions that build
 splines, ``density_from_table`` and the ``tabulate=`` path of
@@ -209,11 +210,13 @@ def vacuum_kernel(tau: float, rho: SpectralDensity) -> complex:
     return complex(amp * rho.scale * s1.real, amp * rho.scale * s1.imag)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SqueezeParams:
     """Squeezed-state parameters: amplitude r, carrier q, polarization d.
 
-    ``d`` is normalized at construction and must be orthogonal to ``q``.
+    ``d`` is normalized at construction and must be orthogonal to ``q``;
+    both are stored as read-only copies, so the record cannot change after
+    its checks.  ``amplitude`` scales the pair term of both forms.
     ``wavepacket`` (complex-vector-valued function of the momentum 3-vector)
     with its momentum ``wavepacket_width`` enables the general-form kernel;
     the concentrated form needs only (r, q, d, amplitude).
@@ -227,12 +230,14 @@ class SqueezeParams:
     wavepacket_width: Optional[float] = None
 
     def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float)
-        self.d = np.asarray(self.d, dtype=complex)
-        if self.q.shape != (3,) or self.d.shape != (3,):
+        # a copy: np.asarray would alias the caller's float array
+        q = np.array(self.q, dtype=float)
+        d = np.asarray(self.d, dtype=complex)
+        if q.shape != (3,) or d.shape != (3,):
             raise ValueError("q and d must be 3-vectors")
-        if not (np.isfinite(self.q).all() and math.isfinite(self.amplitude)):
-            raise ValueError("q and amplitude must be finite")
+        if not (np.isfinite(q).all() and np.isfinite(d).all()
+                and math.isfinite(self.amplitude)):
+            raise ValueError("q, d and amplitude must be finite")
         try:
             squeeze_finite = math.isfinite(math.sinh(self.r)
                                            * math.cosh(self.r))
@@ -241,18 +246,22 @@ class SqueezeParams:
         if not squeeze_finite:
             raise ValueError(f"r = {self.r:g}: sinh(r) cosh(r) must be "
                              "finite")
-        nd = math.sqrt(abs(np.vdot(self.d, self.d)))
+        nd = math.sqrt(abs(np.vdot(d, d)))
         if nd == 0.0:
             raise ValueError("polarization must be nonzero")
-        self.d = self.d / nd
-        qn = np.linalg.norm(self.q)
-        if qn > 0.0 and abs(np.dot(self.d, self.q)) > 1e-10 * qn:
+        d = d / nd
+        qn = np.linalg.norm(q)
+        if qn > 0.0 and abs(np.dot(d, q)) > 1e-10 * qn:
             raise ValueError("polarization must be orthogonal to the carrier")
         if self.wavepacket is not None and self.wavepacket_width is None:
             raise ValueError("wavepacket requires wavepacket_width")
         if self.wavepacket_width is not None \
                 and not 0.0 < self.wavepacket_width < math.inf:
             raise ValueError("wavepacket_width must be finite and > 0")
+        q.flags.writeable = False
+        d.flags.writeable = False
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "d", d)
 
     @property
     def q0(self) -> float:
@@ -308,25 +317,30 @@ class _PairMode:
             out.flat[i] = hit
         return out
 
-    def products(self, t: np.ndarray, s: np.ndarray) -> tuple:
-        """The pair products (F(t) F(s), F(t)* F(s))."""
-        ft, fs = self(t), self(s)
-        return ft * fs, np.conj(ft) * fs
+
+def _concentrated_mode(params: SqueezeParams, chi: SmearingFunction):
+    """F(t) = m exp(-i q0 t), m = d . chi(q): the pair mode of a wavepacket
+    concentrated at q, with m and q0 read once."""
+    m = complex(np.dot(params.d, chi(params.q)))
+    q0 = params.q0
+    return lambda t: m * np.exp(-1j * q0 * t)
 
 
-def _pair_delta(t, s, r: float, products, amplitude: float = 1.0):
+def _pair_delta(t, s, params: SqueezeParams, mode):
     """amplitude * (-(z1 + z1*) sinh r cosh r + (z2 + z2*) sinh^2 r) over
-    the broadcast t and s, with (z1, z2) = products(t, s); exact zeros at
-    r = 0, where ``products`` is not called."""
+    the broadcast t and s, with z1 = F(t) F(s) and z2 = F(t)* F(s) of the
+    pair mode F; exact zeros at r = 0, where F is not read."""
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
+    r = params.r
     if r == 0.0:
         out = np.zeros(np.broadcast_shapes(t.shape, s.shape), dtype=complex)
     else:
-        z1, z2 = products(t, s)
+        ft, fs = mode(t), mode(s)
+        z1, z2 = ft * fs, np.conj(ft) * fs
         sh, ch = math.sinh(r), math.cosh(r)
-        out = amplitude * (-(z1 + np.conj(z1)) * sh * ch
-                           + (z2 + np.conj(z2)) * sh * sh)
+        out = params.amplitude * (-(z1 + np.conj(z1)) * sh * ch
+                                  + (z2 + np.conj(z2)) * sh * sh)
     return out if out.ndim else complex(out)
 
 
@@ -336,7 +350,7 @@ def squeezed_delta_general(t, s, params: SqueezeParams,
 
     Broadcasts over array-valued t or s.
     """
-    return _pair_delta(t, s, params.r, _PairMode(params, chi).products)
+    return _pair_delta(t, s, params, _PairMode(params, chi))
 
 
 def squeezed_delta_concentrated(t, s, params: SqueezeParams,
@@ -345,13 +359,7 @@ def squeezed_delta_concentrated(t, s, params: SqueezeParams,
 
     Broadcasts over array-valued t or s.
     """
-    def products(t, s):
-        m = complex(np.dot(params.d, chi(params.q)))
-        q0 = params.q0
-        return (m * m * np.exp(-1j * q0 * (t + s)),
-                np.conj(m) * m * np.exp(-1j * q0 * (t - s)))
-
-    return _pair_delta(t, s, params.r, products, params.amplitude)
+    return _pair_delta(t, s, params, _concentrated_mode(params, chi))
 
 
 class KernelEvaluator:
@@ -481,14 +489,12 @@ def make_kernel(state: str, *,
         raise ValueError(f"state {state!r} requires density, squeeze "
                          "parameters and a smearing function")
     row_fn = None
-    if state == "squeezed_concentrated":
-        def row_fn(t, s):
-            return squeezed_delta_concentrated(t, s, squeeze, chi)
-    elif state == "squeezed_general":
-        products = _PairMode(squeeze, chi).products
+    if not stationary:
+        mode = (_concentrated_mode if state == "squeezed_concentrated"
+                else _PairMode)(squeeze, chi)
 
         def row_fn(t, s):
-            return _pair_delta(t, s, squeeze.r, products)
+            return _pair_delta(t, s, squeeze, mode)
     if tabulate is not None:
         tau_fn = _tabulated_tau(density, *tabulate)
     else:

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,8 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 import qedvolterra.cli
 import qedvolterra.laplace
 import qedvolterra.quadrature
-from qedvolterra import FINE_STRUCTURE, ModelParams, TimeGrid, \
-    hydrogen_density, make_kernel, solve_ide
+from qedvolterra import FINE_STRUCTURE, KernelEvaluator, ModelParams, \
+    SmearingFunction, SqueezeParams, TimeGrid, chi_momentum, \
+    density_from_table, hydrogen_density, make_kernel, solve_ide
 from qedvolterra.cli import SUMMARY_KEYS, ConfigError, DecayFit, RunConfig, \
     _fit_window, _fmt, build_config, fit_decay, main, parse_config_file
 from test_quadrature import reference_integrate_finite, \
@@ -519,6 +521,96 @@ def test_rates_with_custom_density_table(tmp_path):
         == pytest.approx(gamma, rel=1e-6)
 
 
+def test_kernel_dump_with_a_chi_table(tmp_path):
+    # a custom transition in a squeezed state reads chi from its table along
+    # the carrier ray; the dump equals make_kernel's with the same spline chi
+    p = np.linspace(0.0, 30.0, 400)
+    rho_table = tmp_path / "rho.txt"
+    np.savetxt(rho_table, np.column_stack([p, p * np.exp(-p)]))
+    ray = np.linspace(0.0, 3.0, 31)
+    chi_table = tmp_path / "chi.txt"
+    np.savetxt(chi_table, np.column_stack(
+        [ray, chi_momentum(ray[:, None] * np.array([1.0, 0.0, 0.0]), 1.0)]))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"state = squeezed_concentrated\nrho_table = {rho_table}\n"
+                   f"rho_tail_order = 6\nchi_table = {chi_table}\n"
+                   "transition = custom\nomega = 1.0\nalpha = 0.5\n"
+                   "r = 0.5\nq = 0.3, 0, 0\ndt = 0.1\ntmax = 1\n")
+    out = tmp_path / "kernel.csv"
+    res = run_cli("kernel", "--config", str(cfg), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+
+    from scipy.interpolate import CubicSpline
+    data = np.loadtxt(chi_table)
+    spline = CubicSpline(data[:, 0], data[:, 1:], axis=0)
+    chi = SmearingFunction(
+        fn=lambda p: spline(np.sqrt(np.sum(p * p, axis=-1))))
+    kernel = make_kernel(
+        "squeezed_concentrated", density=density_from_table(rho_table, 6.0),
+        squeeze=SqueezeParams(r=0.5, q=np.array([0.3, 0.0, 0.0]),
+                              d=np.array([0.0, 0.0, 1.0])), chi=chi)
+    times = TimeGrid(dt=0.1, n_steps=10).times
+    lines = ["t,s,re_S,im_S"]
+    for t in times:
+        s = times[times <= t]
+        for s_j, v in zip(s, kernel.row(float(t), s)):
+            lines.append(",".join((_fmt(t), _fmt(s_j),
+                                   _fmt(v.real), _fmt(v.imag))))
+    assert out.read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("chi_line", [
+    "", "chi_table = {three}", "chi_table = {words}", "chi_table = absent.txt",
+], ids=["missing", "three-columns", "not-numbers", "absent"])
+def test_bad_chi_table_is_config_error(tmp_path, chi_line):
+    three, words = tmp_path / "three.txt", tmp_path / "words.txt"
+    np.savetxt(three, np.column_stack([np.linspace(0.0, 1.0, 8)] * 3))
+    words.write_text("p chi_x chi_y chi_z\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("state = squeezed_concentrated\ntransition = custom\n"
+                   "omega = 1.0\nalpha = 0.5\nr = 0.5\nq = 0.3, 0, 0\n"
+                   "dt = 0.1\ntmax = 1\n"
+                   + chi_line.format(three=three, words=words) + "\n")
+    res = run_cli("kernel", "--config", str(cfg),
+                  "--out", str(tmp_path / "kernel.csv"), cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "configuration error" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("dt, n_steps, tabulated", [
+    (0.01, 4001, True), (0.05, 4001, True), (0.01, 4000, False),
+])
+def test_long_solves_tabulate_the_kernel(tmp_path, monkeypatch, dt, n_steps,
+                                         tabulated):
+    # above 4000 steps the solve asks for S0 on a spline over [0, t_max],
+    # spaced max(dt, 0.02 / scale); hydrogen at alpha = 0.5 has scale 0.5.
+    # The spy's closed-form kernel keeps the test free of quadrature
+    asked = []
+
+    def spy(state, **kwargs):
+        asked.append(kwargs["tabulate"])
+        return KernelEvaluator(None, stationary=True, label="exp",
+                               tau_fn=lambda lag: complex(math.exp(-abs(lag))))
+
+    monkeypatch.setattr(qedvolterra.cli, "make_kernel", spy)
+    grid = TimeGrid(dt=dt, n_steps=n_steps)
+    assert main(["solve", "--alpha", "0.5", "--dt", str(dt),
+                 "--tmax", str(grid.t_max),
+                 "--out", str(tmp_path / "c.csv")]) == 0
+    assert asked == [(grid.t_max, max(dt, 0.02 / 0.5)) if tabulated
+                     else None]
+
+
+def test_readme_key_table_names_every_config_field():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    table = readme.read_text().split("| Key | Meaning (default) |\n", 1)[1]
+    names = set()
+    for line in table.split("\n\n", 1)[0].splitlines()[1:]:
+        names.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    assert names == {f.name for f in fields(RunConfig)}
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     res = run_cli("solve", "--config", str(tmp_path / "absent.cfg"))
     assert res.returncode == 2
@@ -602,6 +694,8 @@ def test_table_with_negative_momenta_is_config_error(tmp_path):
     ("kernel", "transition = custom\nomega = 1\nalpha = 0"),
     ("solve", "alpha = 1e200"),
     ("solve", "dt = 1e-300\nforce = true"),
+    ("sweep", "state = squeezed_concentrated\nr = 0.5\nq = 0.1, 0, 0\n"
+              "sweep_values = 0.5"),
 ], ids=["rates-alpha-0", "rates-fit-window-outside",
         "rates-fit-window-too-few-points", "sweep-alpha-0",
         "sweep-values-not-numbers", "solve-d-along-q",
@@ -609,7 +703,7 @@ def test_table_with_negative_momenta_is_config_error(tmp_path):
         "solve-squeezed-amplitude-nan", "solve-squeezed-r-overflows",
         "solve-squeezed-general", "kernel-squeezed-general",
         "rates-custom-alpha-0", "kernel-hydrogen-alpha-0",
-        "solve-omega-overflows", "solve-grid-overflows"])
+        "solve-omega-overflows", "solve-grid-overflows", "sweep-squeezed"])
 def test_bad_config_is_config_error_in_every_mode(tmp_path, mode, lines):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"alpha = 0.5\ndt = 0.1\ntmax = 1\n{lines}\n")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -360,6 +361,23 @@ def test_squeeze_params_validation():
                       wavepacket=lambda p: p)
 
 
+def test_squeeze_params_cannot_change_after_its_checks():
+    with pytest.raises(FrozenInstanceError):
+        _squeeze().r = 1e3
+
+
+def test_squeeze_params_arrays_are_read_only_copies():
+    q = np.array([1.0, 0.0, 0.0])
+    sq = _squeeze(q=q)
+    with pytest.raises(ValueError):
+        sq.q[0] = 0.0
+    with pytest.raises(ValueError):
+        sq.d[0] = 1.0
+    # the caller's array is its own: writable, and not read by the record
+    q[0] = 2.0
+    assert sq.q.tolist() == [1.0, 0.0, 0.0]
+
+
 def _squeeze(**changes):
     args = dict(r=0.5, q=np.array([1.0, 0.0, 0.0]),
                 d=np.array([0.0, 0.0, 1.0]))
@@ -394,6 +412,10 @@ def _peaked_at(peak):
                  id="q-nan"),
     pytest.param(lambda: _squeeze(q=np.array([math.inf, 0.0, 0.0])),
                  id="q-inf"),
+    pytest.param(lambda: _squeeze(d=np.array([0.0, 0.0, math.nan])),
+                 id="d-nan"),
+    pytest.param(lambda: _squeeze(d=np.array([0.0, math.inf, 1.0])),
+                 id="d-inf"),
     pytest.param(lambda: _packet(0.0), id="width-zero"),
     pytest.param(lambda: _packet(-1.0), id="width-negative"),
     pytest.param(lambda: _packet(math.nan), id="width-nan"),
@@ -472,6 +494,18 @@ def test_squeezed_general_converges_to_concentrated():
     # last pair is required to shrink monotonically
     assert errs[2] < errs[1]
     assert max(errs) < 0.02 * scale
+
+
+def test_amplitude_scales_the_general_pair_term():
+    # amplitude is the overall pair amplitude of both forms
+    chi = hydrogen_chi(1.0)
+    q, d = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+    packet = dict(wavepacket=_gaussian_packet(q, d, 1.0), wavepacket_width=1.0)
+    one = squeezed_delta_general(0.8, 0.3, _squeeze(**packet), chi)
+    five = squeezed_delta_general(0.8, 0.3, _squeeze(amplitude=5.0, **packet),
+                                  chi)
+    assert one != 0.0
+    assert five == 5.0 * one
 
 
 def test_squeezed_general_requires_wavepacket():
