@@ -35,9 +35,9 @@ SUMMARY_KEYS = ("gamma_markov", "gamma_pole", "pole_re", "pole_im",
 
 # largest grid a solve may request without --force; physical-alpha hydrogen
 # needs ~1e13 steps (decay time 1/gamma ~ alpha^-5 vs kernel memory ~ 1/alpha).
-# 2e5 trapezoid steps of hydrogen at the default dt solve in 0.3-0.4 s once
-# their lags are known, but tabulating them takes 13 min: 4 ms per lag on
-# average out to alpha tau = 6600, 0.75 ms up to 40 (2-vCPU Xeon).
+# 2e5 trapezoid steps solve in 0.063 s once their lags are in the kernel's
+# memo (closed-form kernel, 2-vCPU Xeon), but tabulating hydrogen's takes
+# 13 min: 4 ms per lag on average out to alpha tau = 6600, 0.75 ms up to 40.
 _MAX_SOLVE_STEPS = 200_000
 
 

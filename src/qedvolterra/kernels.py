@@ -210,13 +210,14 @@ def vacuum_kernel(tau: float, rho: SpectralDensity) -> complex:
     return complex(amp * rho.scale * s1.real, amp * rho.scale * s1.imag)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SqueezeParams:
     """Squeezed-state parameters: amplitude r, carrier q, polarization d.
 
     ``d`` is normalized at construction and must be orthogonal to ``q``;
     both are stored as read-only copies, so the record cannot change after
-    its checks.  ``amplitude`` scales the pair term of both forms.
+    its checks, and it compares and hashes by identity.  ``amplitude``
+    scales the pair term of both forms.
     ``wavepacket`` (complex-vector-valued function of the momentum 3-vector)
     with its momentum ``wavepacket_width`` enables the general-form kernel;
     the concentrated form needs only (r, q, d, amplitude).

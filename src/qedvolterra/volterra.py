@@ -22,7 +22,7 @@ left inside a leaf is linear in its unknown c values, so each leaf is one
 lower-triangular linear system instead of a loop of steps.  For a
 stationary kernel the whole scheme is one lower-triangular Toeplitz
 recurrence: its known terms are summed once for the whole grid, and each
-leaf of 256 steps is solved by one convolution with an inverse that all
+leaf of 1024 steps is solved by one FFT product with an inverse that all
 leaves share.  A non-stationary leaf of 64 steps is one
 ``np.linalg.solve``.  The implicit diagonal weight is checked at every
 grid time.  The module needs numpy only; scipy is never imported here.
@@ -205,22 +205,25 @@ _TRAPEZOID_BETA = np.array([0.5, 0.5])
 _GREGORY_BETA = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
 
 # three 50k-step stationary solves (trapezoid, Gregory-4, integral form;
-# 2-vCPU Xeon VM, median of 11) take 0.204, 0.161, 0.148, 0.159 and
-# 0.167 s with leaves of 64 to 1024 steps: past 256 the O(leaf^2) inverse
-# and convolutions cost more than the fewer FFT blocks save
-_TOEPLITZ_LEAF = 256
+# 2-vCPU Xeon VM, median of 11) take 0.053, 0.044, 0.039, 0.037 and
+# 0.041 s with leaves of 256 to 4096 steps, but below 20k steps 2048 loses
+# to 1024 (a 2000-step Gregory-4 solve: 1.8 ms against 0.8 ms)
+_TOEPLITZ_LEAF = 1024
 
 
 def _toeplitz_inverse(a):
     """First column of A^-1 for the lower-triangular Toeplitz A whose first
-    column is ``a``; A^-1 is lower-triangular Toeplitz too.  Its entry i,
-    taken by forward substitution, reads a_0 .. a_i only."""
+    column is ``a``; A^-1 is lower-triangular Toeplitz too.  Newton doubling
+    extends its first h entries x to 2h: with a * x = 1 + z^h r, the next h
+    are -(x * r), both products direct convolutions.  Entry i reads
+    a_0 .. a_i only."""
     if a[0] == 0.0:
         raise SolverError("leaf system is singular (zero diagonal)")
-    x = np.empty(len(a), dtype=complex)
-    x[0] = 1.0 / a[0]
-    for i in range(1, len(a)):
-        x[i] = -np.dot(a[i:0:-1], x[:i]) / a[0]
+    x = np.array([1.0 / a[0]], dtype=complex)
+    while len(x) < len(a):
+        h, k = len(x), min(2 * len(x), len(a))
+        r = np.convolve(a[1:k], x, "valid")
+        x = np.concatenate((x, -np.convolve(x[:k - h], r)[:k - h]))
     return x
 
 
@@ -232,9 +235,9 @@ def _solve_toeplitz(c, start, phi, W, scale, ends, beta):
     v = -scale * w * W with the lag-end weights w, plus the terms of the
     known c_0 .. c_{start-1}, summed once for the whole grid into x, where
     the far field is then added.  Each leaf's system is a leading block of
-    one Toeplitz matrix, so all share one inverse column: one convolution
-    solves a leaf from its far field, c_{s-1} and the phi tail before it,
-    and one more gives its own tail.
+    one Toeplitz matrix, so all share one inverse column: one FFT product
+    with its transform solves a leaf from its far field, c_{s-1} and the phi
+    tail before it, and one convolution gives its own tail.
     """
     finite = np.isfinite(W)
     if not finite.all():
@@ -257,15 +260,15 @@ def _solve_toeplitz(c, start, phi, W, scale, ends, beta):
     hist = _HistorySum(W[:n], x, _TOEPLITZ_LEAF)
     v = -scale * W[:min(_TOEPLITZ_LEAF, n)]
     v[0] *= ends[0]
-    if beta is None:
-        a = -v
-    else:
-        a = -np.convolve(v, beta)[:len(v)]
-        a[1:2] -= 1.0
+    # a stepping scheme's A = (I - S) F, S the unit shift: F's first column
+    # 1 + cumsum(-v * beta) is near I, so F^-1 keeps its digits, and A^-1's
+    # column is the running sum of F^-1's, each entry rounded once
+    a = -v if beta is None else np.cumsum(-np.convolve(v, beta)[:len(v)])
     a[0] += 1.0
-    # an entry that overflows makes every row from its own on non-finite in
-    # each leaf, as a step loop's overflowing c would
     inverse = _toeplitz_inverse(a)
+    if beta is not None:
+        inverse[1:] = inverse[0] + np.cumsum(inverse[1:])
+    inverse_fft = np.fft.fft(inverse, 2 * len(inverse))
     q = len(phi)
     # the last q rows of v * x over a full leaf, as one 'valid' convolution
     tail = np.concatenate((np.zeros(q - 1), v)) if q else None
@@ -276,9 +279,15 @@ def _solve_toeplitz(c, start, phi, W, scale, ends, beta):
             rhs = p + c[0]
         else:
             # rhs_i = sum_q beta_q phi_{i-q}, phi of earlier leaves carried
-            rhs = np.convolve(np.concatenate((phi, p)), beta)[q:q + m]
+            ext = np.concatenate((phi, p))
+            rhs = sum(b * ext[q - i:q - i + m] for i, b in enumerate(beta))
             rhs[0] += c[start + lo - 1]
-        x[lo:lo + m] = np.convolve(inverse[:m], rhs)[:m]
+        y = np.fft.ifft(inverse_fft * np.fft.fft(rhs, len(inverse_fft)))
+        # a non-finite inverse or rhs entry reaches every row of a transform;
+        # the direct product keeps the rows before it as the step loops do
+        if not np.isfinite(y[:m]).all():
+            y = np.convolve(inverse[:m], rhs)
+        x[lo:lo + m] = y[:m]
         if q and lo + m < n:
             phi = p[m - q:] + np.convolve(tail, x[lo:lo + m], "valid")
 

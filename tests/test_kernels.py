@@ -366,6 +366,14 @@ def test_squeeze_params_cannot_change_after_its_checks():
         _squeeze().r = 1e3
 
 
+def test_squeeze_params_compare_and_hash_by_identity():
+    # the record holds arrays, so a field-wise == or hash could not answer
+    sq1, sq2 = _squeeze(), _squeeze()
+    assert sq1 == sq1 and sq1 != sq2
+    assert hash(sq1) == hash(sq1)
+    assert {sq1, sq2, sq1} == {sq1, sq2}
+
+
 def test_squeeze_params_arrays_are_read_only_copies():
     q = np.array([1.0, 0.0, 0.0])
     sq = _squeeze(q=q)

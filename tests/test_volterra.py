@@ -4,13 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qedvolterra import KernelEvaluator, ModelParams, SolverError, \
     SqueezeParams, TimeGrid, compute_Z, estimate_order, hydrogen_chi, \
     hydrogen_density, make_kernel, solve_ide, solve_integral_form, \
     squeezed_delta_concentrated
 from qedvolterra.volterra import _TOEPLITZ_LEAF, ZKernel, _HistorySum, \
-    _gregory_weights, _history_split, _solve_gregory4, _solve_trapezoid
+    _gregory_weights, _history_split, _solve_gregory4, _solve_trapezoid, \
+    _toeplitz_inverse
 
 
 def const_kernel(value=1.0):
@@ -423,24 +425,12 @@ def test_truncated_block_far_field_matches_direct_sums(leaf, n):
         assert abs(far[k] - want) <= 1e-12 * scale, k
 
 
-def damped_kernel():
-    return KernelEvaluator(
-        None, stationary=True, label="damped",
-        tau_fn=lambda lag: cmath.exp(complex(-0.3, 1.1) * abs(lag)))
+def damped_kernel(rate=complex(-0.3, 1.1)):
+    return KernelEvaluator(None, stationary=True, label="damped",
+                           tau_fn=lambda lag: cmath.exp(rate * abs(lag)))
 
 
-@pytest.mark.parametrize("n_steps", sorted(
-    {1, 7, 8, 9, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 3}
-    | {TLEAF, TLEAF + 7, 2 * TLEAF + 7}
-    | {2**p + d for p in range(1, 13) for d in (-1, 1)}))
-def test_leaf_solvers_match_direct_loops(n_steps):
-    # every leaf shape: the first leaf with its known start, full leaves,
-    # and a last leaf of any length.  The stationary leaves start at c_1
-    # (trapezoid, integral form) or c_8 (gregory4), so TLEAF - 1 .. TLEAF + 1
-    # and TLEAF + 7, 2 * TLEAF + 7 end around a leaf boundary of each
-    params = ModelParams(alpha=0.37, omega=0.61)
-    grid = TimeGrid(dt=0.01, n_steps=n_steps)
-    kernel = damped_kernel()
+def assert_stationary_solvers_match_direct_loops(kernel, params, grid):
     W = kernel.tau_values(grid.times) * np.exp(1j * params.omega * grid.times)
     z = compute_Z(kernel, params, grid)
     pairs = [(solve_ide(kernel, params, grid, "trapezoid").values,
@@ -452,6 +442,32 @@ def test_leaf_solvers_match_direct_loops(n_steps):
     for fast, slow in pairs:
         scale = max(1.0, np.max(np.abs(slow)))
         assert np.max(np.abs(fast - slow)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n_steps", sorted(
+    {1, 7, 8, 9, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 3}
+    | {TLEAF, TLEAF + 7, 2 * TLEAF + 7}
+    | {2**p + d for p in range(1, 13) for d in (-1, 1)}))
+def test_leaf_solvers_match_direct_loops(n_steps):
+    # every leaf shape: the first leaf with its known start, full leaves,
+    # and a last leaf of any length.  The stationary leaves start at c_1
+    # (trapezoid, integral form) or c_8 (gregory4), so TLEAF - 1 .. TLEAF + 1
+    # and TLEAF + 7, 2 * TLEAF + 7 end around a leaf boundary of each
+    assert_stationary_solvers_match_direct_loops(
+        damped_kernel(), ModelParams(alpha=0.37, omega=0.61),
+        TimeGrid(dt=0.01, n_steps=n_steps))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 3 * TLEAF), st.floats(0.01, 2.0),
+       st.floats(-3.0, 3.0))
+@example(TLEAF + 8, 0.3, 1.1)
+@example(3 * TLEAF, 0.01, -3.0)
+def test_stationary_solvers_match_direct_loops(n_steps, a, b):
+    # S(tau) = e^{(-a + ib)|tau|}, any grid length up to three leaves
+    assert_stationary_solvers_match_direct_loops(
+        damped_kernel(complex(-a, b)), ModelParams(alpha=0.37, omega=0.61),
+        TimeGrid(dt=0.01, n_steps=n_steps))
 
 
 @pytest.mark.parametrize("method", ["trapezoid", "gregory4"])
@@ -550,10 +566,13 @@ def test_singular_leaf_system_is_a_solver_error():
 
 
 def test_nan_lag_inside_a_later_toeplitz_leaf():
-    # NaN lags from k = 601 on, in the third leaf of every solver: c is NaN
-    # from exactly that row, and the rows before it are the step loops'
+    # NaN lags from k = 2 * TLEAF + 89 on, in the third leaf of every
+    # solver: c is NaN from exactly that row, and the rows before it are
+    # the step loops'
+    first_nan = 2 * TLEAF + 89
+
     def tau_fn(lag):
-        return complex(math.exp(-lag)) if abs(lag) < 60.05 \
+        return complex(math.exp(-lag)) if abs(lag) < (first_nan - 0.5) * 0.1 \
             else complex("nan")
 
     kernel = KernelEvaluator(None, stationary=True, label="nan-tail",
@@ -570,7 +589,7 @@ def test_nan_lag_inside_a_later_toeplitz_leaf():
             (solve_integral_form(z, grid).values,
              direct_integral_form(z.values, grid.dt))):
         first = int(np.argmin(np.isfinite(got)))
-        assert first == 601 and np.isnan(got[first:]).all()
+        assert first == first_nan and np.isnan(got[first:]).all()
         np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
         assert np.max(np.abs(got[:first] - want[:first])) <= 1e-12
 
@@ -592,6 +611,61 @@ def test_leaf_inverse_overflowing_part_way():
     assert np.isnan(got[104:]).all()
     assert np.max(np.abs(got[:103] - want[:103])
                   / np.abs(want[:103])) <= 1e-12
+
+
+def test_gregory4_meets_the_closed_form_to_rounding():
+    # the discretisation error is below 1e-14 at this dt, so the bound is
+    # on rounding: 1.3e-14 measured over 20 leaves, against 1.05e-13 with
+    # each leaf's inverse taken from its own matrix A, not from A's near-I
+    # factor F
+    params = ModelParams(alpha=0.1, omega=0.5)
+    grid = TimeGrid(dt=1e-3, n_steps=20000)
+    got = solve_ide(exp_kernel(), params, grid, "gregory4").values
+    exact = exp_kernel_reference(params.alpha, params.omega, grid.times)
+    assert np.max(np.abs(got - exact)) <= 3e-14
+
+
+def forward_substitution_inverse(a):
+    """Slow-path oracle: the first column of A^-1 for the lower-triangular
+    Toeplitz A of first column ``a``, one O(i) dot per entry."""
+    x = np.empty(len(a), dtype=complex)
+    x[0] = 1.0 / a[0]
+    for i in range(1, len(a)):
+        x[i] = -np.dot(a[i:0:-1], x[:i]) / a[0]
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 100, 255, 257, 1000,
+                               TLEAF, TLEAF + 1, 3000])
+def test_toeplitz_inverse_matches_forward_substitution(n):
+    rng = np.random.default_rng(n)
+    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    # a diagonally dominant column, and a leaf system's 1 - z + O(dt^2)
+    # of a damped kernel, whose inverse is nearly a running sum of ones
+    dominant = noise * 0.25 ** np.arange(n)
+    dominant[0] += 5.0
+    damped = 1e-4 * np.exp(complex(-0.3, 1.1) * 0.01 * np.arange(n))
+    for a in (dominant, np.r_[1.0, -1.0, np.zeros(n)][:n] + damped):
+        x = _toeplitz_inverse(a)
+        want = forward_substitution_inverse(a)
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_toeplitz_inverse_overflowing_column():
+    # 1 - 1000 z: the inverse is 1000^i, finite up to i = 102
+    a = np.zeros(300, dtype=complex)
+    a[:2] = 1.0, -1000.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _toeplitz_inverse(a)
+    assert np.isfinite(x[:103]).all() and not np.isfinite(x[103:]).any()
+    np.testing.assert_allclose(x[:103].real, 1000.0 ** np.arange(103),
+                               rtol=1e-13)
+    assert not x[:103].imag.any()
+
+
+def test_toeplitz_inverse_refuses_a_zero_diagonal():
+    with pytest.raises(SolverError, match="singular"):
+        _toeplitz_inverse(np.array([0.0, 1.0, 2.0], dtype=complex))
 
 
 # tracemalloc's peak over a 50k-step solve, kernel read included, measured
