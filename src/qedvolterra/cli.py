@@ -35,7 +35,7 @@ SUMMARY_KEYS = ("gamma_markov", "gamma_pole", "pole_re", "pole_im",
 
 # largest grid a solve may request without --force; physical-alpha hydrogen
 # needs ~1e13 steps (decay time 1/gamma ~ alpha^-5 vs kernel memory ~ 1/alpha).
-# 2e5 trapezoid steps solve in 0.063 s once their lags are in the kernel's
+# 2e5 trapezoid steps solve in 0.057 s once their lags are in the kernel's
 # memo (closed-form kernel, 2-vCPU Xeon), but tabulating hydrogen's takes
 # 13 min: 4 ms per lag on average out to alpha tau = 6600, 0.75 ms up to 40.
 _MAX_SOLVE_STEPS = 200_000
@@ -360,18 +360,25 @@ def _refuse_oversized(cfg: RunConfig, grid: TimeGrid):
             "--force to insist, or set dt / tmax explicitly")
 
 
+def _write_lines(path: str, lines: list[str]):
+    # an output path that cannot be written is part of the configuration
+    try:
+        Path(path).write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write the output: {exc}") from None
+
+
 def _write_series(series: AmplitudeSeries, path: str):
     lines = ["t,re_c,im_c,abs2_c"]
     for t, c in zip(series.times, series.values):
         lines.append(",".join((_fmt(t), _fmt(c.real), _fmt(c.imag),
                                _fmt(abs(c) ** 2))))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def _write_summary(pairs: list[tuple[str, object]], path: str):
-    lines = [f"{k} = {_fmt(v) if isinstance(v, float) else v}"
-             for k, v in pairs]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, [f"{k} = {_fmt(v) if isinstance(v, float) else v}"
+                        for k, v in pairs])
 
 
 def _solve(cfg: RunConfig, params, density, grid: TimeGrid) -> AmplitudeSeries:
@@ -484,8 +491,7 @@ def run(cfg: RunConfig) -> int:
     cfg.validate()
     if cfg.mode == "sweep":
         header = "alpha," + ",".join(SUMMARY_KEYS)
-        Path(cfg.out).write_text("\n".join([header] + _sweep_rows(cfg))
-                                 + "\n")
+        _write_lines(cfg.out, [header] + _sweep_rows(cfg))
         return 0
     params, density = _model(cfg)
     grid = _default_grid(cfg, params, density)
@@ -494,8 +500,7 @@ def run(cfg: RunConfig) -> int:
             _refuse_oversized(cfg, grid)
             _write_series(_solve(cfg, params, density, grid), cfg.out)
         elif cfg.mode == "kernel":
-            Path(cfg.out).write_text(
-                "\n".join(_kernel_lines(cfg, params, density, grid)) + "\n")
+            _write_lines(cfg.out, _kernel_lines(cfg, params, density, grid))
         else:
             _write_summary(_rates_pairs(cfg, params, density, grid), cfg.out)
     except MemoryError:

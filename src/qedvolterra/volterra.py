@@ -22,8 +22,9 @@ left inside a leaf is linear in its unknown c values, so each leaf is one
 lower-triangular linear system instead of a loop of steps.  For a
 stationary kernel the whole scheme is one lower-triangular Toeplitz
 recurrence: its known terms are summed once for the whole grid, and each
-leaf of 1024 steps is solved by one FFT product with an inverse that all
-leaves share.  A non-stationary leaf of 64 steps is one
+leaf of 2048 steps is solved by one FFT product with an inverse that all
+leaves share, itself taken by Newton doubling with FFT products (Kung,
+Numer. Math. 22 (1974) 341).  A non-stationary leaf of 64 steps is one
 ``np.linalg.solve``.  The implicit diagonal weight is checked at every
 grid time.  The module needs numpy only; scipy is never imported here.
 """
@@ -31,6 +32,7 @@ grid time.  The module needs numpy only; scipy is never imported here.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -59,8 +61,12 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        try:
+            operator.index(self.n_steps)
+        except TypeError:
+            raise ValueError("n_steps must be an integer") from None
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
 
@@ -204,26 +210,44 @@ _TRAPEZOID_ENDS = np.array([0.5])
 _TRAPEZOID_BETA = np.array([0.5, 0.5])
 _GREGORY_BETA = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
 
-# three 50k-step stationary solves (trapezoid, Gregory-4, integral form;
-# 2-vCPU Xeon VM, median of 11) take 0.053, 0.044, 0.039, 0.037 and
-# 0.041 s with leaves of 256 to 4096 steps, but below 20k steps 2048 loses
-# to 1024 (a 2000-step Gregory-4 solve: 1.8 ms against 0.8 ms)
-_TOEPLITZ_LEAF = 1024
+# three stationary solves (trapezoid, Gregory-4, integral form; memo warm,
+# 2-vCPU Xeon VM, one process per size, median of 5) take 0.75, 1.62,
+# 1.99, 2.15, 2.52, 3.16, 4.28, 12.8, 35.6 and 177 ms at 500, 2000, 2500,
+# 3000, 4000, 5000, 8000, 20k, 50k and 200k steps; 1024-step leaves with a
+# direct O(L^2) inverse took 0.77, 1.66, 2.04, 2.14, 2.52, 3.16, 4.81,
+# 14.5, 39.0 and 193 ms.  With the FFT inverse, 1024 wins up to 5000 steps
+# (1.45 ms at 2000) and 4096 from 20k on, but 4096 is 30-50 % slower at
+# 2500-5000 steps
+_TOEPLITZ_LEAF = 2048
 
 
 def _toeplitz_inverse(a):
     """First column of A^-1 for the lower-triangular Toeplitz A whose first
     column is ``a``; A^-1 is lower-triangular Toeplitz too.  Newton doubling
-    extends its first h entries x to 2h: with a * x = 1 + z^h r, the next h
-    are -(x * r), both products direct convolutions.  Entry i reads
-    a_0 .. a_i only."""
+    extends its first h entries x to k <= 2h: with a * x = 1 + z^h r, the
+    next k - h are -(x * r).  Below h = 256 both products are direct
+    convolutions.  From there on each is one circular FFT product of
+    length 2h (Kung, Numer. Math. 22 (1974) 341): r is the middle product,
+    whose wrapped part lands below h, and the second reuses fft(x).  Its
+    rounding is relative to the largest entry, as in the leaf product.  A
+    doubling whose FFT output is not finite is redone directly, so an
+    overflow or a non-finite a_i reaches no entry before i, as in forward
+    substitution."""
     if a[0] == 0.0:
         raise SolverError("leaf system is singular (zero diagonal)")
     x = np.array([1.0 / a[0]], dtype=complex)
     while len(x) < len(a):
         h, k = len(x), min(2 * len(x), len(a))
-        r = np.convolve(a[1:k], x, "valid")
-        x = np.concatenate((x, -np.convolve(x[:k - h], r)[:k - h]))
+        if h >= 256:
+            # an overflowing transform is redone directly below
+            with np.errstate(over="ignore", invalid="ignore"):
+                fx = np.fft.fft(x, 2 * h)
+                r = np.fft.ifft(np.fft.fft(a[:k], 2 * h) * fx)[h:k]
+                new = -np.fft.ifft(fx * np.fft.fft(r, 2 * h))[:k - h]
+        if h < 256 or not np.isfinite(new).all():
+            r = np.convolve(a[1:k], x, "valid")
+            new = -np.convolve(x[:k - h], r)[:k - h]
+        x = np.concatenate((x, new))
     return x
 
 
@@ -268,7 +292,9 @@ def _solve_toeplitz(c, start, phi, W, scale, ends, beta):
     inverse = _toeplitz_inverse(a)
     if beta is not None:
         inverse[1:] = inverse[0] + np.cumsum(inverse[1:])
-    inverse_fft = np.fft.fft(inverse, 2 * len(inverse))
+    # power-of-two transforms: a short grid's leaf can have a large prime
+    # length, which pocketfft would take by the slower Bluestein route
+    inverse_fft = np.fft.fft(inverse, 2 << (len(inverse) - 1).bit_length())
     q = len(phi)
     # the last q rows of v * x over a full leaf, as one 'valid' convolution
     tail = np.concatenate((np.zeros(q - 1), v)) if q else None
@@ -282,7 +308,11 @@ def _solve_toeplitz(c, start, phi, W, scale, ends, beta):
             ext = np.concatenate((phi, p))
             rhs = sum(b * ext[q - i:q - i + m] for i, b in enumerate(beta))
             rhs[0] += c[start + lo - 1]
-        y = np.fft.ifft(inverse_fft * np.fft.fft(rhs, len(inverse_fft)))
+        size = 2 << (m - 1).bit_length()
+        # a short last leaf takes a transform no longer than it needs
+        w = inverse_fft if size == len(inverse_fft) \
+            else np.fft.fft(inverse[:m], size)
+        y = np.fft.ifft(w * np.fft.fft(rhs, size))
         # a non-finite inverse or rhs entry reaches every row of a transform;
         # the direct product keeps the rows before it as the step loops do
         if not np.isfinite(y[:m]).all():

@@ -714,6 +714,19 @@ def test_bad_config_is_config_error_in_every_mode(tmp_path, mode, lines):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("mode", ["kernel", "solve", "rates", "sweep"])
+@pytest.mark.parametrize("out", ["absent-dir/o.csv", "."])
+def test_unwritable_out_is_config_error(tmp_path, capsys, mode, out):
+    # a missing directory, or a directory given as the file: the run ends
+    # in exit 2, not in a traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 0.5\ndt = 0.1\ntmax = 5\nsweep_values = 0.5\n")
+    assert main([mode, "--config", str(cfg),
+                 "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write the output")
+
+
 @pytest.mark.parametrize("tmax", ["-1", "0"])
 def test_nonpositive_tmax_without_dt_is_config_error(tmp_path, tmax):
     # with no dt there is no tmax > dt check to catch it

@@ -430,6 +430,11 @@ def _peaked_at(peak):
     pytest.param(lambda: _packet(math.inf), id="width-inf"),
     pytest.param(lambda: _peaked_at(math.inf), id="peak-inf"),
     pytest.param(lambda: _peaked_at(math.nan), id="peak-nan"),
+    pytest.param(lambda: TimeGrid(dt=math.inf, n_steps=10), id="dt-inf"),
+    pytest.param(lambda: TimeGrid(dt=math.nan, n_steps=10), id="dt-nan"),
+    pytest.param(lambda: TimeGrid(dt=0.1, n_steps=2.5),
+                 id="n-steps-fraction"),
+    pytest.param(lambda: TimeGrid(dt=0.1, n_steps=10.0), id="n-steps-float"),
 ])
 def test_constructors_refuse_what_they_cannot_compute(build):
     with pytest.raises(ValueError):

@@ -46,6 +46,11 @@ def test_time_grid():
         TimeGrid(dt=0.1, n_steps=0)
 
 
+def test_time_grid_accepts_numpy_integers():
+    grid = TimeGrid(dt=0.5, n_steps=np.int64(4))
+    assert grid.t_max == 2.0 and len(grid.times) == 5
+
+
 @pytest.mark.parametrize("method", ["trapezoid", "gregory4"])
 def test_decoupled_limit_is_exact(method):
     grid = TimeGrid(dt=0.1, n_steps=50)
@@ -463,8 +468,12 @@ def test_leaf_solvers_match_direct_loops(n_steps):
        st.floats(-3.0, 3.0))
 @example(TLEAF + 8, 0.3, 1.1)
 @example(3 * TLEAF, 0.01, -3.0)
+@example(1021, 0.3, 1.1)
+@example(1028, 0.3, 1.1)
 def test_stationary_solvers_match_direct_loops(n_steps, a, b):
-    # S(tau) = e^{(-a + ib)|tau|}, any grid length up to three leaves
+    # S(tau) = e^{(-a + ib)|tau|}, any grid length up to three leaves.  The
+    # first leaf of the trapezoid at 1021 steps, and of gregory4 at 1028,
+    # has the prime length 1021
     assert_stationary_solvers_match_direct_loops(
         damped_kernel(complex(-a, b)), ModelParams(alpha=0.37, omega=0.61),
         TimeGrid(dt=0.01, n_steps=n_steps))
@@ -635,8 +644,9 @@ def forward_substitution_inverse(a):
     return x
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 100, 255, 257, 1000,
-                               TLEAF, TLEAF + 1, 3000])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 100, 255, 256, 257,
+                               1000, TLEAF, TLEAF + 1, 3000, 2 * TLEAF,
+                               2 * TLEAF + 3])
 def test_toeplitz_inverse_matches_forward_substitution(n):
     rng = np.random.default_rng(n)
     noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -661,6 +671,18 @@ def test_toeplitz_inverse_overflowing_column():
     np.testing.assert_allclose(x[:103].real, 1000.0 ** np.arange(103),
                                rtol=1e-13)
     assert not x[:103].imag.any()
+
+
+def test_toeplitz_inverse_redoes_an_overflowing_fft_doubling():
+    # 1e-306 (1 - z): every entry of the inverse is 1e306, but from 256
+    # entries on the transform of x overflows.  Each such doubling is
+    # redone directly, and no warning is raised
+    a = np.zeros(2 * TLEAF + 3, dtype=complex)
+    a[:2] = 1e-306, -1e-306
+    x = _toeplitz_inverse(a)
+    want = forward_substitution_inverse(a)
+    assert np.isfinite(x).all()
+    assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_toeplitz_inverse_refuses_a_zero_diagonal():
