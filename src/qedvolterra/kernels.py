@@ -48,9 +48,11 @@ class SpectralDensity:
     scale of the density.  ``analytic_extension`` evaluates rho at complex
     argument and is required by the resonance-pole search.
 
-    ``shape = (rho1, amplitude)`` declares rho(p) = amplitude *
-    rho1(p / scale) up to rounding; the Laplace side reads rho1 in units of
-    ``scale``, one call for every density that shares it.
+    ``shape = (rho1, amplitude, peak1)`` declares rho(p) = amplitude *
+    rho1(p / scale) up to rounding, where rho1 peaks at x = peak1; the
+    Laplace side reads rho1 in units of ``scale``, one call and one
+    truncation ladder for every density that shares it (peak / scale can
+    miss peak1 by an ulp).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -79,11 +81,13 @@ class SpectralDensity:
         if not math.isfinite(self.peak):
             raise ValueError("peak must be finite")
         if self.shape is not None:
-            rho1, amplitude = self.shape
+            rho1, amplitude, peak1 = self.shape
             if not callable(rho1):
                 raise ValueError("shape function must be callable")
             if not 0.0 < amplitude < math.inf:
                 raise ValueError("shape amplitude must be finite and > 0")
+            if not math.isfinite(peak1):
+                raise ValueError("shape peak must be finite")
 
     def __call__(self, p):
         p = np.asarray(p, dtype=float)
@@ -116,6 +120,10 @@ def _hydrogen_unit(x):
     return hydrogen_vacuum_density(x, 1.0)
 
 
+# where _hydrogen_unit peaks
+_HYDROGEN_PEAK = math.sqrt(9.0 / 28.0)
+
+
 def hydrogen_density(alpha: float) -> SpectralDensity:
     """Spectral density of the hydrogen 2P -> 1S transition in vacuum,
     rho_alpha(p) = alpha^3 rho_1(p / alpha): declared as a shape where
@@ -131,10 +139,10 @@ def hydrogen_density(alpha: float) -> SpectralDensity:
         fn=lambda p: hydrogen_vacuum_density(p, alpha),
         label=f"hydrogen_vacuum(alpha={alpha:g})",
         scale=alpha,
-        peak=alpha * math.sqrt(9.0 / 28.0),
+        peak=alpha * _HYDROGEN_PEAK,
         decay_order=7.0,
         analytic_extension=ext,
-        shape=(_hydrogen_unit, amplitude)
+        shape=(_hydrogen_unit, amplitude, _HYDROGEN_PEAK)
         if 0.0 < amplitude < math.inf else None,
     )
 
@@ -185,12 +193,14 @@ def density_from_table(table, tail_order: float,
 
 def _own_units(rho: SpectralDensity) -> tuple:
     """(rho1, A, peak, decay_order, decay_rate) of rho(p) = A rho1(p / scale)
-    in x = p / scale: rho1 is the shape, or a fresh fn(scale x) at A = 1."""
+    in x = p / scale: rho1, A and peak are the shape's, or a fresh
+    fn(scale x) at A = 1 with peak / scale."""
     lam = rho.scale
     if lam == 0.0:
         raise ValueError("a density of scale 0 has no units to transform in")
-    rho1, amplitude = rho.shape or ((lambda x: rho.fn(lam * x)), 1.0)
-    return (rho1, amplitude, rho.peak / lam, rho.decay_order,
+    rho1, amplitude, peak = rho.shape or ((lambda x: rho.fn(lam * x)), 1.0,
+                                          rho.peak / lam)
+    return (rho1, amplitude, peak, rho.decay_order,
             None if rho.decay_rate is None else rho.decay_rate * lam)
 
 

@@ -66,8 +66,8 @@ def _cauchy_transform(rho, ss: list, cfg: QuadConfig = _CAUCHY_CFG,
 
     ``rho`` is one density for every point, or a sequence of densities, one
     per point.  Each transform runs in its density's own units: with
-    rho(p) = A rho1(p / lam), lam = ``scale`` (``shape = (rho1, A)``, or
-    rho1(x) = fn(lam x) and A = 1), it is A S1(z), z = s / lam, where
+    rho(p) = A rho1(p / lam), lam = ``scale`` (``shape = (rho1, A, peak1)``,
+    or rho1(x) = fn(lam x) and A = 1), it is A S1(z), z = s / lam, where
     S1(z) = integral_0^inf rho1(x)/(z + ix) dx; the ladder, the near-pole
     window and the tolerances act on S1, relative to the problem.  Near the
     cut (|Re z| < 0.05), the Lorentzian at x* = -Im z is handled by
@@ -79,7 +79,8 @@ def _cauchy_transform(rho, ss: list, cfg: QuadConfig = _CAUCHY_CFG,
     group; a density without a shape is a group of its own.  Each
     refinement step makes one rho1 call per group, on its slice of the
     nodes.  The points of a group whose densities agree on the peak and
-    decay in x walk one truncation ladder (each takes the first rung below
+    decay in x (a shape's peak1, so hydrogen at every alpha) walk one
+    truncation ladder (each takes the first rung below
     its own 0.1 abs_tol max(|z|, 1)), and one rho1 call gives the group's
     near-pole values.  Each transform keeps its own truncation point and
     branch and sums its pieces in its own order, so the values do not

@@ -2,9 +2,11 @@
 
 Two entry points:
 
-* :func:`integrate_finite` -- globally adaptive Gauss quadrature on [a, b]
-  for complex integrands, with a paired 7/15-point rule for error control.
-  It is the one-problem case of the private :func:`_integrate_many`, which
+* :func:`integrate_finite` -- globally adaptive quadrature on [a, b] for
+  complex integrands, by the Gauss-Kronrod 7/15 pair of QUADPACK's qk15
+  (Piessens et al. 1983): 15 integrand values per interval give the value
+  and, through the 7 Gauss nodes among them, the error estimate.  It is
+  the one-problem case of the private :func:`_integrate_many`, which
   advances many such integrals in lockstep, one integrand call per step.
 * :func:`oscillatory_halfline` -- integrals of the form
   integral_0^inf g(p) exp(-i p tau) dp for envelopes with declared decay.
@@ -21,20 +23,49 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-_X7, _W7 = leggauss(7)
 _X15, _W15 = leggauss(15)
-# the 15- and 7-point nodes of one interval, in the order f sees them
-_X22 = np.concatenate([_X15, _X7])
+
+
+def _mirrored(half, sign):
+    """A symmetric table from its entries at x >= 0, from +1 down to 0."""
+    return np.concatenate([half, sign * half[-2::-1]])
+
+
+# the Gauss-Kronrod 7/15 pair of QUADPACK's qk15 (Piessens et al. 1983),
+# as scipy tabulates it: the 15 Kronrod nodes from +1 down to -1 and their
+# weights.  The odd nodes _XK[1::2] are the 7 Gauss-Legendre nodes, and _WG
+# their Gauss weights
+_XK = _mirrored(np.array([0.991455371120812639206854697526329,
+                          0.949107912342758524526189684047851,
+                          0.864864423359769072789712788640926,
+                          0.741531185599394439863864773280788,
+                          0.586087235467691130294144838258730,
+                          0.405845151377397166906606412076961,
+                          0.207784955007898467600689403773245, 0.0]), -1.0)
+_WK = _mirrored(np.array([0.022935322010529224963732008058970,
+                          0.063092092629978553290700663189204,
+                          0.104790010322250183839876322541518,
+                          0.140653259715525918745189590510238,
+                          0.169004726639267902826583426598550,
+                          0.190350578064785409913256402421014,
+                          0.204432940075298892414161999234649,
+                          0.209482141084727828012999174891714]), 1.0)
+_WG = _mirrored(np.array([0.129484966168869693270611432679082,
+                          0.279705391489276667901467771423780,
+                          0.381830050505118944950369775488975,
+                          0.417959183673469387755102040816327]), 1.0)
 # complex weights for np.vecdot, so no row is cast on each call
-_W15C, _W7C = _W15.astype(complex), _W7.astype(complex)
+_WKC, _WGC = _WK.astype(complex), _WG.astype(complex)
 # the zeros that scale (im, re) in h * (re + i im) taken as a scalar
 _SIGNED_ZERO = np.array([-0.0, 0.0])
 
-# problems that advance together in one lockstep batch of _integrate_many.
-# On a seed-1 24-alpha `qedvolterra sweep`, with one density call per step,
-# batches of 96, 128 and 256 allocated at most 0.70, 0.80 and 1.24 MiB at
-# once (tracemalloc), and 128 ran fastest in a fresh process (2-vCPU Xeon)
-_LOCKSTEP_PROBLEMS = 128
+# problems that advance together in one lockstep batch of _integrate_many,
+# at 30 nodes per problem and step.  A seed-1 24-alpha `qedvolterra sweep`
+# hands it 48, 384, 384 and 336 problems; caps of 96, 128, 160, 192, 256
+# and 384 ran it in 40.3, 37.9, 37.8, 36.0, 35.9 and 39.0 ms (median of 25
+# in one process, 2-vCPU Xeon), and 128, 192 and 256 allocated at most
+# 0.67, 0.87 and 0.87 MiB at once (tracemalloc)
+_LOCKSTEP_PROBLEMS = 192
 
 _AITKEN_LEVELS = 8
 # the truncation ladder: at most 200 rungs, evaluated 8 per call of g
@@ -62,14 +93,17 @@ DEFAULT_QUAD = QuadConfig()
 
 
 def _rule_estimates(f, a, b, idx):
-    """15-point values and |15-point - 7-point| errors on [a[k], b[k]].
+    """Kronrod 15-point values and |K15 - G7| errors on [a[k], b[k]].
 
-    ``f(p, idx)`` is called once, on the 15 + 7 nodes of every interval;
-    ``idx`` names the problem that owns each node.  Returns two arrays,
-    complex values and float errors, one entry per interval.  ``f`` may
-    return a pair (y, y2), a second component on the same nodes; the values
-    are then an (intervals, 2) array, column 1 the 15-point sums of y2, and
-    the errors are those of y alone.
+    The Gauss-Kronrod pair of QUADPACK's qk15 (Kronrod 1965; Piessens et
+    al. 1983): the 7-point Gauss rule G7 reads the odd ones of the 15
+    Kronrod nodes, so ``f(p, idx)`` is called once, on the 15 nodes of
+    every interval; ``idx`` names the problem that owns each node.  The
+    error is the plain |K15 - G7|, without QUADPACK's rescaling.  Returns
+    two arrays, complex values and float errors, one entry per interval.
+    ``f`` may return a pair (y, y2), a second component on the same nodes;
+    the values are then an (intervals, 2) array, column 1 the K15 sums of
+    y2, and the errors are those of y alone.
 
     Each row's weighted sum is ``np.vecdot`` with complex weights, which
     sums every row in the same order as a per-row ``np.dot``, so the sums
@@ -83,17 +117,17 @@ def _rule_estimates(f, a, b, idx):
     (h im underflowing, say) and where the other part is not finite.
     """
     halves = 0.5 * (b - a)
-    nodes = (0.5 * (a + b))[:, None] + halves[:, None] * _X22
+    nodes = (0.5 * (a + b))[:, None] + halves[:, None] * _XK
     y = f(nodes.ravel(), idx)
     y, *y2 = y if isinstance(y, tuple) else (y,)
     y = np.asarray(y, dtype=complex).reshape(nodes.shape)
-    # columns: the 15- and 7-point sums of y, then the 15-point sums of y2
+    # columns: the K15 and G7 sums of y, then the K15 sums of y2
     sums = np.empty((len(halves), 2 + len(y2)), dtype=complex)
-    np.vecdot(_W15C, y[:, :15], out=sums[:, 0])
-    np.vecdot(_W7C, y[:, 15:], out=sums[:, 1])
+    np.vecdot(_WKC, y, out=sums[:, 0])
+    np.vecdot(_WGC, y[:, 1::2], out=sums[:, 1])
     if y2:
         y2 = np.asarray(y2[0], dtype=complex).reshape(nodes.shape)
-        np.vecdot(_W15C, y2[:, :15], out=sums[:, 2])
+        np.vecdot(_WKC, y2, out=sums[:, 2])
     # on the (re, im) pairs; x + (-0) im is x - 0 im bit for bit
     parts = sums.view(float).reshape(*sums.shape, 2)
     v = parts * halves[:, None, None]
@@ -114,10 +148,11 @@ def _integrate_many(f, bounds, cfg: QuadConfig = DEFAULT_QUAD) -> list:
     ``f(p, idx)`` is called once on the nodes of all those intervals; the
     integer array ``idx`` (read-only, nondecreasing) holds the problem index
     of each node.  At most ``_LOCKSTEP_PROBLEMS`` problems advance together;
-    a longer list runs as consecutive batches in index order.  Returns one
-    (value, error estimate) per problem, as ``np.complex128`` /
-    ``np.float64``; raises :class:`QuadratureError` for the first problem
-    whose budget runs out before its tolerance is met.
+    a longer list runs as the fewest batches of nearly equal size,
+    consecutive in index order.  Returns one (value, error estimate) per
+    problem, as ``np.complex128`` / ``np.float64``; raises
+    :class:`QuadratureError` for the first problem whose budget runs out
+    before its tolerance is met.
 
     ``f`` may return a pair (y, y2) of arrays on the nodes.  The second
     component is integrated on the same intervals, and its integral follows
@@ -127,8 +162,10 @@ def _integrate_many(f, bounds, cfg: QuadConfig = DEFAULT_QUAD) -> list:
     """
     results = [(0.0 + 0.0j, 0.0)] * len(bounds)
     live = [i for i, (a, b) in enumerate(bounds) if a != b]
-    for k in range(0, len(live), _LOCKSTEP_PROBLEMS):
-        _lockstep(f, bounds, live[k:k + _LOCKSTEP_PROBLEMS], cfg, results)
+    n, n_batches = len(live), -(-len(live) // _LOCKSTEP_PROBLEMS)
+    for k in range(n_batches):
+        lo, hi = n * k // n_batches, n * (k + 1) // n_batches
+        _lockstep(f, bounds, live[lo:hi], cfg, results)
     return results
 
 
@@ -136,7 +173,7 @@ def _lockstep(f, bounds, ids, cfg, results):
     """Run the problems ``ids`` of :func:`_integrate_many` to the end.
 
     Every live problem has exactly ``n_sub`` intervals, so they are the
-    rows of four arrays: ends ``a``, ``b``, 15-point ``value`` and ``error``.
+    rows of four arrays: ends ``a``, ``b``, K15 ``value`` and ``error``.
     ``value`` and the running totals carry one trailing column per
     component of ``f``, and every component is updated with the same
     operations as the first.  A split keeps the left half in the worst
@@ -150,7 +187,7 @@ def _lockstep(f, bounds, ids, cfg, results):
     n = len(ids)
     ends = np.array([bounds[i] for i in ids.tolist()], dtype=float)
     val, err = _rule_estimates(f, ends[:, 0], ends[:, 1],
-                               ids.repeat(_X22.size))
+                               ids.repeat(_XK.size))
     val = val.reshape(n, -1)
     a, b, error = (np.empty((n, 16)) for _ in range(3))
     value = np.empty((n, 16, val.shape[1]), dtype=complex)
@@ -186,8 +223,8 @@ def _lockstep(f, bounds, ids, cfg, results):
             a, b, value, error = (np.concatenate((x, np.empty_like(x)), 1)
                                   for x in (a, b, value, error))
         if idx is None:
-            # both halves of a split (44 nodes) belong to one problem
-            idx = ids.repeat(2 * _X22.size)
+            # both halves of a split (30 nodes) belong to one problem
+            idx = ids.repeat(2 * _XK.size)
             rows = np.arange(len(ids))
         j = _worst(error[:, :n_sub], a[:, :n_sub], b[:, :n_sub])
         ia, ib, ival, ierr = a[rows, j], b[rows, j], value[rows, j], \

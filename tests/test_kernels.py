@@ -84,7 +84,7 @@ def test_kernel_of_the_closed_form_family(n, log_b, theta):
     b = 10.0 ** log_b
     rho = SpectralDensity(
         fn=lambda p: p**n * np.exp(-p / b), scale=b, peak=n * b,
-        decay_rate=1.0 / b, shape=(lambda x: x**n * np.exp(-x), b**n))
+        decay_rate=1.0 / b, shape=(lambda x: x**n * np.exp(-x), b**n, n))
     exact = math.factorial(n) / (1.0 / b + 1j * (theta / b))**(n + 1)
     unit = abs(math.factorial(n) / (1.0 + 1j * theta)**(n + 1))
     got = vacuum_kernel(theta / b, rho)
@@ -156,8 +156,9 @@ def test_hydrogen_density_is_its_shape_at_a_scale(alpha):
     # fn is the formula as written, bit for bit, and the declared shape
     # gives the same density, rho(p) = alpha^3 rho_1(p / alpha), to rounding
     rho = hydrogen_density(alpha)
-    unit, amplitude = rho.shape
+    unit, amplitude, peak1 = rho.shape
     assert unit is _hydrogen_unit and amplitude == alpha * alpha * alpha
+    assert peak1 == math.sqrt(9.0 / 28.0) and rho.peak == alpha * peak1
     p = np.linspace(0.0, 30.0 * alpha, 1200)
     got = rho.fn(p)
     assert got.tobytes() == _hydrogen_formula(p, alpha).tobytes()
@@ -190,7 +191,7 @@ def test_density_refuses_a_bad_shape_or_scale(value):
         return q * np.exp(-q)
 
     with pytest.raises(ValueError, match="shape amplitude must be finite"):
-        SpectralDensity(fn=fn, decay_rate=1.0, shape=(fn, value))
+        SpectralDensity(fn=fn, decay_rate=1.0, shape=(fn, value, 1.0))
     if value == 0.0:
         rho = SpectralDensity(fn=fn, decay_rate=1.0, scale=value)
         with pytest.raises(ValueError, match="scale 0"):
@@ -199,9 +200,15 @@ def test_density_refuses_a_bad_shape_or_scale(value):
         with pytest.raises(ValueError, match="scale must be finite"):
             SpectralDensity(fn=fn, decay_rate=1.0, scale=value)
     with pytest.raises(ValueError, match="shape function must be callable"):
-        SpectralDensity(fn=fn, decay_rate=1.0, shape=(value, 1.0))
+        SpectralDensity(fn=fn, decay_rate=1.0, shape=(value, 1.0, 1.0))
+    if math.isfinite(value):
+        assert SpectralDensity(fn=fn, decay_rate=1.0,
+                               shape=(fn, 1.0, value)).shape[2] == value
+    else:
+        with pytest.raises(ValueError, match="shape peak must be finite"):
+            SpectralDensity(fn=fn, decay_rate=1.0, shape=(fn, 1.0, value))
     assert SpectralDensity(fn=fn, decay_rate=1.0, scale=2.0,
-                           shape=(fn, 0.5)).shape == (fn, 0.5)
+                           shape=(fn, 0.5, 1.0)).shape == (fn, 0.5, 1.0)
 
 
 def test_density_at_a_scalar_reads_the_array_path():

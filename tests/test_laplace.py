@@ -30,10 +30,11 @@ from test_quadrature import finite_at
 
 
 def _own_units(rho):
-    """(rho1, A): the density's shape, or fn(scale x) at amplitude 1."""
+    """(rho1, A, peak1): the density's shape, or fn(scale x) at amplitude 1
+    with peak / scale."""
     if rho.shape is not None:
         return rho.shape
-    return (lambda x: rho.fn(rho.scale * x)), 1.0
+    return (lambda x: rho.fn(rho.scale * x)), 1.0, rho.peak / rho.scale
 
 
 def _scaled(v, a):
@@ -47,12 +48,12 @@ def reference_cauchy_transform(rho, s, cfg=_CAUCHY_CFG, derivative=False):
     A S1(z), z = s / lam, and its derivative A/lam dS1/dz.  Each piece's
     integrand carries its z-derivative -(rho1 - r)/(z + ix)^2 as a second
     component, and the near-pole term its closed form."""
-    unit, amp = _own_units(rho)
+    unit, amp, peak = _own_units(rho)
     lam = rho.scale
     z = complex(s.real / lam, s.imag / lam)
     rate = None if rho.decay_rate is None else rho.decay_rate * lam
     [(X, _)] = _truncation_walk(unit, [0.1 * cfg.abs_tol * max(abs(z), 1.0)],
-                                rho.decay_order, rate, rho.peak / lam)
+                                rho.decay_order, rate, peak)
 
     def subtracted(r):
         def f(x):
@@ -251,14 +252,14 @@ def _logged(rho):
     """rho with the function its transforms read, its shape's or fn,
     recording the size of each call."""
     calls = []
-    unit, amp = rho.shape if rho.shape is not None else (rho.fn, None)
+    unit, *rest = rho.shape if rho.shape is not None else (rho.fn,)
 
     def logged(x):
         calls.append(np.size(x))
         return unit(x)
 
     if rho.shape is not None:
-        return replace(rho, shape=(logged, amp)), calls
+        return replace(rho, shape=(logged, *rest)), calls
     return replace(rho, fn=logged), calls
 
 
@@ -274,9 +275,9 @@ def test_batched_near_pole_values_share_one_density_call(synthetic_density):
         near = [s for s in points if abs(s.real) < 0.05 * rho.scale]
         assert len(near) == 5
         # one ladder call and one rho(p*) call; every other call is a
-        # lockstep step of 22 or 44 nodes per piece
+        # lockstep step of 15 or 30 nodes per piece
         assert calls.count(len(near)) == 1
-        assert all(n % 22 == 0 or n in (8, len(near)) for n in calls)
+        assert all(n % 15 == 0 or n in (8, len(near)) for n in calls)
 
 
 def test_multi_density_cauchy_transform_matches_per_density(
@@ -366,7 +367,7 @@ def _hydrogen_family(alphas):
         calls.append((np.array(x), np.array(val)))
         return val
 
-    return [replace(rho, shape=(unit, rho.shape[1]))
+    return [replace(rho, shape=(unit, *rho.shape[1:]))
             for rho in map(hydrogen_density, alphas)], calls
 
 
@@ -424,15 +425,16 @@ def test_family_cauchy_transform_matches_per_density(synthetic_density):
 
 
 def test_family_ladders_and_near_pole_values_match_per_density():
-    # hydrogen at five alpha sharing one shape.  The ladder's peak in own
-    # units, peak / scale, rounds to one value at four of them and one ulp
-    # off at the fifth: the four walk one ladder for all their points, the
-    # fifth its own, and each transform equals its density's own batch.
-    # The near-pole values rho1(x*) of the batch come from one call
+    # hydrogen at five alpha sharing one shape.  peak / scale rounds to the
+    # shape's peak at four of them and one ulp off at the fifth; the ladder
+    # reads the shape's peak, so all five walk one ladder for all their
+    # points, and each transform equals its density's own batch.  The
+    # near-pole values rho1(x*) of the batch come from one call
     alphas = [0.2, 0.45, 1.0, 3.0, 0.4434782608695652]
     family, calls = _hydrogen_family(alphas)
-    peaks = [r.peak / r.scale for r in family]
-    assert len(set(peaks[:4])) == 1 and peaks[4] != peaks[0]
+    peak = family[0].shape[2]
+    assert [r.peak / r.scale == peak for r in family] == [True] * 4 + [False]
+    assert all(r.shape[2] == peak for r in family)
     points = [1e-6 - 0.01j, 0.4 - 0.2j, -1e-6 - 0.06j, 1e-5 - 0.4j,
               -2e-5 - 0.1j, 1e-6 - 0.5j, 0.3 - 0.2j, 2e-6 - 0.3j,
               -3e-6 - 0.7j]
@@ -441,16 +443,12 @@ def test_family_ladders_and_near_pole_values_match_per_density():
     zs = [s / r.scale for r, s in zip(rhos, points)]
     del calls[:]
     assert _bits(_cauchy_transform(rhos, points)) == _bits(want)
-    # one walk per peak, each as long as its strictest point's walk alone
-    blocks = 0
-    for peak in (peaks[0], peaks[4]):
-        walked = []
-        _truncation_walk(lambda x: walked.append(x) or _hydrogen_unit(x),
-                         [0.1 * _CAUCHY_CFG.abs_tol * max(abs(z), 1.0)
-                          for r, z in zip(rhos, zs)
-                          if r.peak / r.scale == peak], 7.0, None, peak)
-        blocks += len(walked)
-    assert [x.size for x, _ in calls].count(8) == blocks
+    # one walk, as long as its strictest point's walk alone
+    walked = []
+    _truncation_walk(lambda x: walked.append(x) or _hydrogen_unit(x),
+                     [0.1 * _CAUCHY_CFG.abs_tol * max(abs(z), 1.0)
+                      for z in zs], 7.0, None, peak)
+    assert [x.size for x, _ in calls].count(8) == len(walked)
     # the near-pole values, in batch order
     near = [-z.imag for z in zs if abs(z.real) < 0.05]
     assert len(near) == 7
@@ -458,6 +456,25 @@ def test_family_ladders_and_near_pole_values_match_per_density():
     assert len(hits) == 1
     assert hits[0][1].tobytes() == np.array(
         [_hydrogen_unit(np.array([x]))[0] for x in near]).tobytes()
+
+
+def test_hydrogen_sweep_walks_one_ladder_per_transform(monkeypatch):
+    # 24 alpha in one analyze: every batch of transforms walks one ladder,
+    # also where peak / scale misses the shape's peak by an ulp
+    alphas = np.linspace(0.2, 1.0, 24).tolist()
+    rhos = [hydrogen_density(a) for a in alphas]
+    assert any(r.peak / r.scale != r.shape[2] for r in rhos)
+    walks, transforms = [], []
+    walk = qedvolterra.laplace._truncation_walk
+    transform = qedvolterra.laplace._cauchy_transform
+    monkeypatch.setattr(qedvolterra.laplace, "_truncation_walk",
+                        lambda *a: walks.append(1) or walk(*a))
+    monkeypatch.setattr(
+        qedvolterra.laplace, "_cauchy_transform",
+        lambda *a, **k: transforms.append(1) or transform(*a, **k))
+    analyze(rhos, [ModelParams(alpha=a, omega=0.375 * a * a)
+                   for a in alphas])
+    assert len(transforms) >= 3 and len(walks) == len(transforms)
 
 
 def test_family_analyze_matches_per_density_analyze(synthetic_density):
@@ -715,7 +732,7 @@ def _family(n, b):
         fn=lambda p: p**n * np.exp(-p / b), label=f"p^{n} e^(-p/{b:g})",
         scale=b, peak=n * b, decay_rate=1.0 / b,
         analytic_extension=lambda z: z**n * np.exp(-z / b),
-        shape=(lambda x: x**n * np.exp(-x), b**n))
+        shape=(lambda x: x**n * np.exp(-x), b**n, n))
 
 
 def _mp_family_transform(n, b, s, second_sheet=False):

@@ -10,7 +10,8 @@ from qedvolterra import QuadratureError, hydrogen_density, \
 from qedvolterra.kernels import _hydrogen_unit, hydrogen_vacuum_density
 import qedvolterra.quadrature
 from qedvolterra.quadrature import DEFAULT_QUAD, QuadConfig, _LADDER_BLOCK, \
-    _LADDER_RUNGS, _integrate_many, _rule_estimates, _truncation_walk, _worst
+    _LADDER_RUNGS, _WG, _WK, _XK, _integrate_many, _rule_estimates, \
+    _truncation_walk, _worst
 
 TIGHT = QuadConfig(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -22,13 +23,11 @@ def finite_at(cfg, f, a, b):
 
 # ------------------------------------------------ one-interval reference
 # The adaptive rule as it was before the integrand calls were batched: one
-# interval per estimate and two integrand calls per interval.  The batched
+# interval per estimate and one integrand call per interval, on its 15
+# Kronrod nodes; the 7-point Gauss rule reads the odd ones.  The batched
 # rule must reproduce it bit for bit.  An integrand may return a pair (y,
-# y2); y2 is integrated by the 15-point rule on the same intervals, and its
+# y2); y2 is integrated by the Kronrod rule on the same intervals, and its
 # running total is updated like the value's.
-
-_X7, _W7 = np.polynomial.legendre.leggauss(7)
-_X15, _W15 = np.polynomial.legendre.leggauss(15)
 
 
 def _components(y):
@@ -39,11 +38,10 @@ def _components(y):
 def _reference_pair_estimate(f, a, b):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    y15 = _components(f(mid + half * _X15))
-    v15 = [half * np.dot(_W15, y) for y in y15]
-    y7 = _components(f(mid + half * _X7))[0]
-    v7 = half * np.dot(_W7, y7)
-    return v15, abs(v15[0] - v7)
+    ys = _components(f(mid + half * _XK))
+    k15 = [half * np.dot(_WK, y) for y in ys]
+    g7 = half * np.dot(_WG, ys[0][1::2])
+    return k15, abs(k15[0] - g7)
 
 
 def reference_integrate_finite(f, a, b, cfg=DEFAULT_QUAD):
@@ -134,7 +132,7 @@ def _oracle_cases():
     f_sub, a_sub, b_sub = _near_pole_f_sub()
     w = 1e-4
     return {
-        # past the degree the 15-point rule integrates exactly
+        # past the degree the Kronrod rule integrates exactly
         "polynomial": (lambda x: x**40 - 3.0 * x**2 + 1.0, 0.0, 2.0,
                        DEFAULT_QUAD),
         "exp_ix": (lambda x: np.exp(1j * x), 0.0, 60.0, TIGHT),
@@ -157,8 +155,8 @@ def test_batched_rule_matches_one_interval_reference(name):
     assert got == want
     # one call per refinement step: [a, b] first, then both halves of each
     # split together, on the same nodes the reference visits
-    assert new_log.sizes == [22] + [44] * (len(new_log.sizes) - 1)
-    assert 2 * len(new_log.sizes) - 1 == len(ref_log.sizes) // 2
+    assert new_log.sizes == [15] + [30] * (len(new_log.sizes) - 1)
+    assert 2 * len(new_log.sizes) - 1 == len(ref_log.sizes)
     assert sum(new_log.sizes) == sum(ref_log.sizes)
 
 
@@ -194,29 +192,35 @@ def _bits(values):
 
 
 def _oracle_rows(rng, n):
-    """n rows of 15 + 7 integrand values that stress the rule sums: parts
-    from 1e-300 to 1e300, exact and signed zeros, and one-hot rows whose
-    15-point and 7-point sums are equal."""
+    """n rows of 15 integrand values that stress the rule sums: parts from
+    1e-300 to 1e300, exact and signed zeros, and two-node rows whose K15
+    and G7 sums are equal."""
     kind = (np.arange(n) + rng.integers(4)) % 4
     mag = 10.0 ** rng.uniform(-300.0, 300.0, (n, 1))
     # kind 0: one magnitude per row; kind 1: every part its own magnitude
-    y = mag * (rng.standard_normal((n, 22))
-               + 1j * rng.standard_normal((n, 22)))
-    wide = 10.0 ** rng.uniform(-300.0, 300.0, (n, 22, 2))
-    y[kind == 1] = (np.sign(rng.standard_normal((n, 22)))
+    y = mag * (rng.standard_normal((n, 15))
+               + 1j * rng.standard_normal((n, 15)))
+    wide = 10.0 ** rng.uniform(-300.0, 300.0, (n, 15, 2))
+    y[kind == 1] = (np.sign(rng.standard_normal((n, 15)))
                     * wide[..., 0] + 1j * wide[..., 1])[kind == 1]
     for r in np.flatnonzero(kind == 2):
         # exact and signed zeros among the parts, or a whole zero row
-        zero = rng.random(22) < 0.5 if r % 8 != 2 else np.ones(22, bool)
+        zero = rng.random(15) < 0.5 if r % 8 != 2 else np.ones(15, bool)
         y[r, zero] = rng.choice([0.0, -0.0]) + 1j * rng.choice([0.0, -0.0])
     for r in np.flatnonzero(kind == 3):
-        # w7[k] at 15-point node j, w15[j] at 7-point node k: both sums are
-        # w15[j] w7[k] 2^m, so the error estimate is exactly zero
-        j, k = rng.integers(15), rng.integers(7)
+        # 2^m at Gauss node 2k + 1 and, at Kronrod-only node j, a value
+        # within an ulp of (wg[k] - wk[2k + 1]) 2^m / wk[j] that makes both
+        # sums equal, so that the error estimate is exactly zero
         scale = 2.0 ** int(rng.integers(-900, 900))
-        y[r] = 0.0
-        y[r, j] = _W7[k] * scale
-        y[r, 15 + k] = _W15[j] * scale
+        while True:
+            k, j = int(rng.integers(7)), 2 * int(rng.integers(8))
+            x = (_WG[k] - _WK[2 * k + 1]) * scale / _WK[j]
+            y[r] = 0.0
+            y[r, 2 * k + 1] = scale
+            y[r, j] = [x, np.nextafter(x, -math.inf),
+                       np.nextafter(x, math.inf)][rng.integers(3)]
+            if np.dot(_WK, y[r]) == np.dot(_WG, y[r, 1::2]):
+                break
     return y
 
 
@@ -229,11 +233,11 @@ def test_rule_estimates_match_per_row_reference(n):
         a = rng.uniform(-5.0, 5.0, n)
         b = a + 10.0 ** rng.uniform(-6.0, 0.0, n)
         y = _oracle_rows(rng, n)
-        idx = np.arange(n).repeat(22)
+        idx = np.arange(n).repeat(15)
         seen = []
 
         def f(p, owner):
-            seen.append(p.reshape(n, 22))
+            seen.append(p.reshape(n, 15))
             return y.ravel()
 
         vals, errs = _rule_estimates(f, a, b, idx)
@@ -242,12 +246,11 @@ def test_rule_estimates_match_per_row_reference(n):
         for ak, bk, row, nodes in zip(a.tolist(), b.tolist(), y, seen[0]):
             half = 0.5 * (bk - ak)
             mid = 0.5 * (ak + bk)
-            np.testing.assert_array_equal(
-                nodes, mid + half * np.concatenate([_X15, _X7]))
-            v15 = half * np.dot(_W15, row[:15])
-            v7 = half * np.dot(_W7, row[15:])
-            want_vals.append(v15)
-            want_errs.append(abs(v15 - v7))
+            np.testing.assert_array_equal(nodes, mid + half * _XK)
+            k15 = half * np.dot(_WK, row)
+            g7 = half * np.dot(_WG, row[1::2])
+            want_vals.append(k15)
+            want_errs.append(abs(k15 - g7))
         assert vals.dtype == np.complex128 and errs.dtype == np.float64
         vals, errs = vals.tolist(), errs.tolist()
         assert vals == want_vals and errs == want_errs
@@ -369,16 +372,16 @@ def test_lockstep_batch_matches_one_interval_reference():
     for (fi, a, b), value in zip(cases, got):
         log = _CallLog(fi)
         assert value == reference_integrate_finite(log, a, b, cfg)
-        # the reference calls f twice for [a, b], then four times per split
-        splits.append(max(len(log.sizes) - 2, 0) // 4)
+        # the reference calls f once for [a, b], then twice per split
+        splits.append(max(len(log.sizes) - 1, 0) // 2)
     assert got[4] == (0.0 + 0.0j, 0.0)
     assert len(set(splits[:4])) == 4
-    # one call per lockstep step: 22 nodes of [a, b] per non-empty problem,
-    # then 44 per problem still refining
+    # one call per lockstep step: 15 nodes of [a, b] per non-empty problem,
+    # then 30 per problem still refining
     assert len(calls) == 1 + max(splits)
-    np.testing.assert_array_equal(calls[0], [22, 22, 22, 22, 0])
+    np.testing.assert_array_equal(calls[0], [15, 15, 15, 15, 0])
     for step, per_problem in enumerate(calls[1:], start=1):
-        want = [44 if n >= step else 0 for n in splits]
+        want = [30 if n >= step else 0 for n in splits]
         np.testing.assert_array_equal(per_problem, want)
 
 
@@ -532,13 +535,14 @@ def test_random_lockstep_batches_match_one_interval_reference(problems,
         _assert_batch_matches_reference(cases, cfg)
 
 
-@pytest.mark.parametrize("f", [lambda x: 1.0 / (x * x + 1e-2),
-                               lambda x: np.cos(8.0 * x)],
+@pytest.mark.parametrize("f", [lambda x: 1.0 / (x * x + 2e-3),
+                               lambda x: np.cos(16.0 * x)],
                          ids=["lorentzian", "cosine"])
 def test_exact_error_ties_split_the_smaller_a_first(f, monkeypatch):
-    # an even integrand on [-1, 1]: mirrored intervals have bitwise equal
-    # errors, and the heap order (-err, a, b) splits the one with the
-    # smaller a first, which is not always the first column
+    # an even integrand on [-1, 1]: mirrored intervals read the same values
+    # in reverse node order, and at some steps their errors are bitwise
+    # equal; the heap order (-err, a, b) splits the one with the smaller a
+    # first, which is not always the first column
     moved = []
 
     def spy(error, a, b):
@@ -567,10 +571,11 @@ def test_worst_interval_order():
 
 
 def test_budget_exhaustion_in_a_later_batch(monkeypatch):
-    # six non-empty problems in batches of three: the first problem to run
-    # out of budget is the sixth, in the second batch; each call of f holds
-    # the live problems of one batch only
-    monkeypatch.setattr(qedvolterra.quadrature, "_LOCKSTEP_PROBLEMS", 3)
+    # six non-empty problems and a cap of four make two batches of three:
+    # the first problem to run out of budget is the sixth, in the second
+    # batch, and raises its own error; each call of f holds the live
+    # problems of one batch only
+    monkeypatch.setattr(qedvolterra.quadrature, "_LOCKSTEP_PROBLEMS", 4)
     cfg = QuadConfig(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=40)
     easy = lambda x: 3.0 * x**2 + 1.0
     hard = lambda x: np.cos(40.0 * x) / (1e-6 + x * x)
@@ -583,9 +588,36 @@ def test_budget_exhaustion_in_a_later_batch(monkeypatch):
     assert all(s <= {0, 1, 3} or s <= {4, 5, 6} for s in batches)
 
 
+def _batch_firsts(calls):
+    """The problems of each batch's first call: the calls in which every
+    problem shows the 15 nodes of its whole interval."""
+    return [np.flatnonzero(c).tolist() for c in calls
+            if set(c[c > 0].tolist()) == {15}]
+
+
+@pytest.mark.parametrize("n, cap", [(5, 5), (6, 5), (7, 3), (12, 4),
+                                    (13, 4), (40, 7)])
+def test_batches_are_the_fewest_of_nearly_equal_size(n, cap, monkeypatch):
+    # n live problems, one empty interval among them, under a cap: the
+    # fewest batches, consecutive in index order, whose sizes differ by at
+    # most one; no call of f sees more than 30 nodes per problem of the cap
+    monkeypatch.setattr(qedvolterra.quadrature, "_LOCKSTEP_PROBLEMS", cap)
+    rng = np.random.default_rng(n)
+    cases = [(_peak_and_wave(x0, 0.3, k, 0.5), a, a + 1.0)
+             for x0, k, a in zip(*rng.uniform(-1, 3, (3, n)))]
+    cases.insert(n // 2, (np.exp, 1.0, 1.0))
+    calls = _assert_batch_matches_reference(
+        cases, QuadConfig(rel_tol=1e-10, abs_tol=1e-12))
+    firsts = _batch_firsts(calls)
+    sizes = [len(ids) for ids in firsts]
+    assert len(sizes) == -(-n // cap) and max(sizes) - min(sizes) <= 1
+    assert sum(firsts, []) == [i for i in range(n + 1) if i != n // 2]
+    assert max(int(np.sum(c)) for c in calls) <= 30 * cap
+
+
 def test_batch_larger_than_the_cap_matches_reference():
-    # more problems than one lockstep batch holds: consecutive batches in
-    # index order, every result as alone
+    # more problems than one lockstep batch holds, at the module's own cap:
+    # three nearly equal batches in index order, every result as alone
     cap = qedvolterra.quadrature._LOCKSTEP_PROBLEMS
     rng = np.random.default_rng(5)
     cases = [(_peak_and_wave(x0, 0.3, k, 0.5), a, a + 1.0)
@@ -594,16 +626,23 @@ def test_batch_larger_than_the_cap_matches_reference():
                                  rng.uniform(-1, 1, 2 * cap + 5))]
     calls = _assert_batch_matches_reference(
         cases, QuadConfig(rel_tol=1e-10, abs_tol=1e-12))
-    assert max(np.count_nonzero(c) for c in calls) == cap
+    n = len(cases)
+    assert [len(ids) for ids in _batch_firsts(calls)] \
+        == [n * (k + 1) // 3 - n * k // 3 for k in range(3)]
+    assert max(np.count_nonzero(c) for c in calls) <= cap
+    assert max(int(np.sum(c)) for c in calls) <= 30 * cap
     firsts = [int(np.flatnonzero(c)[0]) for c in calls]
     assert firsts == sorted(firsts)
 
 
-def test_nan_on_one_seven_point_node():
-    # a NaN at one 7-point node of [a, b] leaves the 15-point value finite
-    # and makes the error NaN; the total error never meets the tolerance,
-    # so the budget runs out with err = nan, exactly as in the reference
-    bad = 0.5 + 0.5 * _X7[0]
+@pytest.mark.parametrize("node", [0, 1, 6, 7], ids=[
+    "kronrod-only", "gauss", "kronrod-only-inner", "gauss-centre"])
+def test_nan_on_one_node(node):
+    # a NaN at one node of [a, b], a Kronrod-only one (even index) or one
+    # the 7-point Gauss rule shares (odd): the K15 value and the error are
+    # NaN, the totals stay NaN and never meet the tolerance, so the budget
+    # runs out with err = nan, exactly as in the reference
+    bad = 0.5 + 0.5 * _XK[node]
 
     def f(x):
         return np.where(x == bad, np.nan, np.exp(1j * x))
@@ -614,7 +653,33 @@ def test_nan_on_one_seven_point_node():
     with pytest.raises(QuadratureError) as exc:
         finite_at(cfg, f, 0.0, 1.0)
     assert math.isnan(exc.value.err_est) and "err=nan" in str(exc.value)
-    assert np.isfinite(exc.value.best_estimate)
+    assert np.isnan(exc.value.best_estimate)
+    # the G7 sum alone reads the Gauss nodes: a NaN at a Kronrod-only node
+    # leaves it finite
+    y = f(0.5 + 0.5 * _XK)
+    assert np.isnan(np.dot(_WK, y))
+    assert np.isnan(np.dot(_WG, y[1::2])) == bool(node % 2)
+
+
+def test_gauss_kronrod_constants():
+    # K15 integrates x^k exactly on [-1, 1] for k <= 22 and G7 for k <= 13,
+    # to 1e-15; the odd Kronrod nodes are leggauss(7)'s to one ulp, and the
+    # tables are symmetric with positive weights
+    x7, _ = np.polynomial.legendre.leggauss(7)
+    xg = _XK[1::2]
+    for k in range(23):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.dot(_WK, _XK ** k) - exact) <= 1e-15, k
+        if k <= 13:
+            assert abs(np.dot(_WG, xg ** k) - exact) <= 1e-15, k
+    assert abs(np.dot(_WG, xg ** 14) - 2.0 / 15.0) > 1e-6
+    assert np.all(np.abs(xg[::-1] - x7) <= np.spacing(np.abs(x7)))
+    assert _XK.shape == _WK.shape == (15,) and _WG.shape == (7,)
+    assert np.all(np.diff(_XK) < 0.0) and _XK[7] == 0.0
+    np.testing.assert_array_equal(_XK, -_XK[::-1])
+    np.testing.assert_array_equal(_WK, _WK[::-1])
+    np.testing.assert_array_equal(_WG, _WG[::-1])
+    assert np.all(_WK > 0.0) and np.all(_WG > 0.0)
 
 
 def test_ladder_without_decay_raises():
